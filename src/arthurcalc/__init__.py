@@ -60,6 +60,7 @@ from .lfactors import (
     pole_locations,
 )
 from .classifier import (
+    AttachedData,
     Certificate,
     Genericity,
     IrreducibilityVerdict,

@@ -1,12 +1,19 @@
 """The theorem engine: standard-module data, irreducibility, genericity, and
 the temperedness dichotomy with machine-checkable certificates.
 
+`AttachedData.of` derives everything once per Arthur parameter: the Langlands
+parameter and its exponents, the dominant exponents with their Weyl word, the
+Levi, and on first use the conjugated parameter and its coefficient ratio.
+The verdict, the witness search, the standard module and the scenario report
+all read from that one `AttachedData`.
+
 The chain is: a nontrivial sl2 component forces a support root with diagram
 pairing 2 outside the defining Levi and with trivial unit evaluation, hence a
 denominator eigenvalue exactly q^1 and a vanishing inverse L-value at s = 1;
 irreducibility fails, so a packet with a generic member cannot carry a
-nontrivial sl2 component. Both the witness route and the full-product route
-are computed and must agree; disagreement is a bug, not a verdict.
+nontrivial sl2 component. Cross-checks that raise InvariantViolation (a bug,
+not a verdict): word application vs dominantization, the witness route vs
+the full product, and, in `run_scenario`, denominator vanishing vs verdict.
 """
 
 from __future__ import annotations
@@ -54,6 +61,15 @@ class Genericity(enum.Enum):
     GENERIC = "generic"
     NOT_GENERIC = "not-generic"
     NOT_APPLICABLE = "not-applicable"
+
+    @classmethod
+    def of(cls, generic: bool, irreducible: bool) -> "Genericity":
+        """The Langlands quotient is generic iff the standard module is
+        irreducible, under the assumption that the inducing datum is generic;
+        without the assumption the criterion does not apply."""
+        if not generic:
+            return cls.NOT_APPLICABLE
+        return cls.GENERIC if irreducible else cls.NOT_GENERIC
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,10 @@ class StandardModuleDatum:
     def twisted_parameter(self) -> UnramifiedParameter:
         return recompose_parameter(self.tempered.unit_parameter, self.evaluation_exponents)
 
+    @cached_property
+    def coefficient_ratio(self) -> CoefficientRatio:
+        return local_coefficient_ratio(self.datum, self.tempered.levi, self.twisted_parameter())
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -149,74 +169,103 @@ class IrreducibilityVerdict:
     witnesses: tuple[int, ...]
     denominator: LocalLFactor
 
+    @classmethod
+    def of(cls, ratio: CoefficientRatio) -> "IrreducibilityVerdict":
+        """Irreducible iff the denominator inverse has no zero at s = 1."""
+        return cls(not ratio.vanishes, ratio.witnesses, ratio.denominator)
+
     @property
     def witness_roots(self) -> tuple[Root, ...]:
         return tuple(self.denominator.roots[i] for i in self.witnesses)
 
 
+@dataclass(frozen=True)
+class AttachedData:
+    """The data attached to one Arthur parameter: `word` walks `exponents`
+    to `dominant`, whose zero set is `levi`. The conjugated parameter and its
+    ratio are derived on first use; a tempered verdict needs neither."""
+
+    psi: ArthurParameter
+    langlands: UnramifiedParameter
+    exponents: RationalVector
+    dominant: RationalVector
+    word: tuple[int, ...]
+    levi: LeviSubset
+
+    @classmethod
+    def of(cls, psi: ArthurParameter) -> "AttachedData":
+        """Evaluate, dominantize (recording the word) and read off the Levi."""
+        p = langlands_parameter(psi)
+        _, exponents = decompose_parameter(p)
+        dominant, word = dominantize(p.datum, exponents)
+        return cls(psi, p, exponents, dominant, word, defining_levi(dominant, p.datum))
+
+    @cached_property
+    def conjugated(self) -> UnramifiedParameter:
+        """The standard-module parameter: the Langlands parameter moved by the word."""
+        conjugated = apply_word_parameter(self.langlands, self.word)
+        if tuple(t.q_exp for t in conjugated.coords) != self.dominant:
+            raise InvariantViolation("word application disagrees with dominantization")
+        return conjugated
+
+    @cached_property
+    def ratio(self) -> CoefficientRatio:
+        return local_coefficient_ratio(self.langlands.datum, self.levi, self.conjugated)
+
+    @cached_property
+    def verdict(self) -> PacketVerdict:
+        """Temperedness dichotomy with the double-checked certificate."""
+        if self.psi.sl2.is_trivial:
+            if not is_tempered(self.langlands):
+                raise InvariantViolation("trivial sl2 component left a nonzero exponent")
+            return PacketVerdict(VerdictKind.TEMPERED, None, None, self.levi)
+        witness = witness_root(self)
+        eigenvalue = evaluate_root(witness, self.conjugated)
+        if not eigenvalue.is_q_power(1):
+            raise InvariantViolation(
+                f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
+            )
+        if witness not in IrreducibilityVerdict.of(self.ratio).witness_roots:
+            raise InvariantViolation(
+                f"the full product does not vanish at the witness {format_root(witness)}"
+            )
+        certificate = Certificate(eigenvalue, Fraction(1))
+        return PacketVerdict(VerdictKind.NON_TEMPERED, witness, certificate, self.levi)
+
+
 def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> StandardModuleDatum:
-    """Standard-module data of the attached parameter: dominantize the
-    exponents (recording the word, applied to the unit part as well), read
-    off the Levi, and convert the twist to character exponents."""
-    p = langlands_parameter(psi)
-    _, exponents = decompose_parameter(p)
-    dominant, word = dominantize(p.datum, exponents)
-    conjugated = apply_word_parameter(p, word)
-    units, check = decompose_parameter(conjugated)
-    if check != dominant:
-        raise InvariantViolation("word application disagrees with dominantization")
-    theta = defining_levi(dominant, p.datum)
+    """The dominant exponents of the attached data become the twist."""
+    a = AttachedData.of(psi)
+    units, _ = decompose_parameter(a.conjugated)
     return StandardModuleDatum(
-        TemperedDatum(theta, units, generic),
-        character_exponents_of(p.datum, dominant),
-        word,
+        TemperedDatum(a.levi, units, generic),
+        character_exponents_of(a.langlands.datum, a.dominant),
+        a.word,
     )
 
 
 def irreducibility_verdict(sm: StandardModuleDatum) -> IrreducibilityVerdict:
-    """Irreducible iff the denominator inverse has no zero at s = 1."""
-    ratio = _ratio(sm)
-    return IrreducibilityVerdict(
-        irreducible=not ratio.vanishes,
-        witnesses=ratio.witnesses,
-        denominator=ratio.denominator,
-    )
-
-
-def coefficient_ratio(sm: StandardModuleDatum) -> CoefficientRatio:
-    return _ratio(sm)
-
-
-def _ratio(sm: StandardModuleDatum) -> CoefficientRatio:
-    return local_coefficient_ratio(sm.datum, sm.tempered.levi, sm.twisted_parameter())
+    return IrreducibilityVerdict.of(sm.coefficient_ratio)
 
 
 def genericity_verdict(sm: StandardModuleDatum) -> Genericity:
-    """The Langlands quotient is generic iff the standard module is
-    irreducible, under the assumption that the inducing datum is generic;
-    without the assumption the criterion does not apply."""
-    if not sm.tempered.generic:
-        return Genericity.NOT_APPLICABLE
-    if irreducibility_verdict(sm).irreducible:
-        return Genericity.GENERIC
-    return Genericity.NOT_GENERIC
+    return Genericity.of(sm.tempered.generic, irreducibility_verdict(sm).irreducible)
 
 
-def witness_root(psi: ArthurParameter, theta: LeviSubset) -> Root:
+def witness_root(a: AttachedData) -> Root:
     """Minimal support root (canonical enumeration order) that certifies
     non-temperedness: diagram pairing 2, trivial unit evaluation, outside the
-    Levi. Each condition is re-checked rather than assumed."""
-    if psi.sl2.is_trivial:
+    Levi. Each condition is re-checked rather than assumed; no L-factor is
+    read, so the full product stays an independent check."""
+    if a.psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
-    p = langlands_parameter(psi)
-    _, exponents = decompose_parameter(p)
-    dominant, word = dominantize(p.datum, exponents)
-    diagram = tuple(int(2 * e) for e in dominant)
-    units, _ = decompose_parameter(apply_word_parameter(p, word))
-    levi_roots = set(levi_and_nilradical(p.datum, theta)[0])
+    diagram = tuple(int(2 * e) for e in a.dominant)
+    units, _ = decompose_parameter(a.conjugated)
+    datum = a.langlands.datum
+    levi_roots = set(levi_and_nilradical(datum, a.levi)[0])
     candidates = []
-    for root in psi.sl2.support:
-        moved = apply_word_root(p.datum, word, root)
+    for root in a.psi.sl2.support:
+        moved = apply_word_root(datum, a.word, root)
         if diagram_pairing(moved, diagram) != 2:
             continue
         if not evaluate_root(moved, units).is_one:
@@ -234,36 +283,4 @@ def witness_root(psi: ArthurParameter, theta: LeviSubset) -> Root:
 
 def classify_packet(psi: ArthurParameter) -> PacketVerdict:
     """Temperedness dichotomy with the double-checked certificate."""
-    p = langlands_parameter(psi)
-    _, exponents = decompose_parameter(p)
-    dominant, word = dominantize(p.datum, exponents)
-    theta = defining_levi(dominant, p.datum)
-
-    if psi.sl2.is_trivial:
-        if not is_tempered(p):
-            raise InvariantViolation("trivial sl2 component left a nonzero exponent")
-        return PacketVerdict(VerdictKind.TEMPERED, None, None, theta)
-
-    witness = witness_root(psi, theta)
-    conjugated = apply_word_parameter(p, word)
-    eigenvalue = evaluate_root(witness, conjugated)
-    if not eigenvalue.is_q_power(1):
-        raise InvariantViolation(
-            f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
-        )
-    ratio = local_coefficient_ratio(p.datum, theta, conjugated)
-    if not ratio.vanishes:
-        raise InvariantViolation(
-            "witness-based vanishing found but the full product is nonzero"
-        )
-    witnessed_roots = {ratio.denominator.roots[i] for i in ratio.witnesses}
-    if witness not in witnessed_roots:
-        raise InvariantViolation(
-            "the witness root is missing from the full-product vanishing set"
-        )
-    return PacketVerdict(
-        VerdictKind.NON_TEMPERED,
-        witness,
-        Certificate(eigenvalue, Fraction(1)),
-        theta,
-    )
+    return AttachedData.of(psi).verdict

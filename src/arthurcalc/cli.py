@@ -8,8 +8,8 @@ Verbs:
 
 `--format machine` emits canonical JSON (sorted keys, stable bytes);
 `--certify` adds the full per-level eigenvalue multisets in text mode and
-the sl2 support in orbit listings. Exit codes: 0 success, 1 validation
-error, 2 internal invariant violation.
+the sl2 support in orbit listings. Exit codes: 0 success (and `--help`),
+1 validation or usage error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from .sweeps import valid_partitions
 
 def _read_text(path: Path) -> str:
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text (byte {err.start})")
 
 
 def _cmd_check(args) -> int:
@@ -120,8 +122,16 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors; 2 means an internal bug."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arthurcalc",
         description=(
             "Exact temperedness certificates for unramified Arthur parameters "

@@ -107,8 +107,10 @@ def pole_locations(L: LocalLFactor) -> tuple[Fraction, ...]:
 @dataclass(frozen=True)
 class CoefficientRatio:
     """Zero/nonzero class of the normalized coefficient ratio
-    L(0, numerator) / L(1, denominator); only the class is exposed."""
+    L(0, numerator) / L(1, denominator) over its grading; only the class is
+    exposed."""
 
+    grading: GradedNilradical
     numerator: LocalLFactor
     denominator: LocalLFactor
     verdict: str  # "zero" | "nonzero"
@@ -146,6 +148,7 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
     denominator = l_factor(g, p, "r-tilde")
     vanishes, witnesses = inverse_vanishes_at(denominator, 1)
     return CoefficientRatio(
+        g,
         numerator,
         denominator,
         "zero" if vanishes else "nonzero",

@@ -201,10 +201,6 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
     return UnramifiedParameter(p.datum, tuple(coords))
 
 
-def reflect_parameter(p: UnramifiedParameter, i: int) -> UnramifiedParameter:
-    return apply_word_parameter(p, (i,))
-
-
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
     """Invert the Arthur evaluation: dominantize the exponents, double them
     into a diagram candidate, and return the correspondingly conjugated unit

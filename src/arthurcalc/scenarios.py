@@ -17,16 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 
-from .classifier import (
-    VerdictKind,
-    classify_packet,
-    genericity_verdict,
-    irreducibility_verdict,
-    standard_module_datum,
-)
+from .classifier import AttachedData, Genericity, IrreducibilityVerdict, VerdictKind
 from .errors import InvariantViolation, ValidationError
-from .lfactors import grade_nilradical, inverse_vanishes_at, l_factor
+from .lfactors import pole_locations
 from .nilpotent import (
     SL2Data,
     is_very_even,
@@ -34,14 +29,8 @@ from .nilpotent import (
     validate_partition,
     validate_sl2_data,
 )
-from .parameters import (
-    QMonomial,
-    UnramifiedParameter,
-    decompose_parameter,
-    langlands_parameter,
-    make_arthur_parameter,
-)
-from .roots import CartanSpec, Root, build_root_datum, dual_datum, format_root
+from .parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
+from .roots import CartanSpec, Root, build_root_datum, character_exponents, dual_datum, format_root
 
 # Assumption flags a place family may declare. The first ties a cuspidal
 # family to Arthur parameters at its unramified places; the second upgrades
@@ -314,12 +303,19 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
     return scenario
 
 
-def parse_scenario_text(text: str) -> Scenario:
+def _load_json(text: str):
+    """Decode JSON; malformed text and nesting too deep for the decoder are
+    both a ValidationError."""
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValidationError(f"not valid JSON: {err}")
-    return scenario_from_dict(payload)
+    except RecursionError:
+        raise ValidationError("not valid JSON: nested too deeply")
+
+
+def parse_scenario_text(text: str) -> Scenario:
+    return scenario_from_dict(_load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +376,20 @@ def run_scenario(s: Scenario) -> Report:
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
     phi = UnramifiedParameter(dual, tuple(QMonomial.unit(a) for a in s.satake_angles))
-    psi = make_arthur_parameter(phi, sl2)
+    attached = AttachedData.of(make_arthur_parameter(phi, sl2))
+    verdict = attached.verdict
+    ratio = attached.ratio
+    nontempered = verdict.kind is VerdictKind.NON_TEMPERED
+    if ratio.vanishes != nontempered:
+        raise InvariantViolation("denominator vanishing does not match the packet verdict")
+    irr = IrreducibilityVerdict.of(ratio)
 
-    p = langlands_parameter(psi)
-    units0, exponents = decompose_parameter(p)
-    verdict = classify_packet(psi)
-    sm = standard_module_datum(psi, generic=s.generic_assumption)
-    if verdict.levi != sm.tempered.levi:
-        raise InvariantViolation("classifier and standard module disagree on the Levi")
-    irr = irreducibility_verdict(sm)
-    genericity = genericity_verdict(sm)
-
-    twisted = sm.twisted_parameter()
-    grading = grade_nilradical(dual, sm.tempered.levi)
-    denominator = l_factor(grading, twisted, "r-tilde")
-    vanished, _ = inverse_vanishes_at(denominator, 1)
-    if vanished != (verdict.kind is VerdictKind.NON_TEMPERED):
-        raise InvariantViolation(
-            "denominator vanishing does not match the packet verdict"
-        )
-
-    by_level = []
-    index = 0
-    for _, roots in grading.levels:
-        block = denominator.eigenvalues[index : index + len(roots)]
-        index += len(roots)
-        by_level.append(tuple(sorted(block, key=_eigenvalue_key)))
-    poles = tuple(
-        sorted(value.q_exp for value in denominator.eigenvalues if value.angle == 0)
+    eigenvalues = iter(ratio.denominator.eigenvalues)  # aligned with the grading
+    by_level = tuple(
+        tuple(sorted(islice(eigenvalues, len(roots)), key=_eigenvalue_key))
+        for _, roots in ratio.grading.levels
     )
 
-    nontempered = verdict.kind is VerdictKind.NON_TEMPERED
     return Report(
         label=s.label,
         group=s.group,
@@ -424,19 +403,19 @@ def run_scenario(s: Scenario) -> Report:
         very_even=(
             s.sl2_kind == "partition" and is_very_even(dual.spec.family, s.partition)
         ),
-        parameter=p.coords,
-        unit_angles=tuple(t.angle for t in units0.coords),
-        exponents=exponents,
+        parameter=attached.langlands.coords,
+        unit_angles=tuple(t.angle for t in attached.langlands.coords),
+        exponents=attached.exponents,
         tempered=not nontempered,
-        weyl_word=tuple(i + 1 for i in sm.weyl_word),
-        dominant_exponents=sm.evaluation_exponents,
-        dominant_unit_angles=tuple(t.angle for t in sm.tempered.unit_parameter.coords),
-        levi=tuple(sorted(i + 1 for i in sm.tempered.levi)),
-        character_exponents=sm.character_exponents,
+        weyl_word=tuple(i + 1 for i in attached.word),
+        dominant_exponents=attached.dominant,
+        dominant_unit_angles=tuple(t.angle for t in attached.conjugated.coords),
+        levi=tuple(sorted(i + 1 for i in attached.levi)),
+        character_exponents=character_exponents(dual, attached.dominant),
         generic_assumption=s.generic_assumption,
         irreducible=irr.irreducible,
         irreducibility_witnesses=irr.witness_roots,
-        genericity=genericity.value,
+        genericity=Genericity.of(s.generic_assumption, irr.irreducible).value,
         verdict_kind=verdict.kind.value,
         verdict_witness=verdict.witness,
         certificate_eigenvalue=(
@@ -444,9 +423,9 @@ def run_scenario(s: Scenario) -> Report:
         ),
         certificate_point=verdict.certificate.s if nontempered else None,
         agreement=True,
-        levels=tuple(level for level, _ in grading.levels),
-        eigenvalues_by_level=tuple(by_level),
-        pole_locations=poles,
+        levels=tuple(level for level, _ in ratio.grading.levels),
+        eigenvalues_by_level=by_level,
+        pole_locations=pole_locations(ratio.denominator),
         interpretation=NONTEMPERED_NOTE if nontempered else TEMPERED_NOTE,
     )
 
@@ -602,11 +581,7 @@ def emit_report_machine(r: Report) -> str:
 
 
 def parse_report_text(text: str) -> Report:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"not valid JSON: {err}")
-    return report_from_dict(payload)
+    return report_from_dict(_load_json(text))
 
 
 def _bracketed(values) -> str:
@@ -762,11 +737,7 @@ def family_to_dict(f: PlaceFamily) -> dict:
 
 
 def parse_family_text(text: str) -> PlaceFamily:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"not valid JSON: {err}")
-    return family_from_dict(payload)
+    return family_from_dict(_load_json(text))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from arthurcalc.classifier import (
     TemperedDatum,
     VerdictKind,
     classify_packet,
-    coefficient_ratio,
     genericity_verdict,
     irreducibility_verdict,
     standard_module_datum,
@@ -176,7 +175,7 @@ def test_dichotomy_exhaustive_sweep(capsys):
     ) as c:
         tempered = nontempered = 0
         for psi, verdict, sm in _dichotomy_sweep():
-            ratio = coefficient_ratio(sm)
+            ratio = sm.coefficient_ratio
             if psi.sl2.is_trivial:
                 tempered += 1
                 assert verdict.kind is VerdictKind.TEMPERED

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from arthurcalc import classifier
 from arthurcalc.classifier import (
+    AttachedData,
     Certificate,
     Genericity,
     PacketVerdict,
@@ -17,7 +19,8 @@ from arthurcalc.classifier import (
     standard_module_datum,
     witness_root,
 )
-from arthurcalc.errors import ValidationError
+from arthurcalc.errors import InvariantViolation, ValidationError
+from arthurcalc.lfactors import local_coefficient_ratio
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
 from arthurcalc.parameters import (
     QMonomial,
@@ -116,17 +119,17 @@ def test_tempered_standard_module_is_trivially_irreducible():
 def test_witness_requires_nontrivial_sl2():
     psi = unit_psi("A", 2, (1, 1, 1))
     with pytest.raises(ValidationError, match="tempered parameter has no witness"):
-        witness_root(psi, frozenset({0, 1}))
+        witness_root(AttachedData.of(psi))
 
 
 def test_witness_tie_break_takes_first_simple_root():
     psi = unit_psi("A", 2, (3,))
-    assert witness_root(psi, frozenset()) == (1, 0)
+    assert witness_root(AttachedData.of(psi)) == (1, 0)
 
 
 def test_witness_lies_outside_the_levi():
     psi = unit_psi("B", 2, (3, 1, 1))
-    w = witness_root(psi, frozenset({1}))
+    w = witness_root(AttachedData.of(psi))
     assert w == (1, 1)
 
 
@@ -218,3 +221,15 @@ def test_reflection_at_nonzero_diagram_entry_is_rejected():
     psi = unit_psi("A", 1, (2,))
     with pytest.raises(ValidationError):
         reflected_psi(psi, 0)  # s_1 sends the support root negative
+
+
+def test_witness_route_and_full_product_must_agree(monkeypatch):
+    """A full product that misses the witness is a bug, not a verdict."""
+
+    def squared(d, theta, p):
+        squared_parameter = UnramifiedParameter(d, tuple(t ** 2 for t in p.coords))
+        return local_coefficient_ratio(d, theta, squared_parameter)
+
+    monkeypatch.setattr(classifier, "local_coefficient_ratio", squared)
+    with pytest.raises(InvariantViolation, match="does not vanish at the witness a1"):
+        classify_packet(unit_psi("A", 1, (2,)))

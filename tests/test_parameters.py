@@ -21,7 +21,6 @@ from arthurcalc.parameters import (
     make_arthur_parameter,
     recompose_parameter,
     recover_arthur_data,
-    reflect_parameter,
     trivial_parameter,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum, reflect_root
@@ -107,7 +106,7 @@ def test_weyl_equivariance_of_evaluation(data):
     p = data.draw(parameter_strategy(d))
     i = data.draw(st.integers(min_value=0, max_value=d.rank - 1))
     for beta in d.positive_roots:
-        assert evaluate_root(reflect_root(d, i, beta), reflect_parameter(p, i)) == \
+        assert evaluate_root(reflect_root(d, i, beta), apply_word_parameter(p, (i,))) == \
             evaluate_root(beta, p)
 
 

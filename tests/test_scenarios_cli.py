@@ -1,7 +1,11 @@
 """Scenario files, reports, family aggregation, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -420,6 +424,51 @@ def test_cli_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", explode)
     assert cli.main(["check", path]) == 2
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+# Files no parser should choke on: bytes that are not UTF-8, and nesting far
+# beyond the JSON decoder's recursion limit.
+HOSTILE_FILES = {
+    "latin1.json": (b'{"label": "caf\xe9"}', "latin1.json: not UTF-8 text"),
+    "deep.json": (b"[" * 100000, "not valid JSON: nested too deeply"),
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("verb", ["check", "batch", "global"])
+def test_cli_hostile_files_are_validation_errors(tmp_path, verb, name):
+    content, message = HOSTILE_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(content)
+    target = tmp_path if verb == "batch" else path
+    done = subprocess.run(
+        [sys.executable, "-m", "arthurcalc", verb, str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["frobnicate"], ["orbits", "A", "x"], []], ids=lambda argv: "-".join(argv) or "no-verb"
+)
+def test_cli_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    assert "usage: arthurcalc" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage: arthurcalc" in capsys.readouterr().out
 
 
 # -- rendered text stays in sync with the data ----------------------------------------

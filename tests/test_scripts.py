@@ -1,0 +1,31 @@
+"""The example scripts run end to end against the package sources."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv):
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+
+
+def test_run_worked_examples():
+    done = run_script("scripts/run_worked_examples.py")
+    assert done.returncode == 0, done.stderr
+    scenarios = sorted(path.name for path in (ROOT / "scenarios").glob("*.json"))
+    assert [line[4:-4] for line in done.stdout.splitlines() if line.startswith("=== ")] == scenarios
+
+
+def test_survey_dichotomy():
+    done = run_script("scripts/survey_dichotomy.py", "--types", "A2", "C2")
+    assert done.returncode == 0, done.stderr
+    assert "dichotomy holds on every surveyed row" in done.stdout.splitlines()

@@ -1,0 +1,78 @@
+"""Each fact attached to an Arthur parameter is computed once per run.
+
+Calls are counted the way bench/tracer.py observes them: every function is
+replaced, under every name an arthurcalc module binds it to, by a counting
+wrapper, so a call is seen whichever module makes it.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from arthurcalc import lfactors, parameters, roots
+from arthurcalc.classifier import VerdictKind, classify_packet
+from arthurcalc.nilpotent import sl2_from_partition
+from arthurcalc.parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
+from arthurcalc.roots import CartanSpec, build_root_datum
+from arthurcalc.scenarios import parse_scenario_text, run_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+COUNTED = {
+    "langlands_parameter": parameters.langlands_parameter,
+    "dominantize": roots.dominantize,
+    "apply_word_parameter": parameters.apply_word_parameter,
+    "local_coefficient_ratio": lfactors.local_coefficient_ratio,
+    "grade_nilradical": lfactors.grade_nilradical,
+    "l_factor": lfactors.l_factor,
+    "character_exponents": roots.character_exponents,
+}
+
+
+def count_calls(monkeypatch):
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "arthurcalc"]
+    for name, fn in COUNTED.items():
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_run_scenario_derives_each_fact_once(path, monkeypatch):
+    scenario = parse_scenario_text(path.read_text())
+    counts = count_calls(monkeypatch)
+    run_scenario(scenario)
+    assert counts == {
+        "langlands_parameter": 1,
+        "dominantize": 1,
+        "apply_word_parameter": 1,
+        "local_coefficient_ratio": 1,
+        "grade_nilradical": 1,
+        "l_factor": 2,  # numerator and denominator, both inside the ratio
+        "character_exponents": 1,  # the report's twist
+    }
+
+
+def test_tempered_classification_builds_no_l_factor(monkeypatch):
+    d = build_root_datum(CartanSpec("C", 3))
+    phi = UnramifiedParameter(d, tuple(QMonomial.unit(Fraction(1, 4)) for _ in range(3)))
+    psi = make_arthur_parameter(phi, sl2_from_partition("C", 3, (1,) * 6))
+    counts = count_calls(monkeypatch)
+    assert classify_packet(psi).kind is VerdictKind.TEMPERED
+    assert counts["local_coefficient_ratio"] == 0
+    assert counts["l_factor"] == 0
+    assert counts["character_exponents"] == 0
+    assert counts["apply_word_parameter"] == 0
+    assert counts["langlands_parameter"] == counts["dominantize"] == 1
