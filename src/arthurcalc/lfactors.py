@@ -130,12 +130,13 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
     absorbed into the verdict.
     """
     g = grade_nilradical(d, theta)
-    for root in g.all_roots:
-        exponent = sum((Fraction(c) * t.q_exp for c, t in zip(root, p.coords)), Fraction(0))
-        if exponent <= 0:
+    # the denominator's eigenvalues carry the exponent part on each root
+    denominator = l_factor(g, p, "r-tilde")
+    for root, value in zip(denominator.roots, denominator.eigenvalues):
+        if value.q_exp <= 0:
             raise ValidationError(
                 "exponent part is not strictly positive on the nilradical "
-                f"(root {root} gives {exponent})",
+                f"(root {root} gives {value.q_exp})",
                 field="parameter",
             )
     numerator = l_factor(g, p, "r")
@@ -145,7 +146,6 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
             f"numerator inverse vanished at s=0 on factors {bad}; "
             "the dominance precondition should forbid this"
         )
-    denominator = l_factor(g, p, "r-tilde")
     vanishes, witnesses = inverse_vanishes_at(denominator, 1)
     return CoefficientRatio(
         g,

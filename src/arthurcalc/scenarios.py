@@ -15,9 +15,12 @@ re-verify its verdict with the L-factor layer alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import islice
+from types import NoneType, UnionType
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 from .classifier import AttachedData, Genericity, IrreducibilityVerdict, VerdictKind
 from .errors import InvariantViolation, ValidationError
@@ -56,8 +59,7 @@ NONTEMPERED_NOTE = (
 
 
 def format_fraction(x: Fraction) -> str:
-    """Canonical "num/den" form, denominator always present."""
-    x = Fraction(x)
+    """Canonical "num/den" form of a rational, denominator always present."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -113,39 +115,93 @@ def _join_field(prefix: str, name: str) -> str:
     return f"{prefix}.{name}" if prefix else name
 
 
-def monomial_to_dict(m: QMonomial) -> dict:
-    return {"angle": format_fraction(m.angle), "q_exp": format_fraction(m.q_exp)}
+# ---------------------------------------------------------------------------
+# the codec: every report shape is derived from its dataclass fields
 
 
-def monomial_from_dict(payload, field: str) -> QMonomial:
-    payload = _expect_dict(payload, field)
-    _check_keys(payload, {"angle", "q_exp"}, set(), field)
-    return QMonomial(
-        q_exp=parse_fraction(payload["q_exp"], _join_field(field, "q_exp")),
-        angle=parse_fraction(payload["angle"], _join_field(field, "angle")),
-    )
+def _encode(value):
+    """Fraction -> "num/den", tuple -> list, dataclass -> object keyed by
+    field name; str, int, bool and None pass through."""
+    cls = type(value)
+    if cls is Fraction:
+        return format_fraction(value)
+    if cls is tuple:
+        return [_encode(v) for v in value]
+    names = _field_names(cls)
+    if names is None:
+        return value
+    return {name: _encode(getattr(value, name)) for name in names}
 
 
-def spec_to_dict(spec: CartanSpec) -> dict:
-    return {"family": spec.family, "rank": spec.rank}
+@lru_cache(maxsize=None)
+def _field_names(cls) -> tuple[str, ...] | None:
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-def spec_from_dict(payload, field: str) -> CartanSpec:
-    payload = _expect_dict(payload, field)
-    _check_keys(payload, {"family", "rank"}, set(), field)
-    family = _expect_str(payload["family"], _join_field(field, "family"))
-    rank = _expect_int(payload["rank"], _join_field(field, "rank"))
-    try:
-        return CartanSpec(family, rank)
-    except ValidationError as err:
-        raise ValidationError(err.raw_message, field=field)
+_LEAVES = {Fraction: parse_fraction, int: _expect_int, bool: _expect_bool, str: _expect_str}
 
 
-def _root_from_list(value, rank: int, field: str) -> Root:
-    value = _expect_list(value, field)
-    if len(value) != rank:
-        raise ValidationError(f"expected {rank} coefficients, got {len(value)}", field=field)
-    return tuple(_expect_int(c, f"{field}[{i + 1}]") for i, c in enumerate(value))
+def _decode(tp, value, field: str = "", scope: dict | None = None, name: str = ""):
+    """Decode `value` as annotation `tp`; `field` is its dotted path, `scope`
+    holds the fields of the enclosing object decoded so far, and `name`
+    labels a top-level object in its own messages."""
+    return _decoder(tp, name)(value, field, scope)
+
+
+@lru_cache(maxsize=None)
+def _decoder(tp, name: str = ""):
+    """Build the decoder `(value, field, scope) -> object` for one annotation:
+    `X | None`, `tuple[T, ...]`, the leaf types, nested dataclasses, and
+    `Annotated[Root, sibling]`, a root vector whose length is the rank of
+    the spec in the sibling field."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        inner, sibling = _decoder(args[0]), args[1]
+
+        def sized(value, field, scope):
+            rank = scope[sibling].rank
+            if len(_expect_list(value, field)) != rank:
+                raise ValidationError(
+                    f"expected {rank} coefficients, got {len(value)}", field=field
+                )
+            return inner(value, field, scope)
+
+        return sized
+    if origin is Union or origin is UnionType:
+        (some,) = (arg for arg in args if arg is not NoneType)
+        inner = _decoder(some)
+        return lambda value, field, scope: (
+            None if value is None else inner(value, field, scope)
+        )
+    if origin is tuple:
+        inner = _decoder(args[0])
+        return lambda value, field, scope: tuple(
+            [inner(v, f"{field}[{i + 1}]", scope) for i, v in enumerate(_expect_list(value, field))]
+        )
+    if tp in _LEAVES:
+        leaf = _LEAVES[tp]
+        return lambda value, field, scope: leaf(value, field)
+    return _object_decoder(tp, name)
+
+
+def _object_decoder(cls, name: str):
+    hints = get_type_hints(cls, include_extras=True)
+    members = tuple((key, _decoder(hints[key])) for key in _field_names(cls))
+    required = {key for key, _ in members}
+
+    def decode(value, field, scope):
+        own = field or name
+        value = _expect_dict(value, own)
+        _check_keys(value, required, set(), own)
+        decoded = {}
+        for key, member in members:
+            decoded[key] = member(value[key], _join_field(field, key), decoded)
+        try:
+            return cls(**decoded)
+        except ValidationError as err:
+            raise ValidationError(err.raw_message, field=own)
+
+    return decode
 
 
 def canonical_json(payload) -> str:
@@ -221,18 +277,13 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.sl2_kind == "trivial":
         sl2_payload = "trivial"
     elif s.sl2_kind == "partition":
-        sl2_payload = {"partition": list(s.partition)}
+        sl2_payload = {"partition": _encode(s.partition)}
     else:
-        sl2_payload = {
-            "expert": {
-                "diagram": list(s.expert_data.diagram),
-                "support": [list(root) for root in s.expert_data.support],
-            }
-        }
+        sl2_payload = {"expert": _encode(s.expert_data)}
     return {
         "label": s.label,
-        "group": spec_to_dict(s.group),
-        "satake_angles": [format_fraction(a) for a in s.satake_angles],
+        "group": _encode(s.group),
+        "satake_angles": _encode(s.satake_angles),
         "sl2": sl2_payload,
         "generic_assumption": s.generic_assumption,
     }
@@ -247,17 +298,13 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
         field or "scenario",
     )
     label = _expect_str(payload["label"], _join_field(field, "label"))
-    group = spec_from_dict(payload["group"], _join_field(field, "group"))
-    angles_field = _join_field(field, "satake_angles")
-    angles = tuple(
-        parse_fraction(a, f"{angles_field}[{i + 1}]")
-        for i, a in enumerate(_expect_list(payload["satake_angles"], angles_field))
+    group = _decode(CartanSpec, payload["group"], _join_field(field, "group"))
+    angles = _decode(
+        tuple[Fraction, ...], payload["satake_angles"], _join_field(field, "satake_angles")
     )
-    generic = True
-    if "generic_assumption" in payload:
-        generic = _expect_bool(
-            payload["generic_assumption"], _join_field(field, "generic_assumption")
-        )
+    generic = _expect_bool(
+        payload.get("generic_assumption", True), _join_field(field, "generic_assumption")
+    )
 
     sl2_field = _join_field(field, "sl2")
     sl2_value = payload["sl2"]
@@ -272,35 +319,32 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
             )
         if "partition" in sl2_value:
             kind = "partition"
-            part_field = _join_field(sl2_field, "partition")
-            raw = _expect_list(sl2_value["partition"], part_field)
-            partition = tuple(
-                _expect_int(m, f"{part_field}[{i + 1}]") for i, m in enumerate(raw)
+            partition = _decode(
+                tuple[int, ...],
+                sl2_value["partition"],
+                _join_field(sl2_field, "partition"),
             )
         else:
             kind = "expert"
             expert_field = _join_field(sl2_field, "expert")
             body = _expect_dict(sl2_value["expert"], expert_field)
             _check_keys(body, {"diagram", "support"}, set(), expert_field)
-            diagram_field = _join_field(expert_field, "diagram")
-            diagram = tuple(
-                _expect_int(v, f"{diagram_field}[{i + 1}]")
-                for i, v in enumerate(_expect_list(body["diagram"], diagram_field))
+            expert = SL2Data(
+                _decode(tuple[int, ...], body["diagram"], _join_field(expert_field, "diagram")),
+                _decode(
+                    tuple[Annotated[Root, "group"], ...],
+                    body["support"],
+                    _join_field(expert_field, "support"),
+                    {"group": group},
+                ),
             )
-            support_field = _join_field(expert_field, "support")
-            support = tuple(
-                _root_from_list(root, group.rank, f"{support_field}[{i + 1}]")
-                for i, root in enumerate(_expect_list(body["support"], support_field))
-            )
-            expert = SL2Data(diagram, support)
     else:
         raise ValidationError(
             'sl2 must be "trivial" or an object with "partition" or "expert"',
             field=sl2_field,
         )
 
-    scenario = Scenario(label, group, angles, kind, partition, expert, generic)
-    return scenario
+    return Scenario(label, group, angles, kind, partition, expert, generic)
 
 
 def _load_json(text: str):
@@ -322,6 +366,11 @@ def parse_scenario_text(text: str) -> Scenario:
 # reports
 
 
+# A root of a report's dual datum; decoding checks its length against the
+# rank of the report's `dual` field.
+DualRoot = Annotated[Root, "dual"]
+
+
 @dataclass(frozen=True)
 class Report:
     """Flat, fully serializable record of one scenario run.
@@ -338,7 +387,7 @@ class Report:
     sl2_kind: str
     sl2_partition: tuple[int, ...] | None
     sl2_diagram: tuple[int, ...]
-    sl2_support: tuple[Root, ...]
+    sl2_support: tuple[DualRoot, ...]
     orbit_certified: bool
     very_even: bool
     parameter: tuple[QMonomial, ...]
@@ -352,10 +401,10 @@ class Report:
     character_exponents: tuple[Fraction, ...]
     generic_assumption: bool
     irreducible: bool
-    irreducibility_witnesses: tuple[Root, ...]
+    irreducibility_witnesses: tuple[DualRoot, ...]
     genericity: str
     verdict_kind: str
-    verdict_witness: Root | None
+    verdict_witness: DualRoot | None
     certificate_eigenvalue: QMonomial | None
     certificate_point: Fraction | None
     agreement: bool
@@ -430,150 +479,8 @@ def run_scenario(s: Scenario) -> Report:
     )
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(Report))
-
-
-def report_to_dict(r: Report) -> dict:
-    return {
-        "label": r.label,
-        "group": spec_to_dict(r.group),
-        "dual": spec_to_dict(r.dual),
-        "satake_angles": [format_fraction(a) for a in r.satake_angles],
-        "sl2_kind": r.sl2_kind,
-        "sl2_partition": list(r.sl2_partition) if r.sl2_partition is not None else None,
-        "sl2_diagram": list(r.sl2_diagram),
-        "sl2_support": [list(root) for root in r.sl2_support],
-        "orbit_certified": r.orbit_certified,
-        "very_even": r.very_even,
-        "parameter": [monomial_to_dict(m) for m in r.parameter],
-        "unit_angles": [format_fraction(a) for a in r.unit_angles],
-        "exponents": [format_fraction(e) for e in r.exponents],
-        "tempered": r.tempered,
-        "weyl_word": list(r.weyl_word),
-        "dominant_exponents": [format_fraction(e) for e in r.dominant_exponents],
-        "dominant_unit_angles": [format_fraction(a) for a in r.dominant_unit_angles],
-        "levi": list(r.levi),
-        "character_exponents": [format_fraction(c) for c in r.character_exponents],
-        "generic_assumption": r.generic_assumption,
-        "irreducible": r.irreducible,
-        "irreducibility_witnesses": [list(root) for root in r.irreducibility_witnesses],
-        "genericity": r.genericity,
-        "verdict_kind": r.verdict_kind,
-        "verdict_witness": list(r.verdict_witness) if r.verdict_witness else None,
-        "certificate_eigenvalue": (
-            monomial_to_dict(r.certificate_eigenvalue)
-            if r.certificate_eigenvalue is not None
-            else None
-        ),
-        "certificate_point": (
-            format_fraction(r.certificate_point)
-            if r.certificate_point is not None
-            else None
-        ),
-        "agreement": r.agreement,
-        "levels": list(r.levels),
-        "eigenvalues_by_level": [
-            [monomial_to_dict(m) for m in block] for block in r.eigenvalues_by_level
-        ],
-        "pole_locations": [format_fraction(x) for x in r.pole_locations],
-        "interpretation": r.interpretation,
-    }
-
-
-def report_from_dict(payload) -> Report:
-    payload = _expect_dict(payload, "report")
-    _check_keys(payload, set(_REPORT_FIELDS), set(), "report")
-    dual = spec_from_dict(payload["dual"], "dual")
-    rank = dual.rank
-
-    def fractions(name: str) -> tuple[Fraction, ...]:
-        return tuple(
-            parse_fraction(v, f"{name}[{i + 1}]")
-            for i, v in enumerate(_expect_list(payload[name], name))
-        )
-
-    def roots(name: str) -> tuple[Root, ...]:
-        return tuple(
-            _root_from_list(v, rank, f"{name}[{i + 1}]")
-            for i, v in enumerate(_expect_list(payload[name], name))
-        )
-
-    def ints(name: str) -> tuple[int, ...]:
-        return tuple(
-            _expect_int(v, f"{name}[{i + 1}]")
-            for i, v in enumerate(_expect_list(payload[name], name))
-        )
-
-    witness = payload["verdict_witness"]
-    eigenvalue = payload["certificate_eigenvalue"]
-    point = payload["certificate_point"]
-    partition = payload["sl2_partition"]
-    return Report(
-        label=_expect_str(payload["label"], "label"),
-        group=spec_from_dict(payload["group"], "group"),
-        dual=dual,
-        satake_angles=fractions("satake_angles"),
-        sl2_kind=_expect_str(payload["sl2_kind"], "sl2_kind"),
-        sl2_partition=(
-            tuple(
-                _expect_int(m, f"sl2_partition[{i + 1}]")
-                for i, m in enumerate(_expect_list(partition, "sl2_partition"))
-            )
-            if partition is not None
-            else None
-        ),
-        sl2_diagram=ints("sl2_diagram"),
-        sl2_support=roots("sl2_support"),
-        orbit_certified=_expect_bool(payload["orbit_certified"], "orbit_certified"),
-        very_even=_expect_bool(payload["very_even"], "very_even"),
-        parameter=tuple(
-            monomial_from_dict(m, f"parameter[{i + 1}]")
-            for i, m in enumerate(_expect_list(payload["parameter"], "parameter"))
-        ),
-        unit_angles=fractions("unit_angles"),
-        exponents=fractions("exponents"),
-        tempered=_expect_bool(payload["tempered"], "tempered"),
-        weyl_word=ints("weyl_word"),
-        dominant_exponents=fractions("dominant_exponents"),
-        dominant_unit_angles=fractions("dominant_unit_angles"),
-        levi=ints("levi"),
-        character_exponents=fractions("character_exponents"),
-        generic_assumption=_expect_bool(
-            payload["generic_assumption"], "generic_assumption"
-        ),
-        irreducible=_expect_bool(payload["irreducible"], "irreducible"),
-        irreducibility_witnesses=roots("irreducibility_witnesses"),
-        genericity=_expect_str(payload["genericity"], "genericity"),
-        verdict_kind=_expect_str(payload["verdict_kind"], "verdict_kind"),
-        verdict_witness=(
-            _root_from_list(witness, rank, "verdict_witness")
-            if witness is not None
-            else None
-        ),
-        certificate_eigenvalue=(
-            monomial_from_dict(eigenvalue, "certificate_eigenvalue")
-            if eigenvalue is not None
-            else None
-        ),
-        certificate_point=(
-            parse_fraction(point, "certificate_point") if point is not None else None
-        ),
-        agreement=_expect_bool(payload["agreement"], "agreement"),
-        levels=ints("levels"),
-        eigenvalues_by_level=tuple(
-            tuple(
-                monomial_from_dict(m, f"eigenvalues_by_level[{i + 1}][{j + 1}]")
-                for j, m in enumerate(
-                    _expect_list(block, f"eigenvalues_by_level[{i + 1}]")
-                )
-            )
-            for i, block in enumerate(
-                _expect_list(payload["eigenvalues_by_level"], "eigenvalues_by_level")
-            )
-        ),
-        pole_locations=fractions("pole_locations"),
-        interpretation=_expect_str(payload["interpretation"], "interpretation"),
-    )
+report_to_dict = _encode
+report_from_dict = partial(_decode, Report, name="report")
 
 
 def emit_report_machine(r: Report) -> str:
@@ -706,12 +613,7 @@ def family_from_dict(payload) -> PlaceFamily:
     payload = _expect_dict(payload, "family")
     _check_keys(payload, {"label", "places"}, {"assumptions"}, "family")
     label = _expect_str(payload["label"], "label")
-    assumptions = tuple(
-        _expect_str(flag, f"assumptions[{i + 1}]")
-        for i, flag in enumerate(
-            _expect_list(payload.get("assumptions", []), "assumptions")
-        )
-    )
+    assumptions = _decode(tuple[str, ...], payload.get("assumptions", []), "assumptions")
     places = []
     for i, entry in enumerate(_expect_list(payload["places"], "places")):
         entry_field = f"places[{i + 1}]"
@@ -728,7 +630,7 @@ def family_from_dict(payload) -> PlaceFamily:
 def family_to_dict(f: PlaceFamily) -> dict:
     return {
         "label": f.label,
-        "assumptions": list(f.assumptions),
+        "assumptions": _encode(f.assumptions),
         "places": [
             {"label": place_label, "scenario": scenario_to_dict(scenario)}
             for place_label, scenario in f.places
@@ -804,46 +706,8 @@ def ramanujan_report(f: PlaceFamily) -> GlobalReport:
     )
 
 
-def global_report_to_dict(g: GlobalReport) -> dict:
-    return {
-        "label": g.label,
-        "mode": g.mode,
-        "assumptions": list(g.assumptions),
-        "place_labels": list(g.place_labels),
-        "place_verdicts": list(g.place_verdicts),
-        "nontempered_places": list(g.nontempered_places),
-        "conclusion": g.conclusion,
-    }
-
-
-def global_report_from_dict(payload) -> GlobalReport:
-    payload = _expect_dict(payload, "global_report")
-    keys = {
-        "label",
-        "mode",
-        "assumptions",
-        "place_labels",
-        "place_verdicts",
-        "nontempered_places",
-        "conclusion",
-    }
-    _check_keys(payload, keys, set(), "global_report")
-
-    def strings(name: str) -> tuple[str, ...]:
-        return tuple(
-            _expect_str(v, f"{name}[{i + 1}]")
-            for i, v in enumerate(_expect_list(payload[name], name))
-        )
-
-    return GlobalReport(
-        label=_expect_str(payload["label"], "label"),
-        mode=_expect_str(payload["mode"], "mode"),
-        assumptions=strings("assumptions"),
-        place_labels=strings("place_labels"),
-        place_verdicts=strings("place_verdicts"),
-        nontempered_places=strings("nontempered_places"),
-        conclusion=_expect_str(payload["conclusion"], "conclusion"),
-    )
+global_report_to_dict = _encode
+global_report_from_dict = partial(_decode, GlobalReport, name="global_report")
 
 
 def render_global_text(g: GlobalReport) -> str:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.roots import (
+    MAX_RANK,
     CartanSpec,
     apply_word_vector,
     build_root_datum,
@@ -81,6 +82,16 @@ def test_bad_specs_rejected():
         CartanSpec("G", 3)
     with pytest.raises(ValidationError):
         CartanSpec("A", 0)
+
+
+def test_rank_cap():
+    # principal-large runs reach dual rank 22
+    assert MAX_RANK >= 22
+    for family in "ABCD":
+        assert CartanSpec(family, MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValidationError, match=r"^rank: rank \d+ exceeds") as info:
+            CartanSpec(family, MAX_RANK + 1)
+        assert info.value.field == "rank"
 
 
 # -- positive root systems ----------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,6 +184,71 @@ def test_report_rejects_key_drift():
     del payload["verdict_kind"]
     with pytest.raises(ValidationError, match="missing keys"):
         report_from_dict(payload)
+
+
+DELETE = object()
+
+# One malformed report field each: the path into the payload (keys and list
+# indices), the value put there (or DELETE), and the dotted path and message
+# the decoder must name. Built on the non-tempered B2 pair-orbit report
+# (dual C2, levels 1 and 2, a witness root and a certificate).
+MALFORMED_REPORTS = {
+    "q_exp-float": (
+        ["parameter", 1, "q_exp"],
+        1.5,
+        r"^parameter\[2\]\.q_exp: expected a rational, got 1\.5$",
+    ),
+    "eigenvalue-missing-key": (
+        ["eigenvalues_by_level", 0, 0, "angle"],
+        DELETE,
+        r"^eigenvalues_by_level\[1\]\[1\]: missing keys \['angle'\]$",
+    ),
+    "dual-family": (
+        ["dual", "family"],
+        "X",
+        r"^dual: unknown family 'X'; expected one of A, B, C, D, G$",
+    ),
+    "witness-length": (
+        ["verdict_witness"],
+        [1, 0, 0],
+        r"^verdict_witness: expected 2 coefficients, got 3$",
+    ),
+    "levi-bool": (["levi", 0], True, r"^levi\[1\]: expected an integer, got True$"),
+    "point-float": (
+        ["certificate_point"],
+        1.5,
+        r"^certificate_point: expected a rational, got 1\.5$",
+    ),
+    "new-field": (
+        ["verdict_confidence"],
+        "high",
+        r"^report: unknown keys \['verdict_confidence'\]$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_report_decoder_names_the_field(case):
+    (*parents, last), value, message = MALFORMED_REPORTS[case]
+    payload = report_to_dict(run_scenario(sample_scenarios()[3]))
+    target = payload
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ValidationError, match=message):
+        report_from_dict(payload)
+
+
+def test_global_report_rejects_empty_place_label():
+    payload = global_report_to_dict(ramanujan_report(mixed_family(())))
+    payload["place_labels"][1] = ""
+    with pytest.raises(
+        ValidationError, match=r"^place_labels\[2\]: expected a nonempty string, got ''$"
+    ):
+        global_report_from_dict(payload)
 
 
 def test_family_round_trip():
@@ -452,6 +518,33 @@ def test_cli_hostile_files_are_validation_errors(tmp_path, verb, name):
     assert done.stderr.startswith("error: ")
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_huge_rank_is_rejected_while_parsing():
+    text = json.dumps(a1_payload(group={"family": "A", "rank": 100000}, satake_angles=[]))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"^group: rank 100000 exceeds"):
+        parse_scenario_text(text)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("verb", ["check", "orbits"])
+def test_cli_rejects_a_huge_rank(tmp_path, verb):
+    if verb == "check":
+        payload = a1_payload(group={"family": "A", "rank": 100000}, satake_angles=[])
+        argv, field = ["check", write_scenario(tmp_path / "huge.json", payload)], "group"
+    else:
+        argv, field = ["orbits", "A", "100000"], "rank"
+    # the timeout turns a hang into a failure instead of a stuck suite
+    done = subprocess.run(
+        [sys.executable, "-m", "arthurcalc", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {field}: rank 100000 exceeds")
 
 
 @pytest.mark.parametrize(
