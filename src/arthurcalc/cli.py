@@ -15,6 +15,7 @@ the sl2 support in orbit listings. Exit codes: 0 success (and `--help`),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -130,6 +131,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="arthurcalc",

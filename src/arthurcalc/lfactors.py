@@ -139,7 +139,10 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
                 f"(root {root} gives {value.q_exp})",
                 field="parameter",
             )
-    numerator = l_factor(g, p, "r")
+    # the numerator's eigenvalues are the reciprocals of the same evaluations
+    numerator = LocalLFactor(
+        "r", denominator.roots, tuple(value.inverse() for value in denominator.eigenvalues)
+    )
     vanished, bad = inverse_vanishes_at(numerator, 0)
     if vanished:
         raise InvariantViolation(

@@ -14,17 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import InvariantViolation, ValidationError
 from .roots import (
     CartanSpec,
+    IntegerInverse,
     Root,
     RootDatum,
     build_root_datum,
     diagram_pairing,
     format_root,
+    integer_inverse,
     root_sort_key,
-    solve_linear_fractions,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -300,21 +302,24 @@ def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
     return order, weight, e_cols, n_amb
 
 
-def _epsilon_matrix(family: str, rank: int) -> list[list[Fraction]]:
-    """Columns are the simple roots in epsilon coordinates (B/C/D only)."""
-    m = [[Fraction(0)] * rank for _ in range(rank)]
+@lru_cache(maxsize=None)
+def _epsilon_inverse(family: str, rank: int) -> IntegerInverse:
+    """Inverse of the matrix whose columns are the simple roots in epsilon
+    coordinates (B/C/D only): it turns an epsilon vector into simple-root
+    coefficients."""
+    m = [[0] * rank for _ in range(rank)]
     for k in range(rank - 1):
-        m[k][k] = Fraction(1)
-        m[k + 1][k] = Fraction(-1)
+        m[k][k] = 1
+        m[k + 1][k] = -1
     if family == "B":
-        m[rank - 1][rank - 1] = Fraction(1)
+        m[rank - 1][rank - 1] = 1
     elif family == "C":
-        m[rank - 1][rank - 1] = Fraction(2)
+        m[rank - 1][rank - 1] = 2
     else:  # D: the fork root is e_{n-1} + e_n
-        m[rank - 1][rank - 1] = Fraction(1)
+        m[rank - 1][rank - 1] = 1
         if rank >= 2:
-            m[rank - 2][rank - 1] = Fraction(1)
-    return m
+            m[rank - 2][rank - 1] = 1
+    return integer_inverse(m)
 
 
 @lru_cache(maxsize=None)
@@ -367,15 +372,14 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
                     acc += diff[t]
                     coeffs.append(acc)
             else:
-                target_eps = eps_vector(i)
-                source_eps = eps_vector(j)
-                rhs = [Fraction(a - b) for a, b in zip(target_eps, source_eps)]
-                solved = solve_linear_fractions(_epsilon_matrix(family, rank), rhs)
+                rhs = [a - b for a, b in zip(eps_vector(i), eps_vector(j))]
+                D, N = _epsilon_inverse(family, rank)
                 coeffs = []
-                for x in solved:
-                    if x.denominator != 1:
+                for row in N:
+                    x, remainder = divmod(sum(map(mul, row, rhs)), D)
+                    if remainder:
                         raise InvariantViolation("support root has a fractional coefficient")
-                    coeffs.append(int(x))
+                    coeffs.append(x)
             root = tuple(coeffs)
             if any(c < 0 for c in root) or root not in datum.root_set:
                 raise InvariantViolation(

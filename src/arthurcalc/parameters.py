@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .errors import ValidationError
 from .nilpotent import SL2Data, validate_sl2_data
@@ -20,6 +22,7 @@ from .roots import (
     RootDatum,
     dominantize,
     format_root,
+    over_common_denominator,
 )
 
 
@@ -28,14 +31,19 @@ class QMonomial:
     """Exact value zeta * q^q_exp with zeta = exp(2*pi*i*angle).
 
     The angle is a rational in [0,1); Fraction keeps it in lowest terms.
+    Fields that are already a Fraction, and an angle already in [0,1), are
+    kept as given; anything else is converted and reduced mod 1.
     """
 
     q_exp: Fraction = Fraction(0)
     angle: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "q_exp", Fraction(self.q_exp))
-        object.__setattr__(self, "angle", Fraction(self.angle) % 1)
+        if type(self.q_exp) is not Fraction:
+            object.__setattr__(self, "q_exp", Fraction(self.q_exp))
+        angle = self.angle
+        if type(angle) is not Fraction or not 0 <= angle.numerator < angle.denominator:
+            object.__setattr__(self, "angle", Fraction(angle) % 1)
 
     @staticmethod
     def one() -> "QMonomial":
@@ -56,7 +64,8 @@ class QMonomial:
         return QMonomial(self.q_exp * n, self.angle * n)
 
     def inverse(self) -> "QMonomial":
-        return QMonomial(-self.q_exp, -self.angle)
+        a = self.angle
+        return QMonomial(-self.q_exp, Fraction(-a.numerator % a.denominator, a.denominator))
 
     @property
     def is_one(self) -> bool:
@@ -94,21 +103,33 @@ class UnramifiedParameter:
                 f"expected {self.datum.rank} coordinates, got {len(self.coords)}"
             )
 
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, exponent numerators, angle numerators): every coordinate over
+        D, the lcm of all their denominators, so coordinate i is
+        zeta(angles[i] / D) * q^(exponents[i] / D)."""
+        n = len(self.coords)
+        D, nums = over_common_denominator(
+            [t.q_exp for t in self.coords] + [t.angle for t in self.coords]
+        )
+        return D, nums[:n], nums[n:]
+
 
 def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
     return UnramifiedParameter(d, tuple(QMonomial.one() for _ in range(d.rank)))
 
 
 def evaluate_root(root: Root, p: UnramifiedParameter) -> QMonomial:
-    """Eigenvalue of the parameter on the root space: product of coordinate
-    powers along the root's coefficients."""
+    """Eigenvalue of the parameter on the root space: the product of the
+    coordinates raised to the root's coefficients, computed as two integer
+    dot products over the parameter's integer form."""
     if len(root) != p.datum.rank:
         raise ValidationError("root length does not match the parameter's rank")
-    out = QMonomial.one()
-    for c, t in zip(root, p.coords):
-        if c:
-            out = out * (t ** c)
-    return out
+    D, exponents, angles = p.integer_form
+    return QMonomial(
+        Fraction(sum(map(mul, root, exponents)), D),
+        Fraction(sum(map(mul, root, angles)) % D, D),
+    )
 
 
 def is_tempered(p: UnramifiedParameter) -> bool:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import InvariantViolation, ValidationError
 
@@ -18,6 +20,8 @@ from .errors import InvariantViolation, ValidationError
 Root = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
 LeviSubset = frozenset[int]
+# An exact inverse matrix N / D as (D, N), N an integer matrix.
+IntegerInverse = tuple[int, tuple[tuple[int, ...], ...]]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D", "G": "G"}
@@ -161,6 +165,11 @@ class RootDatum:
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.positive_roots)
 
+    @cached_property
+    def cartan_inverse(self) -> IntegerInverse:
+        """The inverse Cartan matrix as (D, N), inverse = N / D."""
+        return integer_inverse(self.cartan)
+
 
 @lru_cache(maxsize=None)
 def build_root_datum(spec: CartanSpec) -> RootDatum:
@@ -277,10 +286,11 @@ def format_root(root: Root) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def solve_linear_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by Gaussian elimination."""
+def _gauss_jordan(rows, right) -> list[list[Fraction]]:
+    """Row-reduce [rows | right] until the left block is the identity and
+    return the right block: the solution of rows * X = right."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(rows, right)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -292,7 +302,29 @@ def solve_linear_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> l
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    return [row[n:] for row in aug]
+
+
+def solve_linear_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a square system exactly by Gaussian elimination."""
+    return [x for (x,) in _gauss_jordan(rows, [[v] for v in rhs])]
+
+
+def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """(D, numerators) with values[i] = numerators[i] / D, D the lcm of the
+    denominators of the values (ints or Fractions)."""
+    values = list(values)
+    D = lcm(*(v.denominator for v in values))
+    return D, tuple(v.numerator * (D // v.denominator) for v in values)
+
+
+def integer_inverse(rows) -> IntegerInverse:
+    """Exact inverse of an invertible integer matrix as (D, N) with
+    inverse = N / D, D the lcm of the entries' denominators."""
+    n = len(rows)
+    inverse = _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    D, flat = over_common_denominator(x for row in inverse for x in row)
+    return D, tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def evaluation_exponents(d: RootDatum, character_exps: RationalVector) -> RationalVector:
@@ -307,6 +339,10 @@ def evaluation_exponents(d: RootDatum, character_exps: RationalVector) -> Ration
 
 
 def character_exponents(d: RootDatum, evaluation_exps: RationalVector) -> RationalVector:
-    """Inverse of evaluation_exponents (the Cartan matrix is invertible)."""
-    rows = [[Fraction(d.cartan[i][j]) for j in range(d.rank)] for i in range(d.rank)]
-    return tuple(solve_linear_fractions(rows, [Fraction(v) for v in evaluation_exps]))
+    """Inverse of evaluation_exponents: the datum's cached inverse Cartan
+    matrix N / D applied to the vector written over one denominator E."""
+    if len(evaluation_exps) != d.rank:
+        raise ValidationError("exponent vector length does not match rank")
+    E, nums = over_common_denominator([Fraction(v) for v in evaluation_exps])
+    D, N = d.cartan_inverse
+    return tuple(Fraction(sum(map(mul, row, nums)), D * E) for row in N)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import islice
+from math import lcm
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
@@ -63,13 +64,33 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Largest number of digits in the numerator and in the denominator (lowest
+# terms) of a rational read from a scenario, family or report, and in the
+# common denominator of a scenario's angles. Exact evaluation works over the
+# lcm of a parameter's denominators, so its cost grows with their digits; a
+# larger numeral is refused as input, and so is an exponent ("1e99") beyond
+# the cap, before it is expanded.
+MAX_NUMERAL_DIGITS = 64
+_NUMERAL_BOUND = 10**MAX_NUMERAL_DIGITS
+
+
 def parse_fraction(value, field: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValidationError(f"expected a rational, got {value!r}", field=field)
+    text = str(value)
+    _, marker, exponent = text.lower().partition("e")
     try:
-        return Fraction(str(value))
+        huge = bool(marker) and abs(int(exponent)) > MAX_NUMERAL_DIGITS
+        x = None if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse rational {value!r}", field=field)
+    if huge or abs(x.numerator) >= _NUMERAL_BOUND or x.denominator >= _NUMERAL_BOUND:
+        raise ValidationError(
+            f"rational has more than {MAX_NUMERAL_DIGITS} digits in its numerator "
+            "or denominator",
+            field=field,
+        )
+    return x
 
 
 def _expect_int(value, field: str) -> int:
@@ -238,6 +259,13 @@ class Scenario:
         if len(angles) != dual.rank:
             raise ValidationError(
                 f"expected {dual.rank} angles, got {len(angles)}",
+                field="satake_angles",
+            )
+        if lcm(*(a.denominator for a in angles)) >= _NUMERAL_BOUND:
+            # every angle in the report is a sum of these angles, and a
+            # report must read back under the numeral cap
+            raise ValidationError(
+                f"the angles' common denominator has more than {MAX_NUMERAL_DIGITS} digits",
                 field="satake_angles",
             )
         object.__setattr__(self, "satake_angles", angles)

@@ -1,0 +1,134 @@
+"""The integer-lattice paths against the slow exact references they replaced.
+
+`evaluate_root` works over a parameter's integer form, the coefficient
+ratio's numerator inverts the denominator's eigenvalues, and
+`character_exponents` applies the datum's cached inverse Cartan matrix. Each
+is compared with the QMonomial product of powers, a second `l_factor` and
+Gaussian elimination over Fraction, on every family at rank <= 6 and on the
+dual data.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arthurcalc import parameters
+from arthurcalc.lfactors import grade_nilradical, l_factor, local_coefficient_ratio
+from arthurcalc.parameters import QMonomial, UnramifiedParameter, evaluate_root
+from arthurcalc.roots import (
+    CartanSpec,
+    build_root_datum,
+    character_exponents,
+    dual_datum,
+    evaluation_exponents,
+    solve_linear_fractions,
+)
+
+SPECS = (
+    [CartanSpec("A", n) for n in range(1, 7)]
+    + [CartanSpec(f, n) for f in "BC" for n in range(2, 7)]
+    + [CartanSpec("D", n) for n in range(3, 7)]
+    + [CartanSpec("G", 2)]
+)
+
+# Exponent denominators of twists and Arthur exponents (1/3, 2/3 as in AC-2,
+# quarters, sixths, twelfths); angles mix arbitrary denominators.
+EXPONENT_DENOMINATORS = (1, 2, 3, 4, 6, 12)
+exponents = st.builds(
+    Fraction, st.integers(-36, 36), st.sampled_from(EXPONENT_DENOMINATORS)
+)
+angles = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+data = st.builds(
+    lambda spec, dual: dual_datum(build_root_datum(spec)) if dual else build_root_datum(spec),
+    st.sampled_from(SPECS),
+    st.booleans(),
+)
+
+
+def reference_evaluate_root(root, p):
+    """Product of the coordinates raised to the root's coefficients, in
+    QMonomial arithmetic."""
+    out = QMonomial.one()
+    for c, t in zip(root, p.coords):
+        if c:
+            out = out * (t**c)
+    return out
+
+
+def draw_parameter(draw, d, exponent_strategy):
+    coords = tuple(
+        QMonomial(draw(exponent_strategy(i)), draw(angles)) for i in range(d.rank)
+    )
+    return UnramifiedParameter(d, coords)
+
+
+@given(data, st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_root_matches_the_product_of_powers(d, draw):
+    p = draw_parameter(draw.draw, d, lambda i: exponents)
+    vector = tuple(draw.draw(st.lists(st.integers(-4, 4), min_size=d.rank, max_size=d.rank)))
+    roots = d.positive_roots + tuple(tuple(-c for c in r) for r in d.positive_roots)
+    built = []
+    real = parameters.QMonomial
+
+    def recording(q_exp, angle):
+        built.append((q_exp, angle))
+        return real(q_exp, angle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parameters, "QMonomial", recording)
+        values = [evaluate_root(root, p) for root in roots + (vector,)]
+    assert values == [reference_evaluate_root(root, p) for root in roots + (vector,)]
+    # one QMonomial per root, handed over already reduced, so its
+    # constructor keeps both fields as they are
+    assert len(built) == len(values)
+    for q_exp, angle in built:
+        assert type(q_exp) is Fraction and type(angle) is Fraction
+        assert 0 <= angle < 1
+
+
+@given(data, st.data())
+@settings(max_examples=100, deadline=None)
+def test_ratio_numerator_is_the_reciprocal_l_factor(d, draw):
+    theta = frozenset(draw.draw(st.sets(st.integers(0, d.rank - 1), max_size=d.rank - 1)))
+    positive = st.builds(
+        Fraction, st.integers(1, 36), st.sampled_from(EXPONENT_DENOMINATORS)
+    )
+    p = draw_parameter(draw.draw, d, lambda i: st.just(Fraction(0)) if i in theta else positive)
+    g = grade_nilradical(d, theta)
+    ratio = local_coefficient_ratio(d, theta, p)
+    assert ratio.numerator == l_factor(g, p, "r")
+    assert ratio.denominator == l_factor(g, p, "r-tilde")
+    assert ratio.denominator.eigenvalues == tuple(
+        reference_evaluate_root(root, p) for root in g.all_roots
+    )
+
+
+@given(data, st.data())
+@settings(max_examples=150, deadline=None)
+def test_character_exponents_match_gaussian_elimination(d, draw):
+    rationals = st.builds(Fraction, st.integers(-500, 500), st.integers(1, 60))
+    v = tuple(draw.draw(st.lists(rationals, min_size=d.rank, max_size=d.rank)))
+    c = character_exponents(d, v)
+    rows = [[Fraction(x) for x in row] for row in d.cartan]
+    assert list(c) == solve_linear_fractions(rows, list(v))
+    assert evaluation_exponents(d, c) == v
+
+
+numerals = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-200, 200), st.integers(1, 50)),
+    st.builds(Fraction, st.integers(-200, 200), st.integers(1, 50)).map(str),
+    st.floats(min_value=-20, max_value=20, allow_nan=False),
+)
+
+
+@given(numerals, numerals)
+@settings(max_examples=300, deadline=None)
+def test_qmonomial_normalizes_every_input_as_before(q_exp, angle):
+    m = QMonomial(q_exp, angle)
+    assert type(m.q_exp) is Fraction and m.q_exp == Fraction(q_exp)
+    assert type(m.angle) is Fraction and m.angle == Fraction(angle) % 1
+    assert m.inverse() == QMonomial(-Fraction(q_exp), -Fraction(angle))

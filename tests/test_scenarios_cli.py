@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from arthurcalc.scenarios import (
     family_to_dict,
     global_report_from_dict,
     global_report_to_dict,
+    parse_fraction,
     parse_report_text,
     parse_scenario_text,
     ramanujan_report,
@@ -545,6 +547,59 @@ def test_cli_rejects_a_huge_rank(tmp_path, verb):
     )
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: {field}: rank 100000 exceeds")
+
+
+HUGE_ANGLE = "1/" + "7" * 4000  # 4000 digits, under CPython's 4300-digit int limit
+
+
+def test_huge_numerals_are_rejected_while_parsing():
+    scenario = json.dumps(a1_payload(satake_angles=[HUGE_ANGLE]))
+    report = report_to_dict(run_scenario(scenario_from_dict(a1_payload())))
+    report["parameter"][0]["q_exp"] = "7" * 4000
+    for parse, text, field in [
+        (parse_scenario_text, scenario, "satake_angles[1]"),
+        (parse_report_text, json.dumps(report), "parameter[1].q_exp"),
+    ]:
+        start = time.perf_counter()
+        message = rf"^{re.escape(field)}: rational has more than 64 digits"
+        with pytest.raises(ValidationError, match=message):
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_numeral_cap_counts_digits_in_lowest_terms():
+    assert parse_fraction("-" + "9" * 64, "x") == -(10**64 - 1)
+    assert parse_fraction("2" * 70 + "/" + "1" * 70, "x") == 2
+    with pytest.raises(ValidationError, match="more than 64 digits"):
+        parse_fraction("1/" + "1" + "0" * 64, "x")
+
+
+def test_angles_with_a_huge_common_denominator_are_rejected():
+    # each angle is within the cap, but a report would carry their 81-digit
+    # sums (a1 + a2 on a nilradical root) and could not be read back
+    p, q = 10**40 + 9, 10**40 + 7
+    payload = a1_payload(
+        group={"family": "A", "rank": 4},
+        satake_angles=[f"1/{p}", f"1/{q}", f"-1/{p}", f"-1/{q}"],
+        sl2={"partition": [2, 1, 1, 1]},
+    )
+    message = r"^satake_angles: the angles' common denominator has more than 64 digits"
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("angle", [HUGE_ANGLE, "1e1000000000"], ids=["digits", "exponent"])
+def test_cli_rejects_a_huge_numeral(tmp_path, angle):
+    path = write_scenario(tmp_path / "huge.json", a1_payload(satake_angles=[angle]))
+    done = subprocess.run(
+        [sys.executable, "-m", "arthurcalc", "check", path],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: satake_angles[1]: rational has more than 64 digits")
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ COUNTED = {
     "grade_nilradical": lfactors.grade_nilradical,
     "l_factor": lfactors.l_factor,
     "character_exponents": roots.character_exponents,
+    "solve_linear_fractions": roots.solve_linear_fractions,
 }
 
 
@@ -60,8 +61,9 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "apply_word_parameter": 1,
         "local_coefficient_ratio": 1,
         "grade_nilradical": 1,
-        "l_factor": 2,  # numerator and denominator, both inside the ratio
+        "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
+        "solve_linear_fractions": 0,  # the datum keeps its inverse Cartan matrix
     }
 
 
