@@ -25,11 +25,8 @@ from .roots import (
 )
 from .nilpotent import (
     SL2Data,
-    StandardTriple,
     is_very_even,
-    jordan_type,
     sl2_from_partition,
-    standard_triple,
     validate_partition,
     validate_sl2_data,
     weighted_diagram,

@@ -1,6 +1,7 @@
 """Nilpotent-orbit data for classical types: weighted Dynkin diagrams from
-partitions, a canonical positive-root support for the nilpositive element,
-and an independent matrix-level triple used as a test oracle.
+partitions and a canonical positive-root support for the nilpositive
+element, as in Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie
+Algebras* (1993).
 
 Partition conventions (defining representation of the dual-side group):
   A_n: partitions of n+1, unconstrained.
@@ -12,7 +13,6 @@ Partition conventions (defining representation of the dual-side group):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -29,8 +29,6 @@ from .roots import (
     root_sort_key,
 )
 
-Matrix = tuple[tuple[int, ...], ...]
-
 _PARTITION_FAMILIES = ("A", "B", "C", "D")
 
 
@@ -45,17 +43,6 @@ class SL2Data:
     @property
     def is_trivial(self) -> bool:
         return all(v == 0 for v in self.diagram)
-
-
-@dataclass(frozen=True)
-class StandardTriple:
-    """Matrix triple in the defining representation; form is the invariant
-    bilinear form (None in type A)."""
-
-    e: Matrix
-    h: Matrix
-    f: Matrix
-    form: Matrix | None
 
 
 def partition_total(family: str, rank: int) -> int:
@@ -142,7 +129,7 @@ def is_very_even(family: str, parts: tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chain-block bookkeeping shared by the canonical layout and the oracle.
+# Chain blocks of the canonical layout.
 # A block is one sl2-chain ("self") or two chains of equal length ("pair").
 
 
@@ -153,33 +140,23 @@ class _Block:
     size: int
 
 
-def _blocks_for(family: str, ordered: tuple[int, ...], pair_equal_odds: bool) -> list[_Block]:
+def _blocks_for(family: str, ordered: tuple[int, ...]) -> list[_Block]:
+    """Equal parts pair two at a time, at most one leftover keeping its own
+    chain; type A and the even parts of type C (sp-chains) never pair.
+    Parity validation leaves no leftover of a part whose parity forces
+    pairing."""
     blocks: list[_Block] = []
 
     def add(kind: str, size: int) -> None:
         blocks.append(_Block(len(blocks), kind, size))
 
-    if family == "A":
-        for m in ordered:
-            add("self", m)
-        return blocks
-    must_pair_parity = 0 if family in ("B", "D") else 1
     for m in sorted(set(ordered), reverse=True):
         mult = ordered.count(m)
-        if m % 2 == must_pair_parity:
-            # parity validation guarantees mult is even here
-            for _ in range(mult // 2):
-                add("pair", m)
-        elif pair_equal_odds and m % 2 == 1:
-            # orthogonal types: equal odd parts pair two at a time, at most
-            # one leftover keeps its own chain. Even sp-chains never pair.
-            for _ in range(mult // 2):
-                add("pair", m)
-            if mult % 2 == 1:
-                add("self", m)
-        else:
-            for _ in range(mult):
-                add("self", m)
+        pairs = 0 if family == "A" or (family == "C" and m % 2 == 0) else mult // 2
+        for _ in range(pairs):
+            add("pair", m)
+        for _ in range(mult - 2 * pairs):
+            add("self", m)
     return blocks
 
 
@@ -190,31 +167,28 @@ _VecId = tuple
 
 def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
     """Arrange the chain basis so h is the dominant diagonal and every entry
-    of e sits over a positive root. Returns (positions, weights, e_columns, n_amb)."""
+    of e sits over a positive root. Returns (positions, weights, links, n_amb),
+    one link (target, source) per nonzero entry of e, in row target and
+    column source."""
     total = partition_total(family, rank)
-    blocks = _blocks_for(family, ordered, pair_equal_odds=True)
+    blocks = _blocks_for(family, ordered)
 
     chain_count = {"self": 1, "pair": 2}
     vectors: list[_VecId] = []
     weight: dict[_VecId, int] = {}
+    links: list[tuple[_VecId, _VecId]] = []
     for b in blocks:
         for c in range(chain_count[b.kind]):
             for k in range(b.size):
                 vid = ("v", b.index, c, k)
                 vectors.append(vid)
                 weight[vid] = b.size - 1 - 2 * k
-
-    # e as a column map on raw chain vectors
-    raw_e: dict[_VecId, list[tuple[_VecId, Fraction]]] = {v: [] for v in vectors}
-    for b in blocks:
-        for c in range(chain_count[b.kind]):
-            for k in range(1, b.size):
-                raw_e[("v", b.index, c, k)] = [(("v", b.index, c, k - 1), Fraction(1))]
+                if k:
+                    links.append((("v", b.index, c, k - 1), vid))
 
     if family == "A":
         order = sorted(vectors, key=lambda v: (-weight[v], v[1], v[2], v[3]))
-        e_cols = {v: list(raw_e[v]) for v in vectors}
-        return order, weight, e_cols, total
+        return order, weight, links, total
 
     # Middle vectors of leftover odd self blocks; mixed pairwise so every
     # basis vector acquires an opposite-weight partner.
@@ -231,36 +205,22 @@ def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
         middles = middles[:-1]
     if len(middles) % 2 == 1:
         raise InvariantViolation("unpaired zero-weight middle vector")
-    mixes = [(middles[2 * j], middles[2 * j + 1]) for j in range(len(middles) // 2)]
 
-    # substitution of mixed middles: z_a = u/2 + w, z_b = u/2 - w
-    subst: dict[_VecId, list[tuple[_VecId, Fraction]]] = {}
-    for j, (za, zb) in enumerate(mixes):
-        subst[za] = [(("u", j), Fraction(1, 2)), (("w", j), Fraction(1))]
-        subst[zb] = [(("u", j), Fraction(1, 2)), (("w", j), Fraction(-1))]
-
-    def expand(vec: list[tuple[_VecId, Fraction]]) -> list[tuple[_VecId, Fraction]]:
-        out: dict[_VecId, Fraction] = {}
-        for vid, coeff in vec:
-            for tid, tc in subst.get(vid, [(vid, Fraction(1))]):
-                out[tid] = out.get(tid, Fraction(0)) + coeff * tc
-        return [(t, c) for t, c in out.items() if c != 0]
-
-    new_vectors = [v for v in vectors if v not in subst]
-    for j in range(len(mixes)):
-        new_vectors.extend([("u", j), ("w", j)])
-        weight[("u", j)] = 0
-        weight[("w", j)] = 0
-
-    e_cols: dict[_VecId, list[tuple[_VecId, Fraction]]] = {}
-    for v in vectors:
-        if v in subst:
-            continue
-        e_cols[v] = expand(raw_e[v])
-    for j, (za, zb) in enumerate(mixes):
-        ea, eb = raw_e[za], raw_e[zb]
-        e_cols[("u", j)] = expand(ea + eb)
-        e_cols[("w", j)] = expand([(t, c / 2) for t, c in ea] + [(t, -c / 2) for t, c in eb])
+    # Mixed middles z_a = u/2 + w, z_b = u/2 - w: a link through z_a or z_b
+    # becomes a link through both u and w. No entry cancels, because each
+    # column through a mixed pair has distinct targets.
+    mix_count = len(middles) // 2
+    mixed: dict[_VecId, tuple[_VecId, _VecId]] = {}
+    for j in range(mix_count):
+        mixed[middles[2 * j]] = mixed[middles[2 * j + 1]] = (("u", j), ("w", j))
+        weight[("u", j)] = weight[("w", j)] = 0
+    links = [
+        (t, s)
+        for target, source in links
+        for t in mixed.get(target, (target,))
+        for s in mixed.get(source, (source,))
+    ]
+    kept = [v for v in vectors if v not in mixed]
 
     def partner(v: _VecId) -> _VecId:
         if v[0] == "u":
@@ -274,18 +234,14 @@ def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
         return ("v", b, 1 - c, block.size - 1 - k)
 
     positive = sorted(
-        (v for v in new_vectors if weight[v] > 0),
+        (v for v in kept if weight[v] > 0),
         key=lambda v: (-weight[v], v[1], v[2], v[3]),
     )
     pair_zeros = sorted(
-        (
-            v
-            for v in new_vectors
-            if weight[v] == 0 and v[0] == "v" and v[2] == 0 and v != keep_middle
-        ),
+        (v for v in kept if weight[v] == 0 and v[2] == 0 and v != keep_middle),
         key=lambda v: v[1],
     )
-    mix_zeros = [("u", j) for j in range(len(mixes))]
+    mix_zeros = [("u", j) for j in range(mix_count)]
     front = positive + pair_zeros + mix_zeros
 
     n_amb = total // 2
@@ -299,7 +255,7 @@ def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
         order[n_amb] = keep_middle
     if any(v is None for v in order):
         raise InvariantViolation("basis arrangement left a hole")
-    return order, weight, e_cols, n_amb
+    return order, weight, links, n_amb
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +283,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     """Canonical (diagram, support) for the orbit labelled by the partition.
 
     The support is read off an explicit dominant-position nilpositive:
-    equal parts are paired where the invariant form demands it, leftover
+    equal parts are paired where the invariant form allows it, leftover
     zero-weight middles are mixed into hyperbolic pairs, the basis is sorted
     by descending h-weight (ties by stable part order), and each nonzero
     matrix entry is converted from epsilon coordinates to simple-root
@@ -337,14 +293,12 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     diagram = weighted_diagram(family, rank, ordered)
     datum = build_root_datum(CartanSpec(family, rank))
 
-    order, weight, e_cols, n_amb = _sl2_layout(family, rank, ordered)
+    order, weight, links, n_amb = _sl2_layout(family, rank, ordered)
     total = len(order)
     pos_of = {v: p for p, v in enumerate(order)}
 
     def eps_vector(p: int) -> list[int]:
         out = [0] * n_amb
-        if family == "A":
-            raise InvariantViolation("epsilon labels are only mirrored in B/C/D")
         if p < n_amb:
             out[p] = 1
         elif total % 2 == 1 and p == n_amb:
@@ -354,43 +308,33 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
         return out
 
     support: set[Root] = set()
-    for source, images in e_cols.items():
-        j = pos_of[source]
-        for target, coeff in images:
-            i = pos_of[target]
-            if coeff == 0:
-                continue
-            if weight[target] != weight[source] + 2:
-                raise InvariantViolation("chain entry violates the h-grading")
-            if family == "A":
-                diff = [0] * total
-                diff[i] += 1
-                diff[j] -= 1
-                coeffs = []
-                acc = 0
-                for t in range(rank):
-                    acc += diff[t]
-                    coeffs.append(acc)
-            else:
-                rhs = [a - b for a, b in zip(eps_vector(i), eps_vector(j))]
-                D, N = _epsilon_inverse(family, rank)
-                coeffs = []
-                for row in N:
-                    x, remainder = divmod(sum(map(mul, row, rhs)), D)
-                    if remainder:
-                        raise InvariantViolation("support root has a fractional coefficient")
-                    coeffs.append(x)
+    for target, source in links:
+        i, j = pos_of[target], pos_of[source]
+        if weight[target] != weight[source] + 2:
+            raise InvariantViolation("chain entry violates the h-grading")
+        if family == "A":
+            # e_i - e_j = a_i + ... + a_{j-1}
+            root = tuple(int(i <= t < j) for t in range(rank))
+        else:
+            rhs = [a - b for a, b in zip(eps_vector(i), eps_vector(j))]
+            D, N = _epsilon_inverse(family, rank)
+            coeffs = []
+            for row in N:
+                x, remainder = divmod(sum(map(mul, row, rhs)), D)
+                if remainder:
+                    raise InvariantViolation("support root has a fractional coefficient")
+                coeffs.append(x)
             root = tuple(coeffs)
-            if any(c < 0 for c in root) or root not in datum.root_set:
-                raise InvariantViolation(
-                    f"support entry {format_root(root)} is not a positive root"
-                )
-            if diagram_pairing(root, diagram) != 2:
-                raise InvariantViolation(
-                    f"support root {format_root(root)} pairs to "
-                    f"{diagram_pairing(root, diagram)}, expected 2"
-                )
-            support.add(root)
+        if any(c < 0 for c in root) or root not in datum.root_set:
+            raise InvariantViolation(
+                f"support entry {format_root(root)} is not a positive root"
+            )
+        if diagram_pairing(root, diagram) != 2:
+            raise InvariantViolation(
+                f"support root {format_root(root)} pairs to "
+                f"{diagram_pairing(root, diagram)}, expected 2"
+            )
+        support.add(root)
 
     if all(v == 0 for v in diagram) != (not support):
         raise InvariantViolation("support/diagram triviality mismatch")
@@ -431,120 +375,3 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             problems.append("zero diagram must have empty support")
     if problems:
         raise ValidationError("; ".join(problems), field="sl2")
-
-
-# ---------------------------------------------------------------------------
-# Matrix oracle: blockwise triple in the defining representation, used by the
-# test suite to cross-validate diagrams and bracket relations.
-
-
-def _zero(n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(n)]
-
-
-def standard_triple(family: str, rank: int, parts: tuple[int, ...]) -> StandardTriple:
-    """Blockwise integer triple: e/f are chain maps, h is the (unsorted)
-    blockwise weight diagonal, and for B/C/D the emitted bilinear form is
-    block-split of the correct symmetry type."""
-    ordered = validate_partition(family, rank, parts)
-    total = partition_total(family, rank)
-    # Unlike the canonical layout, equal odd (so) / even (sp) parts stay
-    # self-paired here; only the parity-forced pairings happen.
-    blocks = _blocks_for(family, ordered, pair_equal_odds=False)
-
-    e, h, f = _zero(total), _zero(total), _zero(total)
-    form = None if family == "A" else _zero(total)
-    eta = 1 if family in ("B", "D") else -1
-
-    offset = 0
-    for b in blocks:
-        m = b.size
-        chains = 1 if b.kind == "self" else 2
-        starts = [offset + c * m for c in range(chains)]
-        for c in range(chains):
-            s = starts[c]
-            for k in range(m):
-                h[s + k][s + k] = m - 1 - 2 * k
-            for k in range(1, m):
-                e[s + k - 1][s + k] = 1
-            for k in range(m - 1):
-                f[s + k + 1][s + k] = (k + 1) * (m - 1 - k)
-        if form is not None:
-            if chains == 1:
-                s = starts[0]
-                for i in range(m):
-                    form[s + i][s + m - 1 - i] = (-1) ** i
-            else:
-                s0, s1 = starts
-                for i in range(m):
-                    form[s0 + i][s1 + m - 1 - i] = (-1) ** i
-                    form[s1 + m - 1 - i][s0 + i] = eta * (-1) ** i
-        offset += chains * m
-
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return StandardTriple(freeze(e), freeze(h), freeze(f), None if form is None else freeze(form))
-
-
-# Small exact matrix helpers (shared with the tests).
-
-
-def mat_mul(a, b):
-    n = len(a)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(n)
-    )
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def matrix_rank(a) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    n, cols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def jordan_type(e) -> tuple[int, ...]:
-    """Partition of the nilpotent matrix: parts >= k count rank(e^{k-1}) - rank(e^k)."""
-    n = len(e)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    ranks = [n]
-    power = identity
-    while ranks[-1] > 0:
-        power = mat_mul(power, e)
-        ranks.append(matrix_rank(power))
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    parts: list[int] = []
-    for size in range(len(counts), 0, -1):
-        at_least_size = counts[size - 1]
-        at_least_next = counts[size] if size < len(counts) else 0
-        parts.extend([size] * (at_least_size - at_least_next))
-    return tuple(sorted(parts, reverse=True))

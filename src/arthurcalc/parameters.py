@@ -73,7 +73,7 @@ class QMonomial:
 
     def is_q_power(self, s) -> bool:
         """True iff the value equals q^s on the nose (unit part trivial)."""
-        return self.angle == 0 and self.q_exp == Fraction(s)
+        return self.angle == 0 and self.q_exp == s
 
     def unit_part(self) -> "QMonomial":
         return QMonomial(Fraction(0), self.angle)

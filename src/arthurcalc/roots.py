@@ -156,11 +156,6 @@ class RootDatum:
     def rank(self) -> int:
         return self.spec.rank
 
-    @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        n = self.rank
-        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-
     @cached_property
     def root_set(self) -> frozenset[Root]:
         return frozenset(self.positive_roots)
@@ -220,18 +215,13 @@ def apply_word_root(d: RootDatum, word: tuple[int, ...], root: Root) -> Root:
     return root
 
 
-def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector: RationalVector) -> RationalVector:
-    for i in word:
-        vector = reflect_vector(d, i, vector)
-    return vector
-
-
 def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
     """Walk the vector into the closed dominant chamber (all entries >= 0).
 
-    Returns (dominant vector, word) with apply_word_vector(d, word, input)
-    equal to the output. Each step strictly reduces the number of positive
-    roots evaluating negatively, so length <= number of positive roots.
+    Returns (dominant vector, word): reflecting the input by the word's
+    letters in order gives the output. Each step strictly reduces the number
+    of positive roots evaluating negatively, so length <= number of positive
+    roots.
     """
     current = tuple(Fraction(v) for v in vector)
     if len(current) != d.rank:
@@ -286,11 +276,15 @@ def format_root(root: Root) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _gauss_jordan(rows, right) -> list[list[Fraction]]:
-    """Row-reduce [rows | right] until the left block is the identity and
-    return the right block: the solution of rows * X = right."""
+def integer_inverse(rows) -> IntegerInverse:
+    """Exact inverse of an invertible integer matrix as (D, N) with
+    inverse = N / D, D the lcm of the entries' denominators: [rows | I] is
+    row-reduced over Fraction until the left block is the identity."""
     n = len(rows)
-    aug = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(rows, right)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -302,12 +296,8 @@ def _gauss_jordan(rows, right) -> list[list[Fraction]]:
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def solve_linear_fractions(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system exactly by Gaussian elimination."""
-    return [x for (x,) in _gauss_jordan(rows, [[v] for v in rhs])]
+    D, flat = over_common_denominator(x for row in aug for x in row[n:])
+    return D, tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
@@ -316,15 +306,6 @@ def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     values = list(values)
     D = lcm(*(v.denominator for v in values))
     return D, tuple(v.numerator * (D // v.denominator) for v in values)
-
-
-def integer_inverse(rows) -> IntegerInverse:
-    """Exact inverse of an invertible integer matrix as (D, N) with
-    inverse = N / D, D the lcm of the entries' denominators."""
-    n = len(rows)
-    inverse = _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
-    D, flat = over_common_denominator(x for row in inverse for x in row)
-    return D, tuple(flat[i * n : (i + 1) * n] for i in range(n))
 
 
 def evaluation_exponents(d: RootDatum, character_exps: RationalVector) -> RationalVector:

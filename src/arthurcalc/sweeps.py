@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import ValidationError
-from .nilpotent import sl2_from_partition, validate_partition
+from .nilpotent import partition_total, sl2_from_partition, validate_partition
 from .parameters import (
     ArthurParameter,
     QMonomial,
@@ -59,9 +59,8 @@ def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int
 
 def valid_partitions(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Partitions labelling nilpotent orbits of the given classical type."""
-    total = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank, "D": 2 * rank}[family]
     kept = []
-    for parts in partitions_of(total):
+    for parts in partitions_of(partition_total(family, rank)):
         try:
             validate_partition(family, rank, parts)
         except ValidationError:

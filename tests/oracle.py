@@ -1,0 +1,187 @@
+"""Slow, independent references that only the tests use.
+
+From arthurcalc this module imports only input validation
+(`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank
+and Cartan matrix) and the error type a singular system raises. It shares
+no code with the layers it checks:
+
+- a matrix-level sl2 triple in the defining representation, built from its
+  own blockwise chain layout, with exact matrix helpers and the Jordan type
+  of a nilpotent matrix;
+- simple roots, Weyl words replayed on a vector of simple-root
+  evaluations, and Gaussian elimination over Fraction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from arthurcalc.errors import InvariantViolation
+from arthurcalc.nilpotent import partition_total, validate_partition
+from arthurcalc.roots import RootDatum
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+# -- matrix triples ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StandardTriple:
+    """Matrix triple in the defining representation; form is the invariant
+    bilinear form (None in type A)."""
+
+    e: Matrix
+    h: Matrix
+    f: Matrix
+    form: Matrix | None
+
+
+def _blocks(family: str, ordered: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(part, chains) per block, largest part first: two chains for each
+    pair of equal parts whose parity the invariant form forces to pair (even
+    parts in B/D, odd parts in C), one chain for every other part."""
+    forced = {"B": 0, "C": 1, "D": 0}.get(family)
+    blocks: list[tuple[int, int]] = []
+    for m in sorted(set(ordered), reverse=True):
+        mult = ordered.count(m)
+        if m % 2 == forced:
+            blocks += [(m, 2)] * (mult // 2)
+        else:
+            blocks += [(m, 1)] * mult
+    return blocks
+
+
+def _zero(n: int) -> list[list[int]]:
+    return [[0] * n for _ in range(n)]
+
+
+def standard_triple(family: str, rank: int, parts: tuple[int, ...]) -> StandardTriple:
+    """Blockwise integer triple: e/f are chain maps, h is the (unsorted)
+    blockwise weight diagonal, and for B/C/D the emitted bilinear form is
+    block-split of the correct symmetry type."""
+    ordered = validate_partition(family, rank, parts)
+    total = partition_total(family, rank)
+
+    e, h, f = _zero(total), _zero(total), _zero(total)
+    form = None if family == "A" else _zero(total)
+    eta = 1 if family in ("B", "D") else -1
+
+    offset = 0
+    for m, chains in _blocks(family, ordered):
+        starts = [offset + c * m for c in range(chains)]
+        for s in starts:
+            for k in range(m):
+                h[s + k][s + k] = m - 1 - 2 * k
+            for k in range(1, m):
+                e[s + k - 1][s + k] = 1
+            for k in range(m - 1):
+                f[s + k + 1][s + k] = (k + 1) * (m - 1 - k)
+        if form is not None:
+            if chains == 1:
+                s = starts[0]
+                for i in range(m):
+                    form[s + i][s + m - 1 - i] = (-1) ** i
+            else:
+                s0, s1 = starts
+                for i in range(m):
+                    form[s0 + i][s1 + m - 1 - i] = (-1) ** i
+                    form[s1 + m - 1 - i][s0 + i] = eta * (-1) ** i
+        offset += chains * m
+
+    freeze = lambda rows: tuple(tuple(r) for r in rows)
+    return StandardTriple(freeze(e), freeze(h), freeze(f), None if form is None else freeze(form))
+
+
+def mat_mul(a, b):
+    n = len(a)
+    cols = len(b[0])
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
+        for i in range(n)
+    )
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def mat_transpose(a):
+    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
+
+
+def commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def _row_reduce(a) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction and its pivot columns."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    n, cols = len(rows), len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for col in range(cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = rows[top][col]
+        rows[top] = [x / inv for x in rows[top]]
+        for r in range(n):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def matrix_rank(a) -> int:
+    return len(_row_reduce(a)[1])
+
+
+def jordan_type(e) -> tuple[int, ...]:
+    """Partition of the nilpotent matrix: parts >= k count rank(e^{k-1}) - rank(e^k)."""
+    n = len(e)
+    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    ranks = [n]
+    power = identity
+    while ranks[-1] > 0:
+        power = mat_mul(power, e)
+        ranks.append(matrix_rank(power))
+    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    parts: list[int] = []
+    for size in range(len(counts), 0, -1):
+        at_least_size = counts[size - 1]
+        at_least_next = counts[size] if size < len(counts) else 0
+        parts.extend([size] * (at_least_size - at_least_next))
+    return tuple(sorted(parts, reverse=True))
+
+
+# -- root data ------------------------------------------------------------------
+
+
+def simple_roots(d: RootDatum) -> tuple[tuple[int, ...], ...]:
+    n = d.rank
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
+def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector) -> tuple:
+    """Apply the simple reflections of the word, first letter first, to a
+    vector of simple-root evaluations: v'_j = v_j - cartan[j][i] * v_i."""
+    for i in word:
+        vector = tuple(v - d.cartan[j][i] * vector[i] for j, v in enumerate(vector))
+    return vector
+
+
+def solve_linear_fractions(rows, rhs) -> list[Fraction]:
+    """Solve a square system exactly by Gaussian elimination."""
+    n = len(rows)
+    reduced, pivots = _row_reduce([[*row, v] for row, v in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        raise InvariantViolation("singular linear system")
+    return [row[n] for row in reduced]

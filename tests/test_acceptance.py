@@ -10,6 +10,16 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from oracle import (
+    commutator,
+    jordan_type,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    mat_transpose,
+    standard_triple,
+)
+
 from arthurcalc.classifier import (
     Genericity,
     StandardModuleDatum,
@@ -28,14 +38,7 @@ from arthurcalc.lfactors import (
 )
 from arthurcalc.nilpotent import (
     _diagram_from_sorted,
-    commutator,
-    jordan_type,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    mat_transpose,
     sl2_from_partition,
-    standard_triple,
     weighted_diagram,
 )
 from arthurcalc.parameters import (

