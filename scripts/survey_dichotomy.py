@@ -5,7 +5,8 @@ For every valid partition of each listed dual type, and every Satake point
 with coordinates in the fourth roots of unity that passes the centralizer
 condition, classify the packet and count verdicts per orbit. The trivial
 orbit rows must be all-Tempered, every nontrivial orbit all-NonTempered;
-the script exits nonzero if any row mixes.
+the script exits 1 if any row mixes, or with a one-line error if a listed
+type is not a classical type.
 
 Usage:
     python3 scripts/survey_dichotomy.py [--types A2 C3 ...]
@@ -27,6 +28,17 @@ from arthurcalc.sweeps import (
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import sl2_from_partition
 from arthurcalc.parameters import make_arthur_parameter
+
+
+def parse_type(name: str) -> CartanSpec:
+    """A classical dual type written as family letter plus rank, e.g. C3."""
+    family, rank = name[:1].upper(), name[1:]
+    if not (family and family in "ABCD" and rank.isdecimal()):
+        raise ValidationError(f"type {name!r} is not a classical type such as A2, B2, C3 or D4")
+    try:
+        return CartanSpec(family, int(rank))
+    except ValidationError as err:
+        raise ValidationError(f"type {name!r}: {err}") from None
 
 
 def survey(spec: CartanSpec) -> bool:
@@ -68,10 +80,14 @@ def main() -> int:
         help="dual types to sweep, e.g. A2 B2 C3 D4",
     )
     args = parser.parse_args()
+    try:
+        specs = [parse_type(name) for name in args.types]
+    except ValidationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     clean = True
-    for name in args.types:
-        spec = CartanSpec(name[0].upper(), int(name[1:]))
+    for spec in specs:
         clean &= survey(spec)
     if not clean:
         print("dichotomy violated in at least one row", file=sys.stderr)

@@ -2,18 +2,22 @@
 the temperedness dichotomy with machine-checkable certificates.
 
 `AttachedData.of` derives everything once per Arthur parameter: the Langlands
-parameter and its exponents, the dominant exponents with their Weyl word, the
-Levi, and on first use the conjugated parameter and its coefficient ratio.
-The verdict, the witness search, the standard module and the scenario report
-all read from that one `AttachedData`.
+parameter and its exponents, the Levi, and on first use the coefficient
+ratio. The verdict, the witness search, the standard module and the scenario
+report all read from that one `AttachedData`. The exponents are half the
+weighted diagram, which is dominant, so they already lie in the closed
+positive chamber: no Weyl word moves the Langlands parameter, and the Levi
+is the zero set of the diagram.
 
 The chain is: a nontrivial sl2 component forces a support root with diagram
 pairing 2 outside the defining Levi and with trivial unit evaluation, hence a
 denominator eigenvalue exactly q^1 and a vanishing inverse L-value at s = 1;
 irreducibility fails, so a packet with a generic member cannot carry a
 nontrivial sl2 component. Cross-checks that raise InvariantViolation (a bug,
-not a verdict): word application vs dominantization, the witness route vs
-the full product, and, in `run_scenario`, denominator vanishing vs verdict.
+not a verdict): the witness route vs the full product, the witness
+eigenvalue vs q^1, and, in `run_scenario`, denominator vanishing vs verdict.
+Word application vs dominantization is checked where a real word is walked,
+in `parameters.recover_arthur_data`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .parameters import (
     ArthurParameter,
     QMonomial,
     UnramifiedParameter,
-    apply_word_parameter,
     decompose_parameter,
     defining_levi,
     evaluate_root,
@@ -41,13 +44,10 @@ from .roots import (
     LeviSubset,
     RationalVector,
     Root,
-    apply_word_root,
     character_exponents as character_exponents_of,
     diagram_pairing,
-    dominantize,
     evaluation_exponents,
     format_root,
-    levi_and_nilradical,
     root_sort_key,
 )
 
@@ -98,7 +98,6 @@ class StandardModuleDatum:
 
     tempered: TemperedDatum
     character_exponents: RationalVector
-    weyl_word: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(
@@ -181,36 +180,26 @@ class IrreducibilityVerdict:
 
 @dataclass(frozen=True)
 class AttachedData:
-    """The data attached to one Arthur parameter: `word` walks `exponents`
-    to `dominant`, whose zero set is `levi`. The conjugated parameter and its
-    ratio are derived on first use; a tempered verdict needs neither."""
+    """The data attached to one Arthur parameter: the Langlands parameter is
+    already the standard-module parameter, and the zero set of its dominant
+    `exponents` is `levi`. The ratio is derived on first use; a tempered
+    verdict needs none."""
 
     psi: ArthurParameter
     langlands: UnramifiedParameter
     exponents: RationalVector
-    dominant: RationalVector
-    word: tuple[int, ...]
     levi: LeviSubset
 
     @classmethod
     def of(cls, psi: ArthurParameter) -> "AttachedData":
-        """Evaluate, dominantize (recording the word) and read off the Levi."""
+        """Evaluate and read off the Levi."""
         p = langlands_parameter(psi)
         _, exponents = decompose_parameter(p)
-        dominant, word = dominantize(p.datum, exponents)
-        return cls(psi, p, exponents, dominant, word, defining_levi(dominant, p.datum))
-
-    @cached_property
-    def conjugated(self) -> UnramifiedParameter:
-        """The standard-module parameter: the Langlands parameter moved by the word."""
-        conjugated = apply_word_parameter(self.langlands, self.word)
-        if tuple(t.q_exp for t in conjugated.coords) != self.dominant:
-            raise InvariantViolation("word application disagrees with dominantization")
-        return conjugated
+        return cls(psi, p, exponents, defining_levi(exponents, p.datum))
 
     @cached_property
     def ratio(self) -> CoefficientRatio:
-        return local_coefficient_ratio(self.langlands.datum, self.levi, self.conjugated)
+        return local_coefficient_ratio(self.langlands.datum, self.levi, self.langlands)
 
     @cached_property
     def verdict(self) -> PacketVerdict:
@@ -220,7 +209,7 @@ class AttachedData:
                 raise InvariantViolation("trivial sl2 component left a nonzero exponent")
             return PacketVerdict(VerdictKind.TEMPERED, None, None, self.levi)
         witness = witness_root(self)
-        eigenvalue = evaluate_root(witness, self.conjugated)
+        eigenvalue = evaluate_root(witness, self.langlands)
         if not eigenvalue.is_q_power(1):
             raise InvariantViolation(
                 f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
@@ -234,13 +223,11 @@ class AttachedData:
 
 
 def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> StandardModuleDatum:
-    """The dominant exponents of the attached data become the twist."""
+    """The exponents of the attached data become the twist."""
     a = AttachedData.of(psi)
-    units, _ = decompose_parameter(a.conjugated)
     return StandardModuleDatum(
-        TemperedDatum(a.levi, units, generic),
-        character_exponents_of(a.langlands.datum, a.dominant),
-        a.word,
+        TemperedDatum(a.levi, psi.tempered_part, generic),
+        character_exponents_of(a.langlands.datum, a.exponents),
     )
 
 
@@ -259,20 +246,16 @@ def witness_root(a: AttachedData) -> Root:
     read, so the full product stays an independent check."""
     if a.psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
-    diagram = tuple(int(2 * e) for e in a.dominant)
-    units, _ = decompose_parameter(a.conjugated)
-    datum = a.langlands.datum
-    levi_roots = set(levi_and_nilradical(datum, a.levi)[0])
+    diagram, units = a.psi.sl2.diagram, a.psi.tempered_part
     candidates = []
     for root in a.psi.sl2.support:
-        moved = apply_word_root(datum, a.word, root)
-        if diagram_pairing(moved, diagram) != 2:
+        if diagram_pairing(root, diagram) != 2:
             continue
-        if not evaluate_root(moved, units).is_one:
+        if not evaluate_root(root, units).is_one:
             continue
-        if moved in levi_roots:
+        if all(c == 0 or i in a.levi for i, c in enumerate(root)):
             continue
-        candidates.append(moved)
+        candidates.append(root)
     if not candidates:
         raise InvariantViolation(
             "no support root qualifies as a witness; the centralizer and "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, ValidationError
-from .roots import LeviSubset, Root, RootDatum, levi_and_nilradical, root_sort_key
+from .roots import LeviSubset, Root, RootDatum, levi_and_nilradical
 from .parameters import QMonomial, UnramifiedParameter, evaluate_root
 
 ORIENTATIONS = ("r", "r-tilde")
@@ -65,10 +65,8 @@ def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     for root in nilradical:
         level = sum(c for i, c in enumerate(root) if i not in theta)
         buckets.setdefault(level, []).append(root)
-    levels = tuple(
-        (level, tuple(sorted(buckets[level], key=root_sort_key)))
-        for level in sorted(buckets)
-    )
+    # positive_roots is in root_sort_key order, so each bucket is too
+    levels = tuple((level, tuple(buckets[level])) for level in sorted(buckets))
     if levels and levels[0][0] < 1:
         raise InvariantViolation("nilradical level below 1")
     return GradedNilradical(d, theta, levels)

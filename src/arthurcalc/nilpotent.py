@@ -287,7 +287,8 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     zero-weight middles are mixed into hyperbolic pairs, the basis is sorted
     by descending h-weight (ties by stable part order), and each nonzero
     matrix entry is converted from epsilon coordinates to simple-root
-    coefficients.
+    coefficients. For B/C/D, e preserves the invariant form, so an entry and
+    its form-mirror give the same root; only one of each pair is converted.
     """
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
@@ -312,6 +313,8 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
         i, j = pos_of[target], pos_of[source]
         if weight[target] != weight[source] + 2:
             raise InvariantViolation("chain entry violates the h-grading")
+        if family != "A" and i + j > total - 1:
+            continue  # its form-mirror (total-1-j, total-1-i) gives the same root
         if family == "A":
             # e_i - e_j = a_i + ... + a_{j-1}
             root = tuple(int(i <= t < j) for t in range(rank))

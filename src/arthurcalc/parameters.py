@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .nilpotent import SL2Data, validate_sl2_data
 from .roots import (
     LeviSubset,
@@ -225,7 +225,8 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
     """Invert the Arthur evaluation: dominantize the exponents, double them
     into a diagram candidate, and return the correspondingly conjugated unit
-    part. Rejects parameters that are not of Arthur shape."""
+    part. Rejects parameters that are not of Arthur shape; the word must
+    carry the exponents to the dominant vector, or that is a bug."""
     _, exponents = decompose_parameter(p)
     for i, e in enumerate(exponents):
         if (2 * e).denominator != 1:
@@ -246,5 +247,7 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
             )
         diagram.append(int(d))
     conjugated = apply_word_parameter(p, word)
-    units, _ = decompose_parameter(conjugated)
+    units, moved = decompose_parameter(conjugated)
+    if moved != dominant:
+        raise InvariantViolation("word application disagrees with dominantization")
     return units, tuple(diagram)

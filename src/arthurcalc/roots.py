@@ -8,7 +8,7 @@ sum_i c[i] * cartan[i][j]. Simple roots follow Bourbaki numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -136,7 +136,7 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root,
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Cartan matrix with its generated positive-root list.
+    """Cartan matrix with its positive-root list, generated on first use.
 
     For dual data of B/C the index labels stay aligned with the original
     group's simple roots (the transpose convention), which is again the
@@ -145,16 +145,18 @@ class RootDatum:
 
     spec: CartanSpec
     cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.cartan) != self.spec.rank:
             raise ValidationError("Cartan matrix size does not match rank")
-        object.__setattr__(self, "positive_roots", _generate_positive_roots(self.cartan))
 
     @property
     def rank(self) -> int:
         return self.spec.rank
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return _generate_positive_roots(self.cartan)
 
     @cached_property
     def root_set(self) -> frozenset[Root]:
@@ -193,13 +195,6 @@ def diagram_pairing(root: Root, diagram: tuple[int, ...]) -> int:
     return sum(c * d for c, d in zip(root, diagram))
 
 
-def reflect_root(d: RootDatum, i: int, root: Root) -> Root:
-    p = coroot_pairing(d, root, i)
-    out = list(root)
-    out[i] -= p
-    return tuple(out)
-
-
 def reflect_vector(d: RootDatum, i: int, vector: RationalVector) -> RationalVector:
     """Simple reflection acting on a vector of simple-root evaluations:
     v'_j = v_j - cartan[j][i] * v_i."""
@@ -207,12 +202,6 @@ def reflect_vector(d: RootDatum, i: int, vector: RationalVector) -> RationalVect
         raise ValidationError("vector length does not match rank")
     vi = vector[i]
     return tuple(v - d.cartan[j][i] * vi for j, v in enumerate(vector))
-
-
-def apply_word_root(d: RootDatum, word: tuple[int, ...], root: Root) -> Root:
-    for i in word:
-        root = reflect_root(d, i, root)
-    return root
 
 
 def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:

@@ -403,9 +403,11 @@ DualRoot = Annotated[Root, "dual"]
 class Report:
     """Flat, fully serializable record of one scenario run.
 
-    Weyl word entries, Levi members, and root names are 1-based in this
-    record, matching the file formats. The dominantized unit angles and
-    exponents let the verdict be re-checked from the L-factor layer alone.
+    Levi members and root names are 1-based in this record, matching the
+    file formats. The unit angles and exponents let the verdict be
+    re-checked from the L-factor layer alone. The Langlands exponents are
+    already dominant, so `weyl_word` is always empty and the `dominant_*`
+    fields repeat `exponents` and `unit_angles`; they stay in the format.
     """
 
     label: str
@@ -466,6 +468,7 @@ def run_scenario(s: Scenario) -> Report:
         tuple(sorted(islice(eigenvalues, len(roots)), key=_eigenvalue_key))
         for _, roots in ratio.grading.levels
     )
+    unit_angles = tuple(t.angle for t in attached.langlands.coords)
 
     return Report(
         label=s.label,
@@ -481,14 +484,14 @@ def run_scenario(s: Scenario) -> Report:
             s.sl2_kind == "partition" and is_very_even(dual.spec.family, s.partition)
         ),
         parameter=attached.langlands.coords,
-        unit_angles=tuple(t.angle for t in attached.langlands.coords),
+        unit_angles=unit_angles,
         exponents=attached.exponents,
         tempered=not nontempered,
-        weyl_word=tuple(i + 1 for i in attached.word),
-        dominant_exponents=attached.dominant,
-        dominant_unit_angles=tuple(t.angle for t in attached.conjugated.coords),
+        weyl_word=(),
+        dominant_exponents=attached.exponents,
+        dominant_unit_angles=unit_angles,
         levi=tuple(sorted(i + 1 for i in attached.levi)),
-        character_exponents=character_exponents(dual, attached.dominant),
+        character_exponents=character_exponents(dual, attached.exponents),
         generic_assumption=s.generic_assumption,
         irreducible=irr.irreducible,
         irreducibility_witnesses=irr.witness_roots,

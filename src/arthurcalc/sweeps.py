@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import ValidationError
-from .nilpotent import partition_total, sl2_from_partition, validate_partition
+from .nilpotent import partition_total, sl2_from_partition
 from .parameters import (
     ArthurParameter,
     QMonomial,
@@ -45,28 +45,24 @@ DICHOTOMY_SPECS: tuple[CartanSpec, ...] = (
 )
 
 
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of `total` as descending tuples, largest part first."""
-    if max_part is None:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in partitions_of(total - first, first):
-            yield (first,) + rest
-
-
 def valid_partitions(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions labelling nilpotent orbits of the given classical type."""
-    kept = []
-    for parts in partitions_of(partition_total(family, rank)):
-        try:
-            validate_partition(family, rank, parts)
-        except ValidationError:
-            continue
-        kept.append(parts)
-    return tuple(kept)
+    """Partitions labelling nilpotent orbits of the given classical type, in
+    reverse lexicographic order: a part of the parity the family allows only
+    in even multiplicity (even for B/D, odd for C) is taken in pairs."""
+    CartanSpec(family, rank)
+    paired_parity = {"B": 0, "D": 0, "C": 1}.get(family)
+
+    def below(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
+        if total == 0:
+            yield ()
+        for part in range(min(total, max_part), 0, -1):
+            copies = 2 if part % 2 == paired_parity else 1
+            if copies * part <= total:
+                for rest in below(total - copies * part, part):
+                    yield (part,) * copies + rest
+
+    total = partition_total(family, rank)
+    return tuple(below(total, total))
 
 
 def unit_grid(rank: int, angles: tuple[Fraction, ...] = MU4_ANGLES) -> Iterator[tuple[Fraction, ...]]:

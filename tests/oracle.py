@@ -8,8 +8,9 @@ no code with the layers it checks:
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
-- simple roots, Weyl words replayed on a vector of simple-root
-  evaluations, and Gaussian elimination over Fraction.
+- simple roots, simple reflections of a root, Weyl words replayed on a
+  vector of simple-root evaluations, and Gaussian elimination over
+  Fraction.
 """
 
 from __future__ import annotations
@@ -168,6 +169,13 @@ def jordan_type(e) -> tuple[int, ...]:
 def simple_roots(d: RootDatum) -> tuple[tuple[int, ...], ...]:
     n = d.rank
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
+def reflect_root(d: RootDatum, i: int, root: tuple[int, ...]) -> tuple[int, ...]:
+    """Simple reflection s_i of a root: subtract <root, alpha_i^vee> alpha_i."""
+    out = list(root)
+    out[i] -= sum(c * d.cartan[k][i] for k, c in enumerate(root))
+    return tuple(out)
 
 
 def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector) -> tuple:

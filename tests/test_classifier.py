@@ -1,8 +1,11 @@
 """Standard modules, irreducibility, genericity, witnesses, the dichotomy."""
 
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
+from oracle import reflect_root
 
 from arthurcalc import classifier
 from arthurcalc.classifier import (
@@ -26,11 +29,16 @@ from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
+    decompose_parameter,
     langlands_parameter,
     make_arthur_parameter,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, reflect_root
+from arthurcalc.roots import CartanSpec, build_root_datum, diagram_pairing, dominantize, dual_datum
+from arthurcalc.scenarios import parse_scenario_text
+from arthurcalc.sweeps import DICHOTOMY_SPECS, iter_dichotomy_parameters
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def unit_psi(family, rank, parts, angles=None):
@@ -45,11 +53,14 @@ def unit_psi(family, rank, parts, angles=None):
 
 
 def test_standard_module_a1_principal():
-    sm = standard_module_datum(unit_psi("A", 1, (2,)))
+    psi = unit_psi("A", 1, (2,))
+    sm = standard_module_datum(psi)
     assert sm.character_exponents == (Fraction(1, 2),)
     assert sm.evaluation_exponents == (Fraction(1),)
     assert sm.tempered.levi == frozenset()
-    assert sm.weyl_word == ()
+    assert sm.tempered.unit_parameter == psi.tempered_part
+    # the support itself, unmoved, lies off the Levi
+    assert psi.sl2.support == ((1,),)
     assert sm.twisted_parameter().coords == (QMonomial.q(1),)
 
 
@@ -221,6 +232,38 @@ def test_reflection_at_nonzero_diagram_entry_is_rejected():
     psi = unit_psi("A", 1, (2,))
     with pytest.raises(ValidationError):
         reflected_psi(psi, 0)  # s_1 sends the support root negative
+
+
+# -- the Langlands parameter is already dominant -----------------------------------------
+
+
+def g2_expert_parameters():
+    """Every G2 diagram with entries in 0/1/2, supported on all the positive
+    roots that pair to 2 with it; diagrams with no such root are skipped."""
+    d = build_root_datum(CartanSpec("G", 2))
+    for diagram in product((0, 1, 2), repeat=2):
+        support = tuple(r for r in d.positive_roots if diagram_pairing(r, diagram) == 2)
+        if bool(support) == any(diagram):
+            yield make_arthur_parameter(trivial_parameter(d), SL2Data(diagram, support))
+
+
+def scenario_parameters():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        s = parse_scenario_text(path.read_text())
+        dual = dual_datum(build_root_datum(s.group))
+        phi = UnramifiedParameter(dual, tuple(QMonomial.unit(a) for a in s.satake_angles))
+        yield make_arthur_parameter(phi, s.resolved_sl2())
+
+
+def test_langlands_exponents_are_already_dominant():
+    """The premise of reading the Levi straight off the Langlands parameter:
+    dominantizing its exponents moves nothing and records no letter."""
+    parameters = [psi for spec in DICHOTOMY_SPECS for psi in iter_dichotomy_parameters(spec)]
+    parameters += [*g2_expert_parameters(), *scenario_parameters()]
+    for psi in parameters:
+        _, exponents = decompose_parameter(langlands_parameter(psi))
+        assert dominantize(psi.datum, exponents) == (exponents, ()), psi
+    assert len(parameters) == 1009 + 9 + 5
 
 
 def test_witness_route_and_full_product_must_agree(monkeypatch):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import reflect_root
 
-from arthurcalc.errors import ValidationError
+from arthurcalc import parameters
+from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
 from arthurcalc.parameters import (
     ArthurParameter,
@@ -23,7 +25,7 @@ from arthurcalc.parameters import (
     recover_arthur_data,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, reflect_root
+from arthurcalc.roots import CartanSpec, build_root_datum
 
 monomials = st.builds(
     QMonomial,
@@ -229,6 +231,19 @@ def test_recover_dominantizes_non_dominant_input():
     units, diagram = recover_arthur_data(p)
     assert diagram == (1,)
     assert units == trivial_parameter(d)
+
+
+def test_recover_checks_the_word_against_dominantization(monkeypatch):
+    """A word application that disagrees with dominantize is a bug."""
+
+    def dropping_a_letter(p, word):
+        return apply_word_parameter(p, word[1:])
+
+    monkeypatch.setattr(parameters, "apply_word_parameter", dropping_a_letter)
+    d = build_root_datum(CartanSpec("A", 2))
+    p = UnramifiedParameter(d, (QMonomial.q(Fraction(-1, 2)), QMonomial.q(1)))
+    with pytest.raises(InvariantViolation, match="word application disagrees"):
+        recover_arthur_data(p)
 
 
 def test_recover_rejects_non_arthur_shapes():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import apply_word_vector, simple_roots, solve_linear_fractions
+from oracle import apply_word_vector, reflect_root, simple_roots, solve_linear_fractions
 
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.roots import (
@@ -21,7 +21,6 @@ from arthurcalc.roots import (
     evaluation_exponents,
     format_root,
     levi_and_nilradical,
-    reflect_root,
     reflect_vector,
     root_sort_key,
     validate_levi,

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,3 +31,13 @@ def test_survey_dichotomy():
     done = run_script("scripts/survey_dichotomy.py", "--types", "A2", "C2")
     assert done.returncode == 0, done.stderr
     assert "dichotomy holds on every surveyed row" in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name", ["Q2", "A", "A0", "G3", "G2"])
+def test_survey_dichotomy_rejects_bad_type(name):
+    done = run_script("scripts/survey_dichotomy.py", "--types", "A1", name)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: type ")
+    assert repr(name) in done.stderr
+    assert len(done.stderr.splitlines()) == 1

@@ -26,6 +26,7 @@ COUNTED = {
     "apply_word_parameter": parameters.apply_word_parameter,
     "local_coefficient_ratio": lfactors.local_coefficient_ratio,
     "grade_nilradical": lfactors.grade_nilradical,
+    "levi_and_nilradical": roots.levi_and_nilradical,
     "l_factor": lfactors.l_factor,
     "character_exponents": roots.character_exponents,
     "integer_inverse": roots.integer_inverse,
@@ -58,10 +59,11 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
     run_scenario(scenario)
     assert counts == {
         "langlands_parameter": 1,
-        "dominantize": 1,
-        "apply_word_parameter": 1,
+        "dominantize": 0,  # the Langlands exponents are already dominant
+        "apply_word_parameter": 0,
         "local_coefficient_ratio": 1,
         "grade_nilradical": 1,
+        "levi_and_nilradical": 1,  # the nilradical is split once
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
         "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
@@ -77,5 +79,6 @@ def test_tempered_classification_builds_no_l_factor(monkeypatch):
     assert counts["local_coefficient_ratio"] == 0
     assert counts["l_factor"] == 0
     assert counts["character_exponents"] == 0
-    assert counts["apply_word_parameter"] == 0
-    assert counts["langlands_parameter"] == counts["dominantize"] == 1
+    assert counts["apply_word_parameter"] == counts["dominantize"] == 0
+    assert counts["levi_and_nilradical"] == 0
+    assert counts["langlands_parameter"] == 1
