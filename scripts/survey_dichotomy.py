@@ -6,7 +6,7 @@ with coordinates in the fourth roots of unity that passes the centralizer
 condition, classify the packet and count verdicts per orbit. The trivial
 orbit rows must be all-Tempered, every nontrivial orbit all-NonTempered;
 the script exits 1 if any row mixes, or with a one-line error if a listed
-type is not a classical type.
+type is not a classical type or `--types` lists none.
 
 Usage:
     python3 scripts/survey_dichotomy.py [--types A2 C3 ...]
@@ -80,6 +80,9 @@ def main() -> int:
         help="dual types to sweep, e.g. A2 B2 C3 D4",
     )
     args = parser.parse_args()
+    if not args.types:
+        print("error: --types needs at least one type name", file=sys.stderr)
+        return 1
     try:
         specs = [parse_type(name) for name in args.types]
     except ValidationError as err:

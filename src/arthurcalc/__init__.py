@@ -60,7 +60,6 @@ from .classifier import (
     AttachedData,
     Certificate,
     Genericity,
-    IrreducibilityVerdict,
     PacketVerdict,
     StandardModuleDatum,
     TemperedDatum,

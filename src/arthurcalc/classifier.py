@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InvariantViolation, ValidationError
-from .lfactors import CoefficientRatio, LocalLFactor, local_coefficient_ratio
+from .lfactors import CoefficientRatio, local_coefficient_ratio
 from .parameters import (
     ArthurParameter,
     QMonomial,
@@ -163,22 +163,6 @@ class PacketVerdict:
 
 
 @dataclass(frozen=True)
-class IrreducibilityVerdict:
-    irreducible: bool
-    witnesses: tuple[int, ...]
-    denominator: LocalLFactor
-
-    @classmethod
-    def of(cls, ratio: CoefficientRatio) -> "IrreducibilityVerdict":
-        """Irreducible iff the denominator inverse has no zero at s = 1."""
-        return cls(not ratio.vanishes, ratio.witnesses, ratio.denominator)
-
-    @property
-    def witness_roots(self) -> tuple[Root, ...]:
-        return tuple(self.denominator.roots[i] for i in self.witnesses)
-
-
-@dataclass(frozen=True)
 class AttachedData:
     """The data attached to one Arthur parameter: the Langlands parameter is
     already the standard-module parameter, and the zero set of its dominant
@@ -214,7 +198,7 @@ class AttachedData:
             raise InvariantViolation(
                 f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
             )
-        if witness not in IrreducibilityVerdict.of(self.ratio).witness_roots:
+        if witness not in self.ratio.witness_roots:
             raise InvariantViolation(
                 f"the full product does not vanish at the witness {format_root(witness)}"
             )
@@ -231,8 +215,10 @@ def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> Standar
     )
 
 
-def irreducibility_verdict(sm: StandardModuleDatum) -> IrreducibilityVerdict:
-    return IrreducibilityVerdict.of(sm.coefficient_ratio)
+def irreducibility_verdict(sm: StandardModuleDatum) -> CoefficientRatio:
+    """The coefficient ratio carries the verdict (`irreducible`) and its
+    witnesses (`witnesses`, `witness_roots`, `denominator`)."""
+    return sm.coefficient_ratio
 
 
 def genericity_verdict(sm: StandardModuleDatum) -> Genericity:

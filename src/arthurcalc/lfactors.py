@@ -106,17 +106,25 @@ def pole_locations(L: LocalLFactor) -> tuple[Fraction, ...]:
 class CoefficientRatio:
     """Zero/nonzero class of the normalized coefficient ratio
     L(0, numerator) / L(1, denominator) over its grading; only the class is
-    exposed."""
+    exposed. It is also the irreducibility verdict: the standard module is
+    irreducible iff the denominator inverse has no zero at s = 1."""
 
     grading: GradedNilradical
     numerator: LocalLFactor
     denominator: LocalLFactor
-    verdict: str  # "zero" | "nonzero"
-    witnesses: tuple[int, ...]
+    witnesses: tuple[int, ...]  # denominator indices vanishing at s = 1
 
     @property
     def vanishes(self) -> bool:
-        return self.verdict == "zero"
+        return bool(self.witnesses)
+
+    @property
+    def irreducible(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def witness_roots(self) -> tuple[Root, ...]:
+        return tuple(self.denominator.roots[i] for i in self.witnesses)
 
 
 def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParameter) -> CoefficientRatio:
@@ -147,11 +155,5 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
             f"numerator inverse vanished at s=0 on factors {bad}; "
             "the dominance precondition should forbid this"
         )
-    vanishes, witnesses = inverse_vanishes_at(denominator, 1)
-    return CoefficientRatio(
-        g,
-        numerator,
-        denominator,
-        "zero" if vanishes else "nonzero",
-        witnesses,
-    )
+    _, witnesses = inverse_vanishes_at(denominator, 1)
+    return CoefficientRatio(g, numerator, denominator, witnesses)

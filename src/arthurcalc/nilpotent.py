@@ -14,18 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import accumulate
 
 from .errors import InvariantViolation, ValidationError
 from .roots import (
     CartanSpec,
-    IntegerInverse,
     Root,
     RootDatum,
     build_root_datum,
     diagram_pairing,
     format_root,
-    integer_inverse,
     root_sort_key,
 )
 
@@ -65,7 +63,7 @@ def validate_partition(family: str, rank: int, parts) -> tuple[int, ...]:
     if not parts:
         raise ValidationError("partition is empty", field="partition")
     for m in parts:
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValidationError(f"part {m!r} is not a positive integer", field="partition")
     ordered = tuple(sorted(parts, reverse=True))
     expected = partition_total(family, rank)
@@ -88,10 +86,6 @@ def validate_partition(family: str, rank: int, parts) -> tuple[int, ...]:
                 field="partition",
             )
     return ordered
-
-
-def weight_string(m: int) -> tuple[int, ...]:
-    return tuple(m - 1 - 2 * k for k in range(m))
 
 
 def _diagram_from_sorted(family: str, rank: int, sorted_weights: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,8 +112,14 @@ def _diagram_from_sorted(family: str, rank: int, sorted_weights: tuple[int, ...]
 @lru_cache(maxsize=None)
 def weighted_diagram(family: str, rank: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     ordered = validate_partition(family, rank, parts)
-    weights = sorted((w for m in ordered for w in weight_string(m)), reverse=True)
-    return _diagram_from_sorted(family, rank, tuple(weights))
+    if family == "A":
+        weights = [w for m in ordered for w in range(m - 1, -m, -2)]
+    else:
+        # the weights are symmetric about 0, so the top `rank` of them are
+        # the positive ones padded with zeros
+        weights = [w for m in ordered for w in range(m - 1, 0, -2)]
+        weights += [0] * (rank - len(weights))
+    return _diagram_from_sorted(family, rank, tuple(sorted(weights, reverse=True)))
 
 
 def is_very_even(family: str, parts: tuple[int, ...]) -> bool:
@@ -258,24 +258,21 @@ def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
     return order, weight, links, n_amb
 
 
-@lru_cache(maxsize=None)
-def _epsilon_inverse(family: str, rank: int) -> IntegerInverse:
-    """Inverse of the matrix whose columns are the simple roots in epsilon
-    coordinates (B/C/D only): it turns an epsilon vector into simple-root
-    coefficients."""
-    m = [[0] * rank for _ in range(rank)]
-    for k in range(rank - 1):
-        m[k][k] = 1
-        m[k + 1][k] = -1
+def _from_epsilon(family: str, x: list[int]) -> Root:
+    """Simple-root coefficients of the vector with epsilon coordinates x, read
+    off the partial sums S_k = x_1 + ... + x_k of the Bourbaki simple roots:
+    type A drops the last sum, B keeps them all, C halves the last one, and
+    D's fork (e_{n-1} + e_n) gives (S_{n-1} - x_n)/2 and S_n/2."""
+    sums = list(accumulate(x))
+    if family == "A":
+        return tuple(sums[:-1])
     if family == "B":
-        m[rank - 1][rank - 1] = 1
-    elif family == "C":
-        m[rank - 1][rank - 1] = 2
-    else:  # D: the fork root is e_{n-1} + e_n
-        m[rank - 1][rank - 1] = 1
-        if rank >= 2:
-            m[rank - 2][rank - 1] = 1
-    return integer_inverse(m)
+        return tuple(sums)
+    doubled = [sums[-1]] if family == "C" else [sums[-2] - x[-1], sums[-1]]
+    halves = [divmod(v, 2) for v in doubled]
+    if any(odd for _, odd in halves):
+        raise InvariantViolation("support root has a fractional coefficient")
+    return tuple(sums[: len(sums) - len(halves)] + [half for half, _ in halves])
 
 
 @lru_cache(maxsize=None)
@@ -287,8 +284,9 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     zero-weight middles are mixed into hyperbolic pairs, the basis is sorted
     by descending h-weight (ties by stable part order), and each nonzero
     matrix entry is converted from epsilon coordinates to simple-root
-    coefficients. For B/C/D, e preserves the invariant form, so an entry and
-    its form-mirror give the same root; only one of each pair is converted.
+    coefficients by partial sums (`_from_epsilon`). For B/C/D, e preserves
+    the invariant form, so an entry and its form-mirror give the same root;
+    only one of each pair is converted.
     """
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
@@ -299,6 +297,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     pos_of = {v: p for p, v in enumerate(order)}
 
     def eps_vector(p: int) -> list[int]:
+        # n_amb epsilon coordinates: all `total` of them in type A
         out = [0] * n_amb
         if p < n_amb:
             out[p] = 1
@@ -315,19 +314,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
             raise InvariantViolation("chain entry violates the h-grading")
         if family != "A" and i + j > total - 1:
             continue  # its form-mirror (total-1-j, total-1-i) gives the same root
-        if family == "A":
-            # e_i - e_j = a_i + ... + a_{j-1}
-            root = tuple(int(i <= t < j) for t in range(rank))
-        else:
-            rhs = [a - b for a, b in zip(eps_vector(i), eps_vector(j))]
-            D, N = _epsilon_inverse(family, rank)
-            coeffs = []
-            for row in N:
-                x, remainder = divmod(sum(map(mul, row, rhs)), D)
-                if remainder:
-                    raise InvariantViolation("support root has a fractional coefficient")
-                coeffs.append(x)
-            root = tuple(coeffs)
+        root = _from_epsilon(family, [a - b for a, b in zip(eps_vector(i), eps_vector(j))])
         if any(c < 0 for c in root) or root not in datum.root_set:
             raise InvariantViolation(
                 f"support entry {format_root(root)} is not a positive root"

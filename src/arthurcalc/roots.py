@@ -46,7 +46,7 @@ class CartanSpec:
                 f"unknown family {self.family!r}; expected one of A, B, C, D, G",
                 field="family",
             )
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise ValidationError("rank must be a positive integer", field="rank")
         if self.rank > MAX_RANK:
             raise ValidationError(
@@ -175,9 +175,13 @@ def build_root_datum(spec: CartanSpec) -> RootDatum:
 
 @lru_cache(maxsize=None)
 def dual_datum(d: RootDatum) -> RootDatum:
-    """Transpose the Cartan matrix; B and C trade places, A/D/G are self-dual."""
+    """Transpose the Cartan matrix; B and C trade places, A/D/G are self-dual.
+    For A-D that is the dual spec's own matrix, so its cached datum (and one
+    root enumeration) is shared; G2's transpose swaps long and short labels."""
     transposed = tuple(tuple(d.cartan[j][i] for j in range(d.rank)) for i in range(d.rank))
-    return RootDatum(CartanSpec(_DUAL_FAMILY[d.spec.family], d.spec.rank), transposed)
+    spec = CartanSpec(_DUAL_FAMILY[d.spec.family], d.spec.rank)
+    shared = build_root_datum(spec)
+    return shared if shared.cartan == transposed else RootDatum(spec, transposed)
 
 
 def coroot_pairing(d: RootDatum, root: Root, j: int) -> int:

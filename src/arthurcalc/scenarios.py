@@ -23,7 +23,7 @@ from math import lcm
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
-from .classifier import AttachedData, Genericity, IrreducibilityVerdict, VerdictKind
+from .classifier import AttachedData, Genericity, VerdictKind
 from .errors import InvariantViolation, ValidationError
 from .lfactors import pole_locations
 from .nilpotent import (
@@ -461,7 +461,6 @@ def run_scenario(s: Scenario) -> Report:
     nontempered = verdict.kind is VerdictKind.NON_TEMPERED
     if ratio.vanishes != nontempered:
         raise InvariantViolation("denominator vanishing does not match the packet verdict")
-    irr = IrreducibilityVerdict.of(ratio)
 
     eigenvalues = iter(ratio.denominator.eigenvalues)  # aligned with the grading
     by_level = tuple(
@@ -493,9 +492,9 @@ def run_scenario(s: Scenario) -> Report:
         levi=tuple(sorted(i + 1 for i in attached.levi)),
         character_exponents=character_exponents(dual, attached.exponents),
         generic_assumption=s.generic_assumption,
-        irreducible=irr.irreducible,
-        irreducibility_witnesses=irr.witness_roots,
-        genericity=Genericity.of(s.generic_assumption, irr.irreducible).value,
+        irreducible=ratio.irreducible,
+        irreducibility_witnesses=ratio.witness_roots,
+        genericity=Genericity.of(s.generic_assumption, ratio.irreducible).value,
         verdict_kind=verdict.kind.value,
         verdict_witness=verdict.witness,
         certificate_eigenvalue=(

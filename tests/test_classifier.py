@@ -103,11 +103,14 @@ def rank1_module(character_exponent, generic=True):
 
 
 def test_rank1_reducible_exactly_at_one_half():
-    for nu in (Fraction(1, 4), Fraction(1, 3), Fraction(2, 3), Fraction(1)):
-        assert irreducibility_verdict(rank1_module(nu)).irreducible, nu
-    verdict = irreducibility_verdict(rank1_module(Fraction(1, 2)))
-    assert not verdict.irreducible
-    assert verdict.witness_roots == ((1,),)
+    for nu in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+        sm = rank1_module(nu)
+        verdict = irreducibility_verdict(sm)
+        assert verdict is sm.coefficient_ratio  # the ratio is the verdict
+        reducible = nu == Fraction(1, 2)
+        assert verdict.irreducible is not reducible, nu
+        assert verdict.vanishes is reducible
+        assert verdict.witness_roots == (((1,),) if reducible else ())
 
 
 def test_genericity_tracks_irreducibility_under_assumption():

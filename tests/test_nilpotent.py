@@ -16,10 +16,11 @@ from oracle import (
     standard_triple,
 )
 
-from arthurcalc.errors import ValidationError
+from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.nilpotent import (
     SL2Data,
     _diagram_from_sorted,
+    _from_epsilon,
     is_very_even,
     sl2_from_partition,
     validate_partition,
@@ -89,8 +90,11 @@ def test_partition_sum_and_shape_errors():
         validate_partition("A", 1, (2, 1))
     with pytest.raises(ValidationError, match="empty"):
         validate_partition("A", 1, ())
-    with pytest.raises(ValidationError, match="not a positive integer"):
-        validate_partition("A", 1, (2, 0))
+    for parts in ((2, 0), (True, True)):
+        with pytest.raises(ValidationError, match="^partition: part .* not a positive integer"):
+            validate_partition("A", 1, parts)
+    with pytest.raises(ValidationError, match="^rank: "):
+        validate_partition("A", True, (2,))
     with pytest.raises(ValidationError, match="no partition classification"):
         validate_partition("G", 2, (2, 2))
 
@@ -171,6 +175,40 @@ def test_supports_match_the_recorded_table():
     assert set(cells) == {(f, n) for f in "ABCD" for n in range(min_rank[f], 9)}
     for (family, rank), partitions in cells.items():
         assert valid_partitions(family, rank) == tuple(partitions)
+
+
+def simple_epsilon_columns(family, rank):
+    """The Bourbaki simple roots in epsilon coordinates (n + 1 of them in
+    type A, n otherwise)."""
+    size = rank + 1 if family == "A" else rank
+    columns = []
+    for k in range(rank if family == "A" else rank - 1):
+        column = [0] * size
+        column[k], column[k + 1] = 1, -1
+        columns.append(column)
+    if family != "A":
+        column = [0] * size
+        if family == "D":
+            column[-2] = 1
+        column[-1] = 2 if family == "C" else 1
+        columns.append(column)
+    return columns
+
+
+def test_partial_sums_give_every_positive_root_back():
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(low, 11):
+            columns = simple_epsilon_columns(family, rank)
+            for root in build_root_datum(CartanSpec(family, rank)).positive_roots:
+                eps = [sum(c * col[t] for c, col in zip(root, columns)) for t in range(len(columns[0]))]
+                assert _from_epsilon(family, eps) == root, (family, rank, root)
+
+
+def test_partial_sums_refuse_a_fractional_coefficient():
+    # e_3 is outside the root lattice of C3 (odd tail) and of D3 (odd fork)
+    for family in ("C", "D"):
+        with pytest.raises(InvariantViolation, match="fractional coefficient"):
+            _from_epsilon(family, [0, 0, 1])
 
 
 def test_trivial_partition_gives_trivial_sl2():

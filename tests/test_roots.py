@@ -78,8 +78,10 @@ def test_bad_specs_rejected():
         CartanSpec("D", 2)
     with pytest.raises(ValidationError):
         CartanSpec("G", 3)
-    with pytest.raises(ValidationError):
-        CartanSpec("A", 0)
+    for rank in (0, True, False):
+        with pytest.raises(ValidationError, match="^rank: ") as info:
+            CartanSpec("A", rank)
+        assert info.value.field == "rank"
 
 
 def test_rank_cap():
@@ -164,6 +166,15 @@ def test_dual_g2_swaps_root_labels():
     dual = dual_datum(build_root_datum(CartanSpec("G", 2)))
     assert dual.spec.family == "G"
     assert dual.cartan == ((2, -3), (-1, 2))
+    assert dual_datum(dual) is build_root_datum(CartanSpec("G", 2))
+
+
+def test_classical_dual_is_the_dual_specs_datum():
+    # one datum, so one root enumeration, per classical dual type
+    for family, dual_family, low in (("A", "A", 1), ("B", "C", 2), ("C", "B", 2), ("D", "D", 3)):
+        for rank in range(low, 9):
+            dual = dual_datum(build_root_datum(CartanSpec(family, rank)))
+            assert dual is build_root_datum(CartanSpec(dual_family, rank))
 
 
 # -- pairings ------------------------------------------------------------------

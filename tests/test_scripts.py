@@ -41,3 +41,11 @@ def test_survey_dichotomy_rejects_bad_type(name):
     assert done.stderr.startswith("error: type ")
     assert repr(name) in done.stderr
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_survey_dichotomy_rejects_empty_type_list():
+    done = run_script("scripts/survey_dichotomy.py", "--types")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert len(done.stderr.splitlines()) == 1

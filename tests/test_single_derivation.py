@@ -70,6 +70,30 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "group, parts", [("A", [4]), ("B", [4]), ("C", [5]), ("D", [7, 1])]
+)
+def test_cold_run_enumerates_the_dual_roots_once(group, parts, monkeypatch):
+    """The scenario's dual datum and the sl2 support share one datum."""
+    for cached in (roots.build_root_datum, roots.dual_datum, sl2_from_partition):
+        cached.cache_clear()
+    calls = []
+
+    def counted(cartan, _fn=roots._generate_positive_roots):
+        calls.append(cartan)
+        return _fn(cartan)
+
+    monkeypatch.setattr(roots, "_generate_positive_roots", counted)
+    rank = sum(parts) // 2 if group != "A" else sum(parts) - 1
+    text = (
+        f'{{"label": "cold", "group": {{"family": "{group}", "rank": {rank}}}, '
+        f'"satake_angles": {["0"] * rank}, "sl2": {{"partition": {parts}}}}}'
+    ).replace("'", '"')
+    report = run_scenario(parse_scenario_text(text))
+    assert report.verdict_kind == "NonTempered"
+    assert len(calls) == 1
+
+
 def test_tempered_classification_builds_no_l_factor(monkeypatch):
     d = build_root_datum(CartanSpec("C", 3))
     phi = UnramifiedParameter(d, tuple(QMonomial.unit(Fraction(1, 4)) for _ in range(3)))
