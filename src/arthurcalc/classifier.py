@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import InvariantViolation, ValidationError
 from .lfactors import CoefficientRatio, local_coefficient_ratio
@@ -48,6 +49,7 @@ from .roots import (
     diagram_pairing,
     evaluation_exponents,
     format_root,
+    off_levi_indicator,
     root_sort_key,
 )
 
@@ -233,13 +235,14 @@ def witness_root(a: AttachedData) -> Root:
     if a.psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
     diagram, units = a.psi.sl2.diagram, a.psi.tempered_part
+    outside = off_levi_indicator(units.datum, a.levi)
     candidates = []
     for root in a.psi.sl2.support:
         if diagram_pairing(root, diagram) != 2:
             continue
         if not evaluate_root(root, units).is_one:
             continue
-        if all(c == 0 or i in a.levi for i, c in enumerate(root)):
+        if not any(map(mul, root, outside)):
             continue
         candidates.append(root)
     if not candidates:

@@ -9,16 +9,28 @@ tempered holomorphy rather than chosen freely: the denominator-side factor
 ("r-tilde", tested at s = 1) uses the direct evaluations of the parameter on
 positive nilradical roots; the numerator side ("r", tested at s = 0) uses
 their reciprocals. The opposite assignment fails both pinning checks.
+
+Representation: a factor keeps its eigenvalues as integer pairs over one
+denominator D, the lcm of the parameter's denominators. The pair (qn, an)
+with 0 <= an < D is zeta(an / D) * q^(qn / D); the reciprocal is
+(-qn, -an mod D). Vanishing, poles and the per-level order are decided on
+the integers: over one D, pairs sort exactly like (q_exp, angle). QMonomials
+and Fractions are built only for a report or on request, each distinct
+value once per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import islice
+from operator import mul
+from typing import Callable
 
 from .errors import InvariantViolation, ValidationError
-from .roots import LeviSubset, Root, RootDatum, levi_and_nilradical
-from .parameters import QMonomial, UnramifiedParameter, evaluate_root
+from .roots import LeviSubset, Root, RootDatum, levi_and_nilradical, off_levi_indicator
+from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs
 
 ORIENTATIONS = ("r", "r-tilde")
 
@@ -33,7 +45,7 @@ class GradedNilradical:
 
     @property
     def all_roots(self) -> tuple[Root, ...]:
-        return tuple(root for _, roots in self.levels for root in roots)
+        return tuple([root for _, roots in self.levels for root in roots])
 
     @property
     def dimension(self) -> int:
@@ -42,18 +54,37 @@ class GradedNilradical:
 
 @dataclass(frozen=True)
 class LocalLFactor:
-    """Eigenvalue multiset with its orientation tag; roots kept aligned for
-    witness naming."""
+    """Eigenvalue multiset with its orientation tag, as integer pairs over one
+    denominator D: the pair (qn, an), 0 <= an < D, is the eigenvalue
+    zeta(an / D) * q^(qn / D). Roots are kept aligned for witness naming."""
 
     orientation: str
     roots: tuple[Root, ...]
-    eigenvalues: tuple[QMonomial, ...]
+    D: int
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.orientation not in ORIENTATIONS:
             raise ValidationError(f"unknown orientation {self.orientation!r}")
-        if len(self.roots) != len(self.eigenvalues):
+        if len(self.roots) != len(self.pairs):
             raise ValidationError("roots and eigenvalues are misaligned")
+
+    @cached_property
+    def _fraction(self) -> Callable[[int], Fraction]:
+        """k -> Fraction(k, D), each distinct k built once per factor."""
+        D = self.D
+        return cache(lambda k: Fraction(k, D))
+
+    @cached_property
+    def _monomial(self) -> Callable[[tuple[int, int]], QMonomial]:
+        """Pair -> QMonomial, each distinct pair built once per factor."""
+        fraction = self._fraction
+        return cache(lambda pair: QMonomial(fraction(pair[0]), fraction(pair[1])))
+
+    @cached_property
+    def eigenvalues(self) -> tuple[QMonomial, ...]:
+        """The pairs as QMonomials, built on first use."""
+        return tuple([self._monomial(pair) for pair in self.pairs])
 
 
 def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
@@ -61,12 +92,12 @@ def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     outside theta; levels start at 1 (empty when theta is everything)."""
     theta = frozenset(theta)
     _, nilradical = levi_and_nilradical(d, theta)
+    outside = off_levi_indicator(d, theta)
     buckets: dict[int, list[Root]] = {}
     for root in nilradical:
-        level = sum(c for i, c in enumerate(root) if i not in theta)
-        buckets.setdefault(level, []).append(root)
+        buckets.setdefault(sum(map(mul, root, outside)), []).append(root)
     # positive_roots is in root_sort_key order, so each bucket is too
-    levels = tuple((level, tuple(buckets[level])) for level in sorted(buckets))
+    levels = tuple([(level, tuple(buckets[level])) for level in sorted(buckets)])
     if levels and levels[0][0] < 1:
         raise InvariantViolation("nilradical level below 1")
     return GradedNilradical(d, theta, levels)
@@ -78,18 +109,24 @@ def l_factor(g: GradedNilradical, p: UnramifiedParameter, orientation: str) -> L
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
     roots = g.all_roots
-    values = []
-    for root in roots:
-        value = evaluate_root(root, p)
-        values.append(value if orientation == "r-tilde" else value.inverse())
-    return LocalLFactor(orientation, roots, tuple(values))
+    D = p.integer_form[0]
+    pairs = eigenvalue_pairs(roots, p)
+    if orientation == "r":
+        pairs = _reciprocals(pairs, D)
+    return LocalLFactor(orientation, roots, D, pairs)
+
+
+def _reciprocals(pairs, D: int) -> tuple[tuple[int, int], ...]:
+    return tuple([(-qn, -an % D) for qn, an in pairs])
 
 
 def inverse_vanishes_at(L: LocalLFactor, s) -> tuple[bool, tuple[int, ...]]:
-    """Whether prod (1 - lambda_i q^{-s}) = 0, with every witnessing index."""
+    """Whether prod (1 - lambda_i q^{-s}) = 0, with every witnessing index:
+    lambda_i = q^s exactly when its unit part is trivial and qn / D = s."""
     s = Fraction(s)
+    target, scale = s.numerator * L.D, s.denominator
     witnesses = tuple(
-        i for i, value in enumerate(L.eigenvalues) if value.is_q_power(s)
+        [i for i, (qn, an) in enumerate(L.pairs) if an == 0 and qn * scale == target]
     )
     return bool(witnesses), witnesses
 
@@ -97,9 +134,19 @@ def inverse_vanishes_at(L: LocalLFactor, s) -> tuple[bool, tuple[int, ...]]:
 def pole_locations(L: LocalLFactor) -> tuple[Fraction, ...]:
     """Real poles of L: the exponents of eigenvalues with trivial unit part,
     sorted with multiplicity."""
-    return tuple(
-        sorted(value.q_exp for value in L.eigenvalues if value.angle == 0)
-    )
+    return tuple([L._fraction(qn) for qn in sorted([qn for qn, an in L.pairs if an == 0])])
+
+
+def eigenvalues_by_level(g: GradedNilradical, L: LocalLFactor) -> tuple[tuple[QMonomial, ...], ...]:
+    """The factor's eigenvalues split by the grading's levels, each level in
+    (q_exp, angle) order; over one D the pairs sort the same way."""
+    if L.roots != g.all_roots:
+        raise ValidationError("factor and grading are misaligned")
+    pairs = iter(L.pairs)
+    return tuple([
+        tuple([L._monomial(pair) for pair in sorted(islice(pairs, len(roots)))])
+        for _, roots in g.levels
+    ])
 
 
 @dataclass(frozen=True)
@@ -124,7 +171,7 @@ class CoefficientRatio:
 
     @property
     def witness_roots(self) -> tuple[Root, ...]:
-        return tuple(self.denominator.roots[i] for i in self.witnesses)
+        return tuple([self.denominator.roots[i] for i in self.witnesses])
 
 
 def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParameter) -> CoefficientRatio:
@@ -138,17 +185,16 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
     g = grade_nilradical(d, theta)
     # the denominator's eigenvalues carry the exponent part on each root
     denominator = l_factor(g, p, "r-tilde")
-    for root, value in zip(denominator.roots, denominator.eigenvalues):
-        if value.q_exp <= 0:
+    for root, (qn, _) in zip(denominator.roots, denominator.pairs):
+        if qn <= 0:
             raise ValidationError(
                 "exponent part is not strictly positive on the nilradical "
-                f"(root {root} gives {value.q_exp})",
+                f"(root {root} gives {denominator._fraction(qn)})",
                 field="parameter",
             )
     # the numerator's eigenvalues are the reciprocals of the same evaluations
-    numerator = LocalLFactor(
-        "r", denominator.roots, tuple(value.inverse() for value in denominator.eigenvalues)
-    )
+    D = denominator.D
+    numerator = LocalLFactor("r", denominator.roots, D, _reciprocals(denominator.pairs, D))
     vanished, bad = inverse_vanishes_at(numerator, 0)
     if vanished:
         raise InvariantViolation(

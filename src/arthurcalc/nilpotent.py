@@ -331,6 +331,11 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     return SL2Data(diagram, tuple(sorted(support, key=root_sort_key)))
 
 
+# Exactly int: bool is an int subclass, and True == 1 would pass every
+# later check.
+_INT_ONLY = frozenset({int})
+
+
 def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
     """Structural checks for expert-supplied data; collects every violation.
 
@@ -343,16 +348,24 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             f"diagram length {len(data.diagram)} does not match rank {d.rank}"
         )
     else:
+        typed = _INT_ONLY.issuperset(map(type, data.diagram))
         for i, v in enumerate(data.diagram):
-            if v not in (0, 1, 2):
+            if type(v) is not int:
+                problems.append(f"diagram entry {v!r} at position {i + 1} is not an integer")
+            elif v not in (0, 1, 2):
                 problems.append(f"diagram entry {v} at position {i + 1} is outside 0/1/2")
         for root in data.support:
             if len(root) != d.rank:
                 problems.append(f"support root {root} has the wrong length")
                 continue
+            if not _INT_ONLY.issuperset(map(type, root)):
+                problems.append(f"support root {root} has a coefficient that is not an integer")
+                continue
             if root not in d.root_set:
                 problems.append(f"support root {format_root(root)} is not a positive root")
                 continue
+            if not typed:
+                continue  # a pairing with a diagram refused above means nothing
             pairing = diagram_pairing(root, data.diagram)
             if pairing != 2:
                 problems.append(

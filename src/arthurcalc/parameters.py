@@ -119,10 +119,23 @@ def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
     return UnramifiedParameter(d, tuple(QMonomial.one() for _ in range(d.rank)))
 
 
+def eigenvalue_pairs(roots, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
+    """Eigenvalues of the parameter on the root spaces as integer pairs over
+    D = p.integer_form[0]: the pair (qn, an), 0 <= an < D, stands for
+    zeta(an / D) * q^(qn / D). Each pair is two integer dot products over
+    the parameter's integer form; the roots' lengths are the caller's to
+    check."""
+    D, exponents, angles = p.integer_form
+    return tuple([
+        (sum(map(mul, root, exponents)), sum(map(mul, root, angles)) % D)
+        for root in roots
+    ])
+
+
 def evaluate_root(root: Root, p: UnramifiedParameter) -> QMonomial:
     """Eigenvalue of the parameter on the root space: the product of the
-    coordinates raised to the root's coefficients, computed as two integer
-    dot products over the parameter's integer form."""
+    coordinates raised to the root's coefficients, as a QMonomial. The same
+    two dot products as `eigenvalue_pairs`, for one root."""
     if len(root) != p.datum.rank:
         raise ValidationError("root length does not match the parameter's rank")
     D, exponents, angles = p.integer_form
@@ -139,8 +152,8 @@ def is_tempered(p: UnramifiedParameter) -> bool:
 def decompose_parameter(p: UnramifiedParameter) -> tuple[UnramifiedParameter, RationalVector]:
     """Split into the bounded (unit) part and the exponent vector; the two
     recompose to the input exactly."""
-    units = UnramifiedParameter(p.datum, tuple(t.unit_part() for t in p.coords))
-    return units, tuple(t.q_exp for t in p.coords)
+    units = UnramifiedParameter(p.datum, tuple([t.unit_part() for t in p.coords]))
+    return units, tuple([t.q_exp for t in p.coords])
 
 
 def recompose_parameter(units: UnramifiedParameter, exponents: RationalVector) -> UnramifiedParameter:
@@ -203,10 +216,10 @@ def make_arthur_parameter(phi: UnramifiedParameter, rho: SL2Data) -> ArthurParam
 def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
     """Evaluate the sl2 factor at the half-weight torus element: coordinate i
     picks up q^(d_i/2) where d_i is the diagram value."""
-    coords = tuple(
+    coords = tuple([
         t * QMonomial.q(Fraction(d, 2))
         for t, d in zip(psi.tempered_part.coords, psi.sl2.diagram)
-    )
+    ])
     return UnramifiedParameter(psi.datum, coords)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import InvariantViolation, ValidationError
@@ -98,7 +98,7 @@ def cartan_matrix(spec: CartanSpec) -> tuple[tuple[int, ...], ...]:
 def root_sort_key(root: Root) -> tuple:
     """Canonical enumeration order: height ascending, then coefficients
     descending lexicographically (so alpha_1 precedes alpha_2)."""
-    return (sum(root), tuple(-c for c in root))
+    return (sum(root), tuple([-c for c in root]))
 
 
 def _pairing(cartan: tuple[tuple[int, ...], ...], root: Root, j: int) -> int:
@@ -235,21 +235,26 @@ def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, t
 def validate_levi(d: RootDatum, theta: LeviSubset) -> LeviSubset:
     theta = frozenset(theta)
     for i in theta:
-        if not isinstance(i, int) or not 0 <= i < d.rank:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise ValidationError(f"Levi index {i!r} is not an integer", field="levi")
+        if not 0 <= i < d.rank:
             raise ValidationError(f"Levi index {i} outside 0..{d.rank - 1}", field="levi")
     return theta
 
 
+def off_levi_indicator(d: RootDatum, theta: LeviSubset) -> tuple[int, ...]:
+    """1 at each simple index outside theta, 0 inside: its dot product with a
+    positive root is the root's coefficient sum off the Levi."""
+    return tuple([0 if i in theta else 1 for i in range(d.rank)])
+
+
 def levi_and_nilradical(d: RootDatum, theta: LeviSubset) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     """Split positive roots into those supported on theta and the rest."""
-    theta = validate_levi(d, theta)
+    outside = off_levi_indicator(d, validate_levi(d, theta))
     levi: list[Root] = []
     nilradical: list[Root] = []
     for root in d.positive_roots:
-        if all(c == 0 or i in theta for i, c in enumerate(root)):
-            levi.append(root)
-        else:
-            nilradical.append(root)
+        (nilradical if any(map(mul, root, outside)) else levi).append(root)
     return tuple(levi), tuple(nilradical)
 
 
@@ -271,26 +276,35 @@ def format_root(root: Root) -> str:
 
 def integer_inverse(rows) -> IntegerInverse:
     """Exact inverse of an invertible integer matrix as (D, N) with
-    inverse = N / D, D the lcm of the entries' denominators: [rows | I] is
-    row-reduced over Fraction until the left block is the identity."""
+    inverse = N / D, D the lcm of the entries' denominators.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [rows | I]: each elimination
+    divides exactly by the previous pivot, so every entry stays an integer
+    (a minor of the augmented matrix). It ends at [p I | p inverse] with p
+    the last pivot, and (D, N) is p inverse over p in lowest common terms.
+    """
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    previous = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise InvariantViolation("singular linear system")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    D, flat = over_common_denominator(x for row in aug for x in row[n:])
-    return D, tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if r != col:
+                row = aug[r]
+                factor = row[col]
+                aug[r] = [(p * x - factor * y) // previous for x, y in zip(row, top)]
+        previous = p
+    adjugate = [x for row in aug for x in row[n:]]
+    g = gcd(previous, *adjugate)
+    if previous < 0:
+        g = -g
+    D = previous // g
+    return D, tuple(tuple(x // g for x in adjugate[i * n : (i + 1) * n]) for i in range(n))
 
 
 def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
@@ -298,7 +312,7 @@ def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     denominators of the values (ints or Fractions)."""
     values = list(values)
     D = lcm(*(v.denominator for v in values))
-    return D, tuple(v.numerator * (D // v.denominator) for v in values)
+    return D, tuple([v.numerator * (D // v.denominator) for v in values])
 
 
 def evaluation_exponents(d: RootDatum, character_exps: RationalVector) -> RationalVector:
@@ -319,4 +333,4 @@ def character_exponents(d: RootDatum, evaluation_exps: RationalVector) -> Ration
         raise ValidationError("exponent vector length does not match rank")
     E, nums = over_common_denominator([Fraction(v) for v in evaluation_exps])
     D, N = d.cartan_inverse
-    return tuple(Fraction(sum(map(mul, row, nums)), D * E) for row in N)
+    return tuple([Fraction(sum(map(mul, row, nums)), D * E) for row in N])

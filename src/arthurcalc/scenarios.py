@@ -18,14 +18,13 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
 from math import lcm
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 from .classifier import AttachedData, Genericity, VerdictKind
 from .errors import InvariantViolation, ValidationError
-from .lfactors import pole_locations
+from .lfactors import eigenvalues_by_level, pole_locations
 from .nilpotent import (
     SL2Data,
     is_very_even,
@@ -255,7 +254,7 @@ class Scenario:
                 field="sl2",
             )
         dual = dual_datum(build_root_datum(self.group))
-        angles = tuple(Fraction(a) % 1 for a in self.satake_angles)
+        angles = tuple([Fraction(a) % 1 for a in self.satake_angles])
         if len(angles) != dual.rank:
             raise ValidationError(
                 f"expected {dual.rank} angles, got {len(angles)}",
@@ -444,17 +443,13 @@ class Report:
     interpretation: str
 
 
-def _eigenvalue_key(m: QMonomial) -> tuple[Fraction, Fraction]:
-    return (m.q_exp, m.angle)
-
-
 def run_scenario(s: Scenario) -> Report:
     """Full pipeline: build the Arthur parameter on the dual datum, classify,
     and assemble the certificate report. Internal cross-checks raise
     InvariantViolation rather than shading the verdict."""
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
-    phi = UnramifiedParameter(dual, tuple(QMonomial.unit(a) for a in s.satake_angles))
+    phi = UnramifiedParameter(dual, tuple([QMonomial.unit(a) for a in s.satake_angles]))
     attached = AttachedData.of(make_arthur_parameter(phi, sl2))
     verdict = attached.verdict
     ratio = attached.ratio
@@ -462,12 +457,7 @@ def run_scenario(s: Scenario) -> Report:
     if ratio.vanishes != nontempered:
         raise InvariantViolation("denominator vanishing does not match the packet verdict")
 
-    eigenvalues = iter(ratio.denominator.eigenvalues)  # aligned with the grading
-    by_level = tuple(
-        tuple(sorted(islice(eigenvalues, len(roots)), key=_eigenvalue_key))
-        for _, roots in ratio.grading.levels
-    )
-    unit_angles = tuple(t.angle for t in attached.langlands.coords)
+    unit_angles = tuple([t.angle for t in attached.langlands.coords])
 
     return Report(
         label=s.label,
@@ -502,8 +492,8 @@ def run_scenario(s: Scenario) -> Report:
         ),
         certificate_point=verdict.certificate.s if nontempered else None,
         agreement=True,
-        levels=tuple(level for level, _ in ratio.grading.levels),
-        eigenvalues_by_level=by_level,
+        levels=tuple([level for level, _ in ratio.grading.levels]),
+        eigenvalues_by_level=eigenvalues_by_level(ratio.grading, ratio.denominator),
         pole_locations=pole_locations(ratio.denominator),
         interpretation=NONTEMPERED_NOTE if nontempered else TEMPERED_NOTE,
     )

@@ -10,13 +10,14 @@ no code with the layers it checks:
   of a nilpotent matrix;
 - simple roots, simple reflections of a root, Weyl words replayed on a
   vector of simple-root evaluations, and Gaussian elimination over
-  Fraction.
+  Fraction, which also gives the exact inverse of an integer matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from arthurcalc.errors import InvariantViolation
 from arthurcalc.nilpotent import partition_total, validate_partition
@@ -193,3 +194,18 @@ def solve_linear_fractions(rows, rhs) -> list[Fraction]:
     if pivots != list(range(n)):
         raise InvariantViolation("singular linear system")
     return [row[n] for row in reduced]
+
+
+def integer_inverse_fractions(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Exact inverse of an invertible integer matrix as (D, N), inverse = N / D
+    with D the lcm of the entries' denominators, by Gauss-Jordan elimination
+    over Fraction on [rows | I]."""
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = _row_reduce([[*row, *unit] for row, unit in zip(rows, identity)])
+    if pivots[:n] != list(range(n)):
+        raise InvariantViolation("singular linear system")
+    inverse = [x for row in reduced for x in row[n:]]
+    D = lcm(*(x.denominator for x in inverse))
+    flat = [x.numerator * (D // x.denominator) for x in inverse]
+    return D, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))

@@ -1,11 +1,11 @@
 """The integer-lattice paths against the slow exact references they replaced.
 
-`evaluate_root` works over a parameter's integer form, the coefficient
-ratio's numerator inverts the denominator's eigenvalues, and
-`character_exponents` applies the datum's cached inverse Cartan matrix. Each
-is compared with the QMonomial product of powers, a second `l_factor` and
-Gaussian elimination over Fraction, on every family at rank <= 6 and on the
-dual data.
+`evaluate_root` works over a parameter's integer form; an L-factor carries
+its eigenvalues as integer pairs (qn, an) over one denominator D, the
+numerator negating the denominator's pairs; and `character_exponents`
+applies the datum's cached inverse Cartan matrix. Each is compared with the
+QMonomial product of powers, a second `l_factor` and Gaussian elimination
+over Fraction, on every family at rank <= 6 and on the dual data.
 """
 
 from fractions import Fraction
@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 from oracle import solve_linear_fractions
 
 from arthurcalc import parameters
-from arthurcalc.lfactors import grade_nilradical, l_factor, local_coefficient_ratio
+from arthurcalc.lfactors import (
+    ORIENTATIONS,
+    eigenvalues_by_level,
+    grade_nilradical,
+    inverse_vanishes_at,
+    l_factor,
+    local_coefficient_ratio,
+    pole_locations,
+)
 from arthurcalc.parameters import QMonomial, UnramifiedParameter, evaluate_root
 from arthurcalc.roots import (
     CartanSpec,
@@ -104,6 +112,78 @@ def test_ratio_numerator_is_the_reciprocal_l_factor(d, draw):
     assert ratio.denominator.eigenvalues == tuple(
         reference_evaluate_root(root, p) for root in g.all_roots
     )
+
+
+# The points where the tests ask whether an inverse factor vanishes.
+S_POINTS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2))
+
+
+def assert_pairs_match_the_product_of_powers(g, p):
+    """Every view of both orientations' pairs agrees with QMonomials from
+    the product of powers (on the negated root for the numerator side)."""
+    for orientation in ORIENTATIONS:
+        L = l_factor(g, p, orientation)
+        sign = 1 if orientation == "r-tilde" else -1
+        reference = tuple(
+            reference_evaluate_root(tuple(sign * c for c in root), p) for root in L.roots
+        )
+        assert "eigenvalues" not in vars(L)  # built on first use only
+        assert L.eigenvalues == reference
+        for s in S_POINTS:
+            hits = tuple(i for i, value in enumerate(reference) if value.is_q_power(s))
+            assert inverse_vanishes_at(L, s) == (bool(hits), hits)
+        assert pole_locations(L) == tuple(
+            sorted(value.q_exp for value in reference if value.angle == 0)
+        )
+        values = iter(reference)
+        assert eigenvalues_by_level(g, L) == tuple(
+            tuple(
+                sorted(
+                    (next(values) for _ in roots), key=lambda m: (m.q_exp, m.angle)
+                )
+            )
+            for _, roots in g.levels
+        )
+
+
+@given(data, st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_pairs_match_the_product_of_powers(d, draw):
+    theta = frozenset(draw.draw(st.sets(st.integers(0, d.rank - 1), max_size=d.rank)))
+    # angle 0 half the time, so that eigenvalues with trivial unit part (the
+    # ones that vanish and give poles) turn up
+    p = UnramifiedParameter(
+        d,
+        tuple(
+            QMonomial(
+                draw.draw(exponents),
+                draw.draw(st.one_of(st.just(Fraction(0)), angles)),
+            )
+            for _ in range(d.rank)
+        ),
+    )
+    assert_pairs_match_the_product_of_powers(grade_nilradical(d, theta), p)
+
+
+@pytest.mark.parametrize(
+    "spec, exps",
+    [
+        # D = 2: at s = 1/3 a root with qn = 0 must not vanish, though
+        # rounding s * D down to an integer would say it does
+        (CartanSpec("A", 2), (Fraction(1, 2), Fraction(-1, 2))),
+        # D = 4, not a multiple of 3; the height-2 roots sit at q^(1/2)
+        (CartanSpec("B", 2), (Fraction(1, 4), Fraction(1, 4))),
+        # D = 3, not a multiple of 2; a1 + a2 sits at q^1
+        (CartanSpec("A", 3), (Fraction(1, 3), Fraction(2, 3), Fraction(-1, 3))),
+    ],
+    ids=["A2-D2", "B2-D4", "A3-D3"],
+)
+def test_vanishing_over_a_denominator_the_point_does_not_divide(spec, exps):
+    d = build_root_datum(spec)
+    p = UnramifiedParameter(d, tuple(QMonomial.q(e) for e in exps))
+    g = grade_nilradical(d, frozenset())
+    assert any(l_factor(g, p, "r-tilde").D % s.denominator for s in S_POINTS)
+    assert_pairs_match_the_product_of_powers(g, p)
 
 
 @given(data, st.data())

@@ -235,6 +235,22 @@ def test_validate_sl2_data_collects_violations():
         validate_sl2_data(d, SL2Data((0, 0), ((1, 0),)))
 
 
+@pytest.mark.parametrize(
+    "data",
+    [SL2Data((2,), ((True,),)), SL2Data((True,), ((1,),)), SL2Data((2,), ((1.0,),))],
+    ids=["bool-coefficient", "bool-diagram-entry", "float-coefficient"],
+)
+def test_validate_sl2_data_refuses_entries_that_are_not_integers(data):
+    # True == 1 and (True,) == (1,), so a bool would pass every later check
+    # and then fail to read back from the report
+    d = build_root_datum(CartanSpec("A", 1))
+    with pytest.raises(ValidationError, match="is not an integer") as err:
+        validate_sl2_data(d, data)
+    assert err.value.field == "sl2"
+    # no pairing is computed from a refused diagram
+    assert "pairs with H" not in str(err.value)
+
+
 def test_validate_sl2_data_accepts_expert_g2():
     d = build_root_datum(CartanSpec("G", 2))
     validate_sl2_data(d, SL2Data((2, 2), ((1, 0), (0, 1))))

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import apply_word_vector, reflect_root, simple_roots, solve_linear_fractions
+from oracle import (
+    apply_word_vector,
+    integer_inverse_fractions,
+    reflect_root,
+    simple_roots,
+    solve_linear_fractions,
+)
 
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.roots import (
@@ -20,6 +26,7 @@ from arthurcalc.roots import (
     dual_datum,
     evaluation_exponents,
     format_root,
+    integer_inverse,
     levi_and_nilradical,
     reflect_vector,
     root_sort_key,
@@ -285,6 +292,14 @@ def test_validate_levi_rejects_out_of_range():
         validate_levi(d, frozenset({-1}))
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_validate_levi_refuses_indices_that_are_not_integers(index):
+    d = build_root_datum(CartanSpec("A", 2))
+    with pytest.raises(ValidationError, match="is not an integer") as err:
+        validate_levi(d, {index})
+    assert err.value.field == "levi"
+
+
 # -- exact linear algebra ------------------------------------------------------------
 
 
@@ -293,6 +308,33 @@ def test_solve_linear_fractions_known_system():
     assert solve_linear_fractions(rows, [Fraction(1), Fraction(1)]) == [
         Fraction(1), Fraction(1),
     ]
+
+
+ALL_CARTAN_SPECS = [
+    CartanSpec(family, rank)
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(low, MAX_RANK + 1)
+] + [CartanSpec("G", 2)]
+
+
+@pytest.mark.parametrize("spec", ALL_CARTAN_SPECS, ids=str)
+def test_integer_inverse_matches_fraction_gauss_jordan(spec):
+    for cartan in (cartan_matrix(spec), dual_datum(build_root_datum(spec)).cartan):
+        assert integer_inverse(cartan) == integer_inverse_fractions(cartan)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 1), (1, 0)), ((2, 3), (1, -4)), ((-3,),), ((1, 2, 3), (0, -1, 4), (5, 6, 0))],
+    ids=["needs-a-row-swap", "negative-determinant", "rank-1-negative", "dense-3x3"],
+)
+def test_integer_inverse_beyond_cartan_matrices(rows):
+    assert integer_inverse(rows) == integer_inverse_fractions(rows)
+
+
+def test_integer_inverse_singular():
+    with pytest.raises(InvariantViolation):
+        integer_inverse(((1, 2), (2, 4)))
 
 
 def test_solve_linear_fractions_singular():

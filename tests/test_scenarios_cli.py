@@ -15,7 +15,8 @@ from arthurcalc import cli
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.lfactors import grade_nilradical, inverse_vanishes_at, l_factor
 from arthurcalc.parameters import QMonomial, UnramifiedParameter, recompose_parameter
-from arthurcalc.roots import build_root_datum
+from arthurcalc.nilpotent import SL2Data
+from arthurcalc.roots import CartanSpec, build_root_datum
 from arthurcalc.scenarios import (
     MEMBERSHIP_FLAG,
     PROPAGATION_FLAG,
@@ -117,6 +118,16 @@ def test_scenario_rejects_malformed_sl2():
         scenario_from_dict(a1_payload(sl2={"partition": [2, "x"]}))
     with pytest.raises(ValidationError, match='sl2 must be "trivial"'):
         scenario_from_dict(a1_payload(sl2="principal"))
+
+
+def test_expert_scenario_refuses_a_bool_support_coefficient():
+    # accepted, it would emit a report that parse_report_text refuses
+    with pytest.raises(ValidationError, match="not an integer") as err:
+        Scenario(
+            "x", CartanSpec("A", 1), (Fraction(0),), "expert",
+            expert_data=SL2Data((2,), ((True,),)),
+        )
+    assert err.value.field == "sl2"
 
 
 def test_partition_checked_against_dual_family():

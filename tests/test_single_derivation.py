@@ -30,6 +30,7 @@ COUNTED = {
     "l_factor": lfactors.l_factor,
     "character_exponents": roots.character_exponents,
     "integer_inverse": roots.integer_inverse,
+    "evaluate_root": parameters.evaluate_root,
 }
 
 
@@ -46,6 +47,14 @@ def count_calls(monkeypatch):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, counted)
+    real_inverse = QMonomial.inverse
+
+    def counted_inverse(self):
+        counts["QMonomial.inverse"] += 1
+        return real_inverse(self)
+
+    counts["QMonomial.inverse"] = 0
+    monkeypatch.setattr(QMonomial, "inverse", counted_inverse)
     return counts
 
 
@@ -57,6 +66,13 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
     run_scenario(scenario)  # fills the per-datum caches
     counts = count_calls(monkeypatch)
     run_scenario(scenario)
+    support = len(scenario.resolved_sl2().support)
+    assert counts.pop("evaluate_root") == (
+        # per support root: the centralizer check and the witness search;
+        # then the witness itself, if there is one. No nilradical root is
+        # evaluated one by one: the L-factor takes integer pairs.
+        2 * support + (support > 0)
+    )
     assert counts == {
         "langlands_parameter": 1,
         "dominantize": 0,  # the Langlands exponents are already dominant
@@ -67,6 +83,7 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
         "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
+        "QMonomial.inverse": 0,  # the numerator negates the integer pairs
     }
 
 
