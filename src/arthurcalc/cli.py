@@ -66,10 +66,9 @@ def _cmd_batch(args) -> int:
     reports = []
     for path in files:
         try:
-            scenario = parse_scenario_text(_read_text(path))
+            reports.append(run_scenario(parse_scenario_text(_read_text(path))))
         except ValidationError as err:
             raise ValidationError(f"{path.name}: {err}")
-        reports.append(run_scenario(scenario))
     if args.format == "machine":
         sys.stdout.write(canonical_json([report_to_dict(r) for r in reports]))
     else:

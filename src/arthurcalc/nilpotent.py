@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .errors import InvariantViolation, ValidationError
 from .roots import (
@@ -129,133 +129,70 @@ def is_very_even(family: str, parts: tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chain blocks of the canonical layout.
-# A block is one sl2-chain ("self") or two chains of equal length ("pair").
+# Chains of the canonical nilpositive and the epsilon coordinates of their
+# vectors. A chain vector (block, chain, k) has h-weight m - 1 - 2k.
 
 
-@dataclass(frozen=True)
-class _Block:
-    index: int
-    kind: str  # "self" | "pair"
-    size: int
+def _chains(family: str, ordered: tuple[int, ...]):
+    """Return (chains, weight, signs) for the canonical nilpositive.
 
+    Blocks pair equal parts two at a time, at most one leftover keeping its
+    own chain; type A and the even parts of type C (sp-chains) never pair,
+    and parity validation leaves no leftover of a part whose parity forces
+    pairing. A block is (part m, chain count); the form partner of
+    (b, c, k) is (b, count - 1 - c, m - 1 - k).
 
-def _blocks_for(family: str, ordered: tuple[int, ...]) -> list[_Block]:
-    """Equal parts pair two at a time, at most one leftover keeping its own
-    chain; type A and the even parts of type C (sp-chains) never pair.
-    Parity validation leaves no leftover of a part whose parity forces
-    pairing."""
-    blocks: list[_Block] = []
-
-    def add(kind: str, size: int) -> None:
-        blocks.append(_Block(len(blocks), kind, size))
-
+    signs[v] lists the (sign, coordinate) pairs that v stands for in the
+    epsilon basis. Type A numbers every vector by (-weight, id). Types
+    B/C/D number the positive-weight vectors by (-weight, id), then the
+    chain-0 zero of each odd pair block in block order; the zero-weight
+    middles of odd one-chain blocks pair two at a time, each pair taking the
+    next coordinate p as z = u/2 +- w, i.e. [(+1, p), (-1, p)]; in type B
+    the last middle is the form's own middle, [(0, 0)]; every other vector
+    is minus its partner.
+    """
+    blocks: list[tuple[int, int]] = []
     for m in sorted(set(ordered), reverse=True):
         mult = ordered.count(m)
         pairs = 0 if family == "A" or (family == "C" and m % 2 == 0) else mult // 2
-        for _ in range(pairs):
-            add("pair", m)
-        for _ in range(mult - 2 * pairs):
-            add("self", m)
-    return blocks
-
-
-# Vector ids: ("v", block, chain, k) for chain vectors, ("u", j)/("w", j) for
-# the hyperbolically mixed replacements of two zero-weight middle vectors.
-_VecId = tuple
-
-
-def _sl2_layout(family: str, rank: int, ordered: tuple[int, ...]):
-    """Arrange the chain basis so h is the dominant diagonal and every entry
-    of e sits over a positive root. Returns (positions, weights, links, n_amb),
-    one link (target, source) per nonzero entry of e, in row target and
-    column source."""
-    total = partition_total(family, rank)
-    blocks = _blocks_for(family, ordered)
-
-    chain_count = {"self": 1, "pair": 2}
-    vectors: list[_VecId] = []
-    weight: dict[_VecId, int] = {}
-    links: list[tuple[_VecId, _VecId]] = []
-    for b in blocks:
-        for c in range(chain_count[b.kind]):
-            for k in range(b.size):
-                vid = ("v", b.index, c, k)
-                vectors.append(vid)
-                weight[vid] = b.size - 1 - 2 * k
-                if k:
-                    links.append((("v", b.index, c, k - 1), vid))
-
-    if family == "A":
-        order = sorted(vectors, key=lambda v: (-weight[v], v[1], v[2], v[3]))
-        return order, weight, links, total
-
-    # Middle vectors of leftover odd self blocks; mixed pairwise so every
-    # basis vector acquires an opposite-weight partner.
-    middles = [
-        ("v", b.index, 0, (b.size - 1) // 2)
-        for b in blocks
-        if b.kind == "self" and b.size % 2 == 1
+        blocks += [(m, 2)] * pairs + [(m, 1)] * (mult - 2 * pairs)
+    chains = [
+        [(b, c, k) for k in range(m)] for b, (m, count) in enumerate(blocks) for c in range(count)
     ]
-    keep_middle: _VecId | None = None
+    weight = {v: blocks[v[0]][0] - 1 - 2 * v[2] for chain in chains for v in chain}
+    front = sorted(
+        (v for v in weight if family == "A" or weight[v] > 0), key=lambda v: (-weight[v], v)
+    )
+    if family == "A":
+        return chains, weight, {v: [(1, p)] for p, v in enumerate(front)}
+
+    zeros = [v for v in weight if weight[v] == 0 and v[1] == 0]
+    front += [v for v in zeros if blocks[v[0]][1] == 2]
+    signs = {v: [(1, p)] for p, v in enumerate(front)}
+    middles = [v for v in zeros if blocks[v[0]][1] == 1]
     if family == "B":
         if len(middles) % 2 == 0:
             raise InvariantViolation("type B expects an odd count of leftover middles")
-        keep_middle = middles[-1]
-        middles = middles[:-1]
+        signs[middles.pop()] = [(0, 0)]
     if len(middles) % 2 == 1:
         raise InvariantViolation("unpaired zero-weight middle vector")
-
-    # Mixed middles z_a = u/2 + w, z_b = u/2 - w: a link through z_a or z_b
-    # becomes a link through both u and w. No entry cancels, because each
-    # column through a mixed pair has distinct targets.
-    mix_count = len(middles) // 2
-    mixed: dict[_VecId, tuple[_VecId, _VecId]] = {}
-    for j in range(mix_count):
-        mixed[middles[2 * j]] = mixed[middles[2 * j + 1]] = (("u", j), ("w", j))
-        weight[("u", j)] = weight[("w", j)] = 0
-    links = [
-        (t, s)
-        for target, source in links
-        for t in mixed.get(target, (target,))
-        for s in mixed.get(source, (source,))
-    ]
-    kept = [v for v in vectors if v not in mixed]
-
-    def partner(v: _VecId) -> _VecId:
-        if v[0] == "u":
-            return ("w", v[1])
-        if v[0] == "w":
-            return ("u", v[1])
-        _, b, c, k = v
-        block = blocks[b]
-        if block.kind == "self":
-            return ("v", b, 0, block.size - 1 - k)
-        return ("v", b, 1 - c, block.size - 1 - k)
-
-    positive = sorted(
-        (v for v in kept if weight[v] > 0),
-        key=lambda v: (-weight[v], v[1], v[2], v[3]),
-    )
-    pair_zeros = sorted(
-        (v for v in kept if weight[v] == 0 and v[2] == 0 and v != keep_middle),
-        key=lambda v: v[1],
-    )
-    mix_zeros = [("u", j) for j in range(mix_count)]
-    front = positive + pair_zeros + mix_zeros
-
-    n_amb = total // 2
-    if len(front) != n_amb:
-        raise InvariantViolation("positive-side arrangement has the wrong size")
-    order: list[_VecId | None] = [None] * total
-    for p, v in enumerate(front):
-        order[p] = v
-        order[total - 1 - p] = partner(v)
-    if keep_middle is not None:
-        order[n_amb] = keep_middle
-    if any(v is None for v in order):
-        raise InvariantViolation("basis arrangement left a hole")
-    return order, weight, links, n_amb
+    for j in range(0, len(middles), 2):
+        p = len(front) + j // 2
+        signs[middles[j]] = signs[middles[j + 1]] = [(1, p), (-1, p)]
+    if len(front) + len(middles) // 2 != sum(ordered) // 2:
+        raise InvariantViolation(
+            f"positive and mixed coordinates number {len(front) + len(middles) // 2}, "
+            f"expected {sum(ordered) // 2}"
+        )
+    for v in weight:
+        if v not in signs:
+            b, c, k = v
+            m, count = blocks[b]
+            mirror = signs.get((b, count - 1 - c, m - 1 - k))
+            if mirror is None:
+                raise InvariantViolation("a chain vector got no epsilon coordinates")
+            signs[v] = [(-s, p) for s, p in mirror]
+    return chains, weight, signs
 
 
 def _from_epsilon(family: str, x: list[int]) -> Root:
@@ -279,52 +216,45 @@ def _from_epsilon(family: str, x: list[int]) -> Root:
 def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
     """Canonical (diagram, support) for the orbit labelled by the partition.
 
-    The support is read off an explicit dominant-position nilpositive:
-    equal parts are paired where the invariant form allows it, leftover
-    zero-weight middles are mixed into hyperbolic pairs, the basis is sorted
-    by descending h-weight (ties by stable part order), and each nonzero
-    matrix entry is converted from epsilon coordinates to simple-root
-    coefficients by partial sums (`_from_epsilon`). For B/C/D, e preserves
-    the invariant form, so an entry and its form-mirror give the same root;
-    only one of each pair is converted.
+    The support is read off the chains of an explicit dominant-position
+    nilpositive (`_chains`): each link from vector (b, c, k) to (b, c, k - 1)
+    is one entry of e, and every pair of signed epsilon coordinates
+    sigma(target), sigma(source) gives x = sigma(target) - sigma(source),
+    converted to simple-root coefficients by partial sums (`_from_epsilon`).
+    For B/C/D, e preserves the invariant form, so link k of a chain of
+    length m and its form-mirror, link m - k, give the same root; links with
+    2k > m are skipped.
     """
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
     datum = build_root_datum(CartanSpec(family, rank))
-
-    order, weight, links, n_amb = _sl2_layout(family, rank, ordered)
-    total = len(order)
-    pos_of = {v: p for p, v in enumerate(order)}
-
-    def eps_vector(p: int) -> list[int]:
-        # n_amb epsilon coordinates: all `total` of them in type A
-        out = [0] * n_amb
-        if p < n_amb:
-            out[p] = 1
-        elif total % 2 == 1 and p == n_amb:
-            pass  # the true middle has label zero
-        else:
-            out[total - 1 - p] = -1
-        return out
+    chains, weight, signs = _chains(family, ordered)
+    size = rank + 1 if family == "A" else rank
 
     support: set[Root] = set()
-    for target, source in links:
-        i, j = pos_of[target], pos_of[source]
-        if weight[target] != weight[source] + 2:
-            raise InvariantViolation("chain entry violates the h-grading")
-        if family != "A" and i + j > total - 1:
-            continue  # its form-mirror (total-1-j, total-1-i) gives the same root
-        root = _from_epsilon(family, [a - b for a, b in zip(eps_vector(i), eps_vector(j))])
-        if any(c < 0 for c in root) or root not in datum.root_set:
-            raise InvariantViolation(
-                f"support entry {format_root(root)} is not a positive root"
-            )
-        if diagram_pairing(root, diagram) != 2:
-            raise InvariantViolation(
-                f"support root {format_root(root)} pairs to "
-                f"{diagram_pairing(root, diagram)}, expected 2"
-            )
-        support.add(root)
+    for chain in chains:
+        m = len(chain)
+        for k in range(1, m):
+            if family != "A" and 2 * k > m:
+                continue  # its form-mirror, link m - k, gives the same root
+            target, source = chain[k - 1], chain[k]
+            if weight[target] != weight[source] + 2:
+                raise InvariantViolation("chain entry violates the h-grading")
+            for (st, pt), (ss, ps) in product(signs[target], signs[source]):
+                x = [0] * size
+                x[pt] += st
+                x[ps] -= ss
+                root = _from_epsilon(family, x)
+                if any(c < 0 for c in root) or root not in datum.root_set:
+                    raise InvariantViolation(
+                        f"support entry {format_root(root)} is not a positive root"
+                    )
+                if diagram_pairing(root, diagram) != 2:
+                    raise InvariantViolation(
+                        f"support root {format_root(root)} pairs to "
+                        f"{diagram_pairing(root, diagram)}, expected 2"
+                    )
+                support.add(root)
 
     if all(v == 0 for v in diagram) != (not support):
         raise InvariantViolation("support/diagram triviality mismatch")
@@ -355,6 +285,10 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             elif v not in (0, 1, 2):
                 problems.append(f"diagram entry {v} at position {i + 1} is outside 0/1/2")
         for root in data.support:
+            if type(root) is not tuple:
+                # a list is unhashable, so the root-set lookup below would fail
+                problems.append(f"support root {root!r} is not a tuple")
+                continue
             if len(root) != d.rank:
                 problems.append(f"support root {root} has the wrong length")
                 continue

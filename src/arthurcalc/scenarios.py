@@ -286,6 +286,7 @@ class Scenario:
             object.__setattr__(self, "partition", normalized)
         if self.sl2_kind == "expert":
             validate_sl2_data(dual, self.expert_data)
+        _expect_bool(self.generic_assumption, "generic_assumption")
 
     @property
     def dual_spec(self) -> CartanSpec:
@@ -375,11 +376,12 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
 
 
 def _load_json(text: str):
-    """Decode JSON; malformed text and nesting too deep for the decoder are
-    both a ValidationError."""
+    """Decode JSON; malformed text, an integer literal past the interpreter's
+    digit limit and nesting too deep for the decoder are all a
+    ValidationError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # json.JSONDecodeError is one
         raise ValidationError(f"not valid JSON: {err}")
     except RecursionError:
         raise ValidationError("not valid JSON: nested too deeply")
@@ -681,7 +683,14 @@ class GlobalReport:
 
 
 def ramanujan_report(f: PlaceFamily) -> GlobalReport:
-    reports = [run_scenario(scenario) for _, scenario in f.places]
+    reports = []
+    for i, (_, scenario) in enumerate(f.places):
+        try:
+            reports.append(run_scenario(scenario))
+        except ValidationError as err:
+            place = f"places[{i + 1}].scenario"
+            field = _join_field(place, err.field) if err.field else place
+            raise ValidationError(err.raw_message, field=field)
     labels = tuple(place_label for place_label, _ in f.places)
     verdicts = tuple(r.verdict_kind for r in reports)
     nontempered = tuple(

@@ -236,15 +236,20 @@ def test_validate_sl2_data_collects_violations():
 
 
 @pytest.mark.parametrize(
-    "data",
-    [SL2Data((2,), ((True,),)), SL2Data((True,), ((1,),)), SL2Data((2,), ((1.0,),))],
-    ids=["bool-coefficient", "bool-diagram-entry", "float-coefficient"],
+    "data, message",
+    [
+        (SL2Data((2,), ((True,),)), "is not an integer"),
+        (SL2Data((True,), ((1,),)), "is not an integer"),
+        (SL2Data((2,), ((1.0,),)), "is not an integer"),
+        (SL2Data([2], [[1]]), r"support root \[1\] is not a tuple"),
+    ],
+    ids=["bool-coefficient", "bool-diagram-entry", "float-coefficient", "list-root"],
 )
-def test_validate_sl2_data_refuses_entries_that_are_not_integers(data):
+def test_validate_sl2_data_refuses_entries_that_are_not_integers(data, message):
     # True == 1 and (True,) == (1,), so a bool would pass every later check
-    # and then fail to read back from the report
+    # and then fail to read back from the report; a list root is unhashable
     d = build_root_datum(CartanSpec("A", 1))
-    with pytest.raises(ValidationError, match="is not an integer") as err:
+    with pytest.raises(ValidationError, match=message) as err:
         validate_sl2_data(d, data)
     assert err.value.field == "sl2"
     # no pairing is computed from a refused diagram

@@ -130,6 +130,15 @@ def test_expert_scenario_refuses_a_bool_support_coefficient():
     assert err.value.field == "sl2"
 
 
+@pytest.mark.parametrize("flag", ["yes", 1], ids=["string", "int"])
+def test_library_scenario_refuses_a_generic_assumption_that_is_not_a_bool(flag):
+    # accepted, "yes" would run to a report that parse_report_text refuses,
+    # and 1 would silently count as generic
+    with pytest.raises(ValidationError, match=f"expected a boolean, got {flag!r}") as err:
+        Scenario("x", CartanSpec("A", 1), (Fraction(0),), "trivial", generic_assumption=flag)
+    assert err.value.field == "generic_assumption"
+
+
 def test_partition_checked_against_dual_family():
     # group B2 has dual datum of type C2; [3, 1] breaks the C-parity rule there
     payload = {
@@ -386,6 +395,17 @@ def write_scenario(path, payload):
     return str(path)
 
 
+def centralizer_failure_payload():
+    # parses, but the run refuses it: the principal A2 orbit needs every
+    # simple root to evaluate to 1
+    return a1_payload(
+        label="bad",
+        group={"family": "A", "rank": 2},
+        satake_angles=["1/2", "1/2"],
+        sl2={"partition": [3]},
+    )
+
+
 def test_cli_check_text_and_machine(tmp_path, capsys):
     path = write_scenario(tmp_path / "a1.json", a1_payload())
     assert cli.main(["check", path]) == 0
@@ -439,6 +459,31 @@ def test_cli_batch_prefixes_errors_with_the_file(tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{")
     assert cli.main(["batch", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: broken.json:")
+    # a file that parses but whose run is refused is named the same way
+    (tmp_path / "broken.json").unlink()
+    write_scenario(tmp_path / "zz-bad.json", centralizer_failure_payload())
+    assert cli.main(["batch", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: zz-bad.json: parameter: centralizer condition fails at a1: "
+        "evaluation zeta(1/2) is not 1\n"
+    )
+
+
+def test_cli_global_names_the_place_whose_run_is_refused(tmp_path, capsys):
+    family = {
+        "label": "fam",
+        "places": [
+            {"label": "v2", "scenario": a1_payload()},
+            {"label": "v3", "scenario": centralizer_failure_payload()},
+        ],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert cli.main(["global", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: places[2].scenario.parameter: centralizer condition fails at a1: "
+        "evaluation zeta(1/2) is not 1\n"
+    )
 
 
 def test_cli_batch_rejects_empty_directory(tmp_path, capsys):
@@ -507,9 +552,12 @@ def test_cli_invariant_violation_exits_2(tmp_path, capsys, monkeypatch):
 
 # Files no parser should choke on: bytes that are not UTF-8, and nesting far
 # beyond the JSON decoder's recursion limit.
+# an integer literal past CPython's 4300-digit conversion limit
+HUGE_LITERAL = '{"label": "x", "group": {"family": "A", "rank": ' + "1" * 5000 + "}}"
 HOSTILE_FILES = {
     "latin1.json": (b'{"label": "caf\xe9"}', "latin1.json: not UTF-8 text"),
     "deep.json": (b"[" * 100000, "not valid JSON: nested too deeply"),
+    "huge-literal.json": (HUGE_LITERAL.encode(), "not valid JSON: Exceeds the limit"),
 }
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -531,6 +579,13 @@ def test_cli_hostile_files_are_validation_errors(tmp_path, verb, name):
     assert done.stderr.startswith("error: ")
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+    assert done.stderr.count("error:") == 1
+
+
+def test_a_huge_integer_literal_is_a_validation_error():
+    for parse in (parse_scenario_text, parse_report_text):
+        with pytest.raises(ValidationError, match="^not valid JSON: Exceeds the limit"):
+            parse(HUGE_LITERAL)
 
 
 def test_huge_rank_is_rejected_while_parsing():
