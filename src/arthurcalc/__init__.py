@@ -66,16 +66,15 @@ from .lfactors import (
     pole_locations,
 )
 from .classifier import (
-    AttachedData,
     Certificate,
     Genericity,
     PacketVerdict,
     StandardModuleDatum,
-    TemperedDatum,
     VerdictKind,
     classify_packet,
     genericity_verdict,
     irreducibility_verdict,
+    packet_verdict,
     standard_module_datum,
     witness_root,
 )

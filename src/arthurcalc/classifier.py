@@ -1,13 +1,16 @@
-"""The theorem engine: standard-module data, irreducibility, genericity, and
-the temperedness dichotomy with machine-checkable certificates.
+"""The theorem engine: the standard module of an Arthur parameter, its
+irreducibility and genericity, and the temperedness dichotomy with
+machine-checkable certificates.
 
-`AttachedData.of` derives everything once per Arthur parameter: the Langlands
-parameter and its exponents, the Levi, and on first use the coefficient
-ratio. The verdict, the witness search, the standard module and the scenario
-report all read from that one `AttachedData`. The exponents are half the
-weighted diagram, which is dominant, so they already lie in the closed
-positive chamber: no Weyl word moves the Langlands parameter, and the Levi
-is the zero set of the diagram.
+`StandardModuleDatum(parameter, generic)` is the one record of a standard
+module. The Langlands parameter is the standard-module parameter: its
+q-exponents are the twist, and the Levi is their zero set. For the
+Langlands parameter of an Arthur parameter the exponents are half the
+weighted diagram, which is dominant, so no Weyl word moves them. The
+record derives, each once and on first use, the exponents, the Levi, the
+character exponents and the coefficient ratio. The packet verdict, the
+irreducibility and genericity verdicts and the scenario report all read
+from one record; a tempered verdict builds no ratio.
 
 The chain is: a nontrivial sl2 component forces a support root with diagram
 pairing 2 outside the defining Levi and with trivial unit evaluation, hence a
@@ -34,12 +37,10 @@ from .parameters import (
     ArthurParameter,
     QMonomial,
     UnramifiedParameter,
-    decompose_parameter,
     defining_levi,
     evaluate_root,
     is_tempered,
     langlands_parameter,
-    recompose_parameter,
 )
 from .roots import (
     LeviSubset,
@@ -47,7 +48,6 @@ from .roots import (
     Root,
     character_exponents as character_exponents_of,
     diagram_pairing,
-    evaluation_exponents,
     format_root,
     off_levi_indicator,
     root_sort_key,
@@ -64,72 +64,46 @@ class Genericity(enum.Enum):
     NOT_GENERIC = "not-generic"
     NOT_APPLICABLE = "not-applicable"
 
-    @classmethod
-    def of(cls, generic: bool, irreducible: bool) -> "Genericity":
-        """The Langlands quotient is generic iff the standard module is
-        irreducible, under the assumption that the inducing datum is generic;
-        without the assumption the criterion does not apply."""
-        if not generic:
-            return cls.NOT_APPLICABLE
-        return cls.GENERIC if irreducible else cls.NOT_GENERIC
-
-
-@dataclass(frozen=True)
-class TemperedDatum:
-    """Packet-level tempered inducing data: the Levi, the unit Satake data,
-    and the genericity assumption flag (an input, never computed)."""
-
-    levi: LeviSubset
-    unit_parameter: UnramifiedParameter
-    generic: bool
-
-    def __post_init__(self):
-        if not is_tempered(self.unit_parameter):
-            raise ValidationError("tempered datum carries a nonzero exponent")
-
 
 @dataclass(frozen=True)
 class StandardModuleDatum:
-    """Langlands-setting data: tempered datum plus a twist.
+    """The standard module of an unramified parameter: the parameter itself
+    and the genericity assumption on its tempered inducing datum (an input,
+    never computed).
 
-    The twist is stored in character exponents (coefficients on the simple
-    coroot basis); the induced Satake evaluation exponents are the Cartan
-    matrix image and must be dominant with the Levi as exact zero set, which
-    makes them strictly positive on every nilradical root.
+    The parameter's q-exponents are the twist. They must be dominant, so
+    the twist is strictly positive on every root of the nilradical of
+    `levi`, their zero set.
     """
 
-    tempered: TemperedDatum
-    character_exponents: RationalVector
+    parameter: UnramifiedParameter
+    generic: bool = True
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "character_exponents", tuple(Fraction(c) for c in self.character_exponents)
-        )
-        exps = self.evaluation_exponents
-        if any(e < 0 for e in exps):
+        if any(e < 0 for e in self.exponents):
             raise ValidationError("twist exponents are not dominant", field="twist")
-        zero_set = frozenset(i for i, e in enumerate(exps) if e == 0)
-        if zero_set != self.tempered.levi:
-            raise ValidationError(
-                "twist must vanish exactly on the Levi "
-                f"(zero set {sorted(zero_set)} vs levi {sorted(self.tempered.levi)})",
-                field="twist",
-            )
-
-    @cached_property
-    def evaluation_exponents(self) -> RationalVector:
-        return evaluation_exponents(self.datum, self.character_exponents)
 
     @property
     def datum(self):
-        return self.tempered.unit_parameter.datum
+        return self.parameter.datum
 
-    def twisted_parameter(self) -> UnramifiedParameter:
-        return recompose_parameter(self.tempered.unit_parameter, self.evaluation_exponents)
+    @cached_property
+    def exponents(self) -> RationalVector:
+        """The Satake evaluation exponents of the twist."""
+        return tuple([t.q_exp for t in self.parameter.coords])
+
+    @cached_property
+    def levi(self) -> LeviSubset:
+        return defining_levi(self.exponents, self.datum)
+
+    @cached_property
+    def character_exponents(self) -> RationalVector:
+        """The twist on the simple coroot basis: `exponents = C c`."""
+        return character_exponents_of(self.datum, self.exponents)
 
     @cached_property
     def coefficient_ratio(self) -> CoefficientRatio:
-        return local_coefficient_ratio(self.datum, self.tempered.levi, self.twisted_parameter())
+        return local_coefficient_ratio(self.datum, self.levi, self.parameter)
 
 
 @dataclass(frozen=True)
@@ -164,57 +138,30 @@ class PacketVerdict:
                 raise ValidationError("tempered verdict carries no witness")
 
 
-@dataclass(frozen=True)
-class AttachedData:
-    """The data attached to one Arthur parameter: the Langlands parameter is
-    already the standard-module parameter, and the zero set of its dominant
-    `exponents` is `levi`. The ratio is derived on first use; a tempered
-    verdict needs none."""
-
-    psi: ArthurParameter
-    langlands: UnramifiedParameter
-    exponents: RationalVector
-    levi: LeviSubset
-
-    @classmethod
-    def of(cls, psi: ArthurParameter) -> "AttachedData":
-        """Evaluate and read off the Levi."""
-        p = langlands_parameter(psi)
-        _, exponents = decompose_parameter(p)
-        return cls(psi, p, exponents, defining_levi(exponents, p.datum))
-
-    @cached_property
-    def ratio(self) -> CoefficientRatio:
-        return local_coefficient_ratio(self.langlands.datum, self.levi, self.langlands)
-
-    @cached_property
-    def verdict(self) -> PacketVerdict:
-        """Temperedness dichotomy with the double-checked certificate."""
-        if self.psi.sl2.is_trivial:
-            if not is_tempered(self.langlands):
-                raise InvariantViolation("trivial sl2 component left a nonzero exponent")
-            return PacketVerdict(VerdictKind.TEMPERED, None, None, self.levi)
-        witness = witness_root(self)
-        eigenvalue = evaluate_root(witness, self.langlands)
-        if not eigenvalue.is_q_power(1):
-            raise InvariantViolation(
-                f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
-            )
-        if witness not in self.ratio.witness_roots:
-            raise InvariantViolation(
-                f"the full product does not vanish at the witness {format_root(witness)}"
-            )
-        certificate = Certificate(eigenvalue, Fraction(1))
-        return PacketVerdict(VerdictKind.NON_TEMPERED, witness, certificate, self.levi)
-
-
 def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> StandardModuleDatum:
-    """The exponents of the attached data become the twist."""
-    a = AttachedData.of(psi)
-    return StandardModuleDatum(
-        TemperedDatum(a.levi, psi.tempered_part, generic),
-        character_exponents_of(a.langlands.datum, a.exponents),
-    )
+    """The standard module of the Langlands parameter attached to `psi`."""
+    return StandardModuleDatum(langlands_parameter(psi), generic)
+
+
+def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdict:
+    """Temperedness dichotomy with the double-checked certificate; `sm` is
+    the standard module of `psi`'s Langlands parameter."""
+    if psi.sl2.is_trivial:
+        if not is_tempered(sm.parameter):
+            raise InvariantViolation("trivial sl2 component left a nonzero exponent")
+        return PacketVerdict(VerdictKind.TEMPERED, None, None, sm.levi)
+    witness = witness_root(psi, sm.levi)
+    eigenvalue = evaluate_root(witness, sm.parameter)
+    if not eigenvalue.is_q_power(1):
+        raise InvariantViolation(
+            f"witness {format_root(witness)} evaluates to {eigenvalue}, expected q^1"
+        )
+    if witness not in sm.coefficient_ratio.witness_roots:
+        raise InvariantViolation(
+            f"the full product does not vanish at the witness {format_root(witness)}"
+        )
+    certificate = Certificate(eigenvalue, Fraction(1))
+    return PacketVerdict(VerdictKind.NON_TEMPERED, witness, certificate, sm.levi)
 
 
 def irreducibility_verdict(sm: StandardModuleDatum) -> CoefficientRatio:
@@ -224,20 +171,27 @@ def irreducibility_verdict(sm: StandardModuleDatum) -> CoefficientRatio:
 
 
 def genericity_verdict(sm: StandardModuleDatum) -> Genericity:
-    return Genericity.of(sm.tempered.generic, irreducibility_verdict(sm).irreducible)
+    """The Langlands quotient is generic iff the standard module is
+    irreducible, under the assumption that the inducing datum is generic;
+    without the assumption the criterion does not apply."""
+    if not sm.generic:
+        return Genericity.NOT_APPLICABLE
+    if irreducibility_verdict(sm).irreducible:
+        return Genericity.GENERIC
+    return Genericity.NOT_GENERIC
 
 
-def witness_root(a: AttachedData) -> Root:
+def witness_root(psi: ArthurParameter, levi: LeviSubset) -> Root:
     """Minimal support root (canonical enumeration order) that certifies
     non-temperedness: diagram pairing 2, trivial unit evaluation, outside the
     Levi. Each condition is re-checked rather than assumed; no L-factor is
     read, so the full product stays an independent check."""
-    if a.psi.sl2.is_trivial:
+    if psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
-    diagram, units = a.psi.sl2.diagram, a.psi.tempered_part
-    outside = off_levi_indicator(units.datum, a.levi)
+    diagram, units = psi.sl2.diagram, psi.tempered_part
+    outside = off_levi_indicator(units.datum, levi)
     candidates = []
-    for root in a.psi.sl2.support:
+    for root in psi.sl2.support:
         if diagram_pairing(root, diagram) != 2:
             continue
         if not evaluate_root(root, units).is_one:
@@ -255,4 +209,4 @@ def witness_root(a: AttachedData) -> Root:
 
 def classify_packet(psi: ArthurParameter) -> PacketVerdict:
     """Temperedness dichotomy with the double-checked certificate."""
-    return AttachedData.of(psi).verdict
+    return packet_verdict(psi, standard_module_datum(psi))

@@ -60,6 +60,8 @@ def validate_partition(family: str, rank: int, parts) -> tuple[int, ...]:
             f"family {family!r} has no partition classification", field="partition"
         )
     CartanSpec(family, rank)
+    if not isinstance(parts, (tuple, list)):
+        raise ValidationError(f"expected a list of parts, got {parts!r}", field="partition")
     if not parts:
         raise ValidationError("partition is empty", field="partition")
     for m in parts:
@@ -272,6 +274,11 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
     Deliberately does not certify genuine orbit membership: expert mode is
     documented as unvalidated-orbit mode.
     """
+    if not isinstance(data, SL2Data):
+        raise ValidationError(f"expected SL2Data, got {data!r}", field="sl2")
+    for name, value in (("diagram", data.diagram), ("support", data.support)):
+        if not isinstance(value, (tuple, list)):
+            raise ValidationError(f"{name} {value!r} is not a tuple or list", field="sl2")
     problems: list[str] = []
     if len(data.diagram) != d.rank:
         problems.append(

@@ -22,7 +22,7 @@ from math import lcm
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
-from .classifier import AttachedData, Genericity, VerdictKind
+from .classifier import VerdictKind, genericity_verdict, packet_verdict, standard_module_datum
 from .errors import InvariantViolation, ValidationError
 from .lfactors import eigenvalues_by_level, pole_locations
 from .nilpotent import (
@@ -33,7 +33,7 @@ from .nilpotent import (
     validate_sl2_data,
 )
 from .parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
-from .roots import CartanSpec, Root, build_root_datum, character_exponents, dual_datum, format_root
+from .roots import CartanSpec, Root, build_root_datum, dual_datum, format_root
 
 # Assumption flags a place family may declare. The first ties a cuspidal
 # family to Arthur parameters at its unramified places; the second upgrades
@@ -253,7 +253,19 @@ class Scenario:
                 f"sl2 kind must be one of {SL2_KINDS}, got {self.sl2_kind!r}",
                 field="sl2",
             )
+        if not isinstance(self.group, CartanSpec):
+            raise ValidationError(f"expected a CartanSpec, got {self.group!r}", field="group")
         dual = dual_datum(build_root_datum(self.group))
+        if not isinstance(self.satake_angles, (tuple, list)):
+            raise ValidationError(
+                f"expected a list of rationals, got {self.satake_angles!r}",
+                field="satake_angles",
+            )
+        for i, a in enumerate(self.satake_angles):
+            if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+                raise ValidationError(
+                    f"expected a rational, got {a!r}", field=f"satake_angles[{i + 1}]"
+                )
         angles = tuple([Fraction(a) % 1 for a in self.satake_angles])
         if len(angles) != dual.rank:
             raise ValidationError(
@@ -286,6 +298,9 @@ class Scenario:
             object.__setattr__(self, "partition", normalized)
         if self.sl2_kind == "expert":
             validate_sl2_data(dual, self.expert_data)
+            # the report holds tuples; lists would not read back equal
+            diagram, support = self.expert_data.diagram, self.expert_data.support
+            object.__setattr__(self, "expert_data", SL2Data(tuple(diagram), tuple(support)))
         _expect_bool(self.generic_assumption, "generic_assumption")
 
     @property
@@ -452,14 +467,15 @@ def run_scenario(s: Scenario) -> Report:
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
     phi = UnramifiedParameter(dual, tuple([QMonomial.unit(a) for a in s.satake_angles]))
-    attached = AttachedData.of(make_arthur_parameter(phi, sl2))
-    verdict = attached.verdict
-    ratio = attached.ratio
+    psi = make_arthur_parameter(phi, sl2)
+    sm = standard_module_datum(psi, s.generic_assumption)
+    verdict = packet_verdict(psi, sm)
+    ratio = sm.coefficient_ratio
     nontempered = verdict.kind is VerdictKind.NON_TEMPERED
     if ratio.vanishes != nontempered:
         raise InvariantViolation("denominator vanishing does not match the packet verdict")
 
-    unit_angles = tuple([t.angle for t in attached.langlands.coords])
+    unit_angles = tuple([t.angle for t in sm.parameter.coords])
 
     return Report(
         label=s.label,
@@ -474,19 +490,19 @@ def run_scenario(s: Scenario) -> Report:
         very_even=(
             s.sl2_kind == "partition" and is_very_even(dual.spec.family, s.partition)
         ),
-        parameter=attached.langlands.coords,
+        parameter=sm.parameter.coords,
         unit_angles=unit_angles,
-        exponents=attached.exponents,
+        exponents=sm.exponents,
         tempered=not nontempered,
         weyl_word=(),
-        dominant_exponents=attached.exponents,
+        dominant_exponents=sm.exponents,
         dominant_unit_angles=unit_angles,
-        levi=tuple(sorted(i + 1 for i in attached.levi)),
-        character_exponents=character_exponents(dual, attached.exponents),
+        levi=tuple(sorted(i + 1 for i in sm.levi)),
+        character_exponents=sm.character_exponents,
         generic_assumption=s.generic_assumption,
         irreducible=ratio.irreducible,
         irreducibility_witnesses=ratio.witness_roots,
-        genericity=Genericity.of(s.generic_assumption, ratio.irreducible).value,
+        genericity=genericity_verdict(sm).value,
         verdict_kind=verdict.kind.value,
         verdict_witness=verdict.witness,
         certificate_eigenvalue=(
@@ -603,10 +619,17 @@ class PlaceFamily:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValidationError("label must be a nonempty string", field="label")
+        if not isinstance(self.places, (tuple, list)):
+            raise ValidationError(f"expected a list of places, got {self.places!r}", field="places")
         if not self.places:
             raise ValidationError("family must list at least one place", field="places")
         seen = set()
-        for i, (place_label, scenario) in enumerate(self.places):
+        for i, place in enumerate(self.places):
+            if not isinstance(place, (tuple, list)) or len(place) != 2:
+                raise ValidationError(
+                    f"expected a (label, scenario) pair, got {place!r}", field=f"places[{i + 1}]"
+                )
+            place_label, scenario = place
             if not isinstance(place_label, str) or not place_label:
                 raise ValidationError(
                     "place label must be a nonempty string", field=f"places[{i + 1}].label"
@@ -620,6 +643,12 @@ class PlaceFamily:
                 raise ValidationError(
                     "expected a scenario", field=f"places[{i + 1}].scenario"
                 )
+        if not isinstance(self.assumptions, (tuple, list)) or not all(
+            isinstance(flag, str) for flag in self.assumptions
+        ):
+            raise ValidationError(
+                f"expected a list of strings, got {self.assumptions!r}", field="assumptions"
+            )
         flags = tuple(sorted(set(self.assumptions)))
         for flag in flags:
             if flag not in ASSUMPTION_FLAGS:

@@ -23,7 +23,6 @@ from oracle import (
 from arthurcalc.classifier import (
     Genericity,
     StandardModuleDatum,
-    TemperedDatum,
     VerdictKind,
     classify_packet,
     genericity_verdict,
@@ -52,6 +51,7 @@ from arthurcalc.parameters import (
 from arthurcalc.roots import (
     CartanSpec,
     build_root_datum,
+    evaluation_exponents,
     levi_and_nilradical,
 )
 from arthurcalc.scenarios import (
@@ -142,7 +142,6 @@ def test_rank1_reducibility_point(capsys):
         budget=1.0,
     ):
         d = build_root_datum(CartanSpec("A", 1))
-        tau = TemperedDatum(frozenset(), trivial_parameter(d), True)
         points = (
             Fraction(1, 4),
             Fraction(1, 3),
@@ -151,7 +150,11 @@ def test_rank1_reducibility_point(capsys):
             Fraction(1),
         )
         outcomes = {
-            nu: irreducibility_verdict(StandardModuleDatum(tau, (nu,))).irreducible
+            nu: irreducibility_verdict(
+                StandardModuleDatum(
+                    recompose_parameter(trivial_parameter(d), evaluation_exponents(d, (nu,)))
+                )
+            ).irreducible
             for nu in points
         }
         assert outcomes == {nu: nu != Fraction(1, 2) for nu in points}
@@ -284,7 +287,7 @@ def test_support_inside_levi_nilradical(capsys):
             if psi.sl2.is_trivial:
                 continue
             assert verdict.kind is VerdictKind.NON_TEMPERED
-            levi_part, nilradical = levi_and_nilradical(psi.datum, sm.tempered.levi)
+            levi_part, nilradical = levi_and_nilradical(psi.datum, sm.levi)
             support = set(psi.sl2.support)
             assert support <= set(nilradical)
             assert not support & set(levi_part)

@@ -9,12 +9,10 @@ from oracle import reflect_root
 
 from arthurcalc import classifier
 from arthurcalc.classifier import (
-    AttachedData,
     Certificate,
     Genericity,
     PacketVerdict,
     StandardModuleDatum,
-    TemperedDatum,
     VerdictKind,
     classify_packet,
     genericity_verdict,
@@ -32,9 +30,17 @@ from arthurcalc.parameters import (
     decompose_parameter,
     langlands_parameter,
     make_arthur_parameter,
+    recompose_parameter,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, diagram_pairing, dominantize, dual_datum
+from arthurcalc.roots import (
+    CartanSpec,
+    build_root_datum,
+    diagram_pairing,
+    dominantize,
+    dual_datum,
+    evaluation_exponents,
+)
 from arthurcalc.scenarios import parse_scenario_text
 from arthurcalc.sweeps import DICHOTOMY_SPECS, iter_dichotomy_parameters
 
@@ -56,50 +62,49 @@ def test_standard_module_a1_principal():
     psi = unit_psi("A", 1, (2,))
     sm = standard_module_datum(psi)
     assert sm.character_exponents == (Fraction(1, 2),)
-    assert sm.evaluation_exponents == (Fraction(1),)
-    assert sm.tempered.levi == frozenset()
-    assert sm.tempered.unit_parameter == psi.tempered_part
+    assert sm.exponents == (Fraction(1),)
+    assert sm.levi == frozenset()
+    assert decompose_parameter(sm.parameter)[0] == psi.tempered_part
     # the support itself, unmoved, lies off the Levi
     assert psi.sl2.support == ((1,),)
-    assert sm.twisted_parameter().coords == (QMonomial.q(1),)
+    assert sm.parameter.coords == (QMonomial.q(1),)
 
 
 def test_standard_module_tempered_case():
     sm = standard_module_datum(unit_psi("A", 2, (1, 1, 1)))
     assert sm.character_exponents == (Fraction(0), Fraction(0))
-    assert sm.tempered.levi == frozenset({0, 1})
+    assert sm.levi == frozenset({0, 1})
 
 
 def test_standard_module_b2_subregular_levi():
     # dual side of Sp(4): [3,1,1] has diagram (2,0), so the Levi keeps a2
     sm = standard_module_datum(unit_psi("B", 2, (3, 1, 1)))
-    assert sm.tempered.levi == frozenset({1})
-    assert sm.evaluation_exponents == (Fraction(1), Fraction(0))
+    assert sm.levi == frozenset({1})
+    assert sm.exponents == (Fraction(1), Fraction(0))
     assert sm.character_exponents == (Fraction(1), Fraction(1, 2))
 
 
+def twisted_module(family, rank, character_exps, generic=True):
+    """The standard module of the trivial unit part twisted by the given
+    character exponents."""
+    d = build_root_datum(CartanSpec(family, rank))
+    twist = evaluation_exponents(d, [Fraction(c) for c in character_exps])
+    return StandardModuleDatum(recompose_parameter(trivial_parameter(d), twist), generic)
+
+
 def test_twist_must_vanish_exactly_on_levi():
-    d = build_root_datum(CartanSpec("A", 2))
-    tau = TemperedDatum(frozenset({0}), trivial_parameter(d), True)
-    with pytest.raises(ValidationError, match="vanish exactly on the Levi"):
-        StandardModuleDatum(tau, (Fraction(1, 3), Fraction(1, 3)))
-    with pytest.raises(ValidationError, match="not dominant"):
-        StandardModuleDatum(tau, (Fraction(1), Fraction(-1)))
-
-
-def test_tempered_datum_rejects_unbounded_units():
-    d = build_root_datum(CartanSpec("A", 1))
-    with pytest.raises(ValidationError, match="nonzero exponent"):
-        TemperedDatum(frozenset(), UnramifiedParameter(d, (QMonomial.q(1),)), True)
+    assert twisted_module("A", 2, (Fraction(1, 3), Fraction(1, 3))).levi == frozenset()
+    assert twisted_module("A", 2, (Fraction(2, 3), Fraction(1, 3))).levi == frozenset({1})
+    with pytest.raises(ValidationError, match="not dominant") as err:
+        twisted_module("A", 2, (Fraction(1), Fraction(-1)))
+    assert err.value.field == "twist"
 
 
 # -- irreducibility and genericity --------------------------------------------------
 
 
 def rank1_module(character_exponent, generic=True):
-    d = build_root_datum(CartanSpec("A", 1))
-    tau = TemperedDatum(frozenset(), trivial_parameter(d), generic)
-    return StandardModuleDatum(tau, (Fraction(character_exponent),))
+    return twisted_module("A", 1, (character_exponent,), generic)
 
 
 def test_rank1_reducible_exactly_at_one_half():
@@ -133,17 +138,17 @@ def test_tempered_standard_module_is_trivially_irreducible():
 def test_witness_requires_nontrivial_sl2():
     psi = unit_psi("A", 2, (1, 1, 1))
     with pytest.raises(ValidationError, match="tempered parameter has no witness"):
-        witness_root(AttachedData.of(psi))
+        witness_root(psi, standard_module_datum(psi).levi)
 
 
 def test_witness_tie_break_takes_first_simple_root():
     psi = unit_psi("A", 2, (3,))
-    assert witness_root(AttachedData.of(psi)) == (1, 0)
+    assert witness_root(psi, standard_module_datum(psi).levi) == (1, 0)
 
 
 def test_witness_lies_outside_the_levi():
     psi = unit_psi("B", 2, (3, 1, 1))
-    w = witness_root(AttachedData.of(psi))
+    w = witness_root(psi, standard_module_datum(psi).levi)
     assert w == (1, 1)
 
 

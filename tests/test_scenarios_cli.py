@@ -14,8 +14,14 @@ import pytest
 from arthurcalc import cli
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.lfactors import grade_nilradical, inverse_vanishes_at, l_factor
-from arthurcalc.parameters import QMonomial, UnramifiedParameter, recompose_parameter
-from arthurcalc.nilpotent import SL2Data
+from arthurcalc.parameters import (
+    QMonomial,
+    UnramifiedParameter,
+    make_arthur_parameter,
+    recompose_parameter,
+    trivial_parameter,
+)
+from arthurcalc.nilpotent import SL2Data, validate_partition
 from arthurcalc.roots import CartanSpec, build_root_datum
 from arthurcalc.scenarios import (
     MEMBERSHIP_FLAG,
@@ -137,6 +143,67 @@ def test_library_scenario_refuses_a_generic_assumption_that_is_not_a_bool(flag):
     with pytest.raises(ValidationError, match=f"expected a boolean, got {flag!r}") as err:
         Scenario("x", CartanSpec("A", 1), (Fraction(0),), "trivial", generic_assumption=flag)
     assert err.value.field == "generic_assumption"
+
+
+A1 = CartanSpec("A", 1)
+
+
+def a1_scenario(**overrides):
+    fields = {"label": "x", "group": A1, "satake_angles": (Fraction(0),), "sl2_kind": "trivial"}
+    return Scenario(**{**fields, **overrides})
+
+
+def a1_expert(data):
+    return a1_scenario(satake_angles=(0,), sl2_kind="expert", expert_data=data)
+
+
+def a1_family(**overrides):
+    return PlaceFamily(**{"label": "f", "places": (("p", a1_scenario()),), **overrides})
+
+
+@pytest.mark.parametrize(
+    "build, field, message",
+    [
+        (lambda: a1_scenario(satake_angles=("x",)), "satake_angles[1]", "got 'x'"),
+        (lambda: a1_scenario(satake_angles=(None,)), "satake_angles[1]", "got None"),
+        (lambda: a1_scenario(satake_angles=(0.1,)), "satake_angles[1]", "got 0.1"),
+        (lambda: a1_scenario(satake_angles=(True,)), "satake_angles[1]", "got True"),
+        (lambda: a1_scenario(satake_angles=5), "satake_angles", "got 5"),
+        (lambda: a1_scenario(group=("A", 1)), "group", "expected a CartanSpec"),
+        (lambda: a1_scenario(group=None), "group", "expected a CartanSpec"),
+        (
+            lambda: a1_scenario(sl2_kind="partition", partition=5),
+            "sl2.partition",
+            "expected a list of parts, got 5",
+        ),
+        (lambda: validate_partition("A", 1, 5), "partition", "expected a list of parts"),
+        (lambda: a1_expert(((2,), ((1,),))), "sl2", "expected SL2Data"),
+        (lambda: a1_expert(SL2Data(5, ())), "sl2", "diagram 5 is not a tuple or list"),
+        (lambda: a1_expert(SL2Data((2,), 5)), "sl2", "support 5 is not a tuple or list"),
+        (
+            lambda: make_arthur_parameter(
+                trivial_parameter(build_root_datum(A1)), ((2,), ((1,),))
+            ),
+            "sl2",
+            "expected SL2Data",
+        ),
+        (lambda: a1_family(places=(a1_scenario(),)), "places[1]", "expected a (label, scenario) pair"),
+        (lambda: a1_family(places=5), "places", "expected a list of places"),
+        (lambda: a1_family(assumptions=[["a"]]), "assumptions", "expected a list of strings"),
+    ],
+    ids=[
+        "string-angle", "none-angle", "float-angle", "bool-angle", "int-angles",
+        "tuple-group", "none-group", "int-partition", "validate-int-partition",
+        "tuple-sl2", "int-diagram", "int-support", "arthur-tuple-sl2",
+        "bare-scenario-place", "int-places", "nested-assumptions",
+    ],
+)
+def test_library_inputs_of_the_wrong_shape_name_their_field(build, field, message):
+    # each of these used to escape as a TypeError or AttributeError, or (a
+    # float or bool angle) to be taken silently
+    with pytest.raises(ValidationError, match=re.escape(message)) as err:
+        build()
+    assert err.value.field == field
 
 
 def test_partition_checked_against_dual_family():

@@ -12,9 +12,22 @@ from pathlib import Path
 import pytest
 
 from arthurcalc import lfactors, parameters, roots
-from arthurcalc.classifier import VerdictKind, classify_packet
+from arthurcalc.classifier import (
+    Genericity,
+    VerdictKind,
+    classify_packet,
+    genericity_verdict,
+    irreducibility_verdict,
+    packet_verdict,
+    standard_module_datum,
+)
 from arthurcalc.nilpotent import sl2_from_partition
-from arthurcalc.parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
+from arthurcalc.parameters import (
+    QMonomial,
+    UnramifiedParameter,
+    make_arthur_parameter,
+    trivial_parameter,
+)
 from arthurcalc.roots import CartanSpec, build_root_datum
 from arthurcalc.scenarios import parse_scenario_text, run_scenario
 
@@ -123,3 +136,24 @@ def test_tempered_classification_builds_no_l_factor(monkeypatch):
     assert counts["apply_word_parameter"] == counts["dominantize"] == 0
     assert counts["levi_and_nilradical"] == 0
     assert counts["langlands_parameter"] == 1
+
+
+def test_one_standard_module_builds_one_coefficient_ratio(monkeypatch):
+    """The verdicts read one record: the ratio, its L-factor and the
+    character exponents are each built once, the last only when asked."""
+    d = build_root_datum(CartanSpec("B", 3))
+    psi = make_arthur_parameter(trivial_parameter(d), sl2_from_partition("B", 3, (3, 3, 1)))
+    counts = count_calls(monkeypatch)
+    sm = standard_module_datum(psi)
+    assert packet_verdict(psi, sm).kind is VerdictKind.NON_TEMPERED
+    assert not irreducibility_verdict(sm).irreducible
+    assert genericity_verdict(sm) is Genericity.NOT_GENERIC
+    assert packet_verdict(psi, sm).levi == sm.levi
+    assert counts["character_exponents"] == 0
+    assert sm.character_exponents == sm.character_exponents
+    assert (
+        counts["langlands_parameter"],
+        counts["local_coefficient_ratio"],
+        counts["l_factor"],
+        counts["character_exponents"],
+    ) == (1, 1, 1, 1)
