@@ -20,7 +20,9 @@ nontrivial sl2 component. Cross-checks that raise InvariantViolation (a bug,
 not a verdict): the witness route vs the full product, the witness
 eigenvalue vs q^1, and, in `run_scenario`, denominator vanishing vs verdict.
 Word application vs dominantization is checked where a real word is walked,
-in `parameters.recover_arthur_data`.
+in `parameters.recover_arthur_data`. A standard module that is not the one
+of the Arthur parameter's Langlands parameter is the caller's error
+(ValidationError), not a failed cross-check.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ class StandardModuleDatum:
     generic: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.generic, bool):
+            raise ValidationError(f"expected a boolean, got {self.generic!r}", field="generic")
         if any(e < 0 for e in self.exponents):
             raise ValidationError("twist exponents are not dominant", field="twist")
 
@@ -144,8 +148,13 @@ def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> Standar
 
 
 def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdict:
-    """Temperedness dichotomy with the double-checked certificate; `sm` is
-    the standard module of `psi`'s Langlands parameter."""
+    """Temperedness dichotomy with the double-checked certificate; `sm` must
+    be the standard module of `psi`'s Langlands parameter."""
+    if not _is_langlands_parameter_of(psi, sm.parameter):
+        raise ValidationError(
+            "not the standard module of the Arthur parameter's Langlands parameter",
+            field="sm",
+        )
     if psi.sl2.is_trivial:
         if not is_tempered(sm.parameter):
             raise InvariantViolation("trivial sl2 component left a nonzero exponent")
@@ -162,6 +171,21 @@ def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdi
         )
     certificate = Certificate(eigenvalue, Fraction(1))
     return PacketVerdict(VerdictKind.NON_TEMPERED, witness, certificate, sm.levi)
+
+
+def _is_langlands_parameter_of(psi: ArthurParameter, p: UnramifiedParameter) -> bool:
+    """Whether `p` lives on `psi`'s datum, its exponents are half `psi`'s
+    diagram and its unit angles are `psi`'s: one comparison per coordinate,
+    without building `langlands_parameter(psi)`."""
+    coords = p.coords
+    return (
+        p.datum == psi.datum
+        and all(
+            2 * t.q_exp.numerator == d * t.q_exp.denominator
+            for t, d in zip(coords, psi.sl2.diagram)
+        )
+        and [t.angle for t in coords] == [u.angle for u in psi.tempered_part.coords]
+    )
 
 
 def irreducibility_verdict(sm: StandardModuleDatum) -> CoefficientRatio:

@@ -25,13 +25,11 @@ from .roots import CartanSpec, format_root
 from .scenarios import (
     canonical_json,
     emit_report_machine,
-    global_report_to_dict,
     parse_family_text,
     parse_scenario_text,
     ramanujan_report,
     render_global_text,
     render_report_text,
-    report_to_dict,
     run_scenario,
 )
 from .sweeps import valid_partitions
@@ -70,7 +68,7 @@ def _cmd_batch(args) -> int:
         except ValidationError as err:
             raise ValidationError(f"{path.name}: {err}")
     if args.format == "machine":
-        sys.stdout.write(canonical_json([report_to_dict(r) for r in reports]))
+        sys.stdout.write(canonical_json(reports))
     else:
         sys.stdout.write(
             "\n".join(render_report_text(r, certify=args.certify) for r in reports)
@@ -82,7 +80,7 @@ def _cmd_global(args) -> int:
     family = parse_family_text(_read_text(Path(args.family_file)))
     report = ramanujan_report(family)
     if args.format == "machine":
-        sys.stdout.write(canonical_json(global_report_to_dict(report)))
+        sys.stdout.write(canonical_json(report))
     else:
         sys.stdout.write(render_global_text(report))
     return 0

@@ -63,10 +63,6 @@ class QMonomial:
     def __pow__(self, n: int) -> "QMonomial":
         return QMonomial(self.q_exp * n, self.angle * n)
 
-    def inverse(self) -> "QMonomial":
-        a = self.angle
-        return QMonomial(-self.q_exp, Fraction(-a.numerator % a.denominator, a.denominator))
-
     @property
     def is_one(self) -> bool:
         return self.q_exp == 0 and self.angle == 0

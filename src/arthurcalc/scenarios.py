@@ -9,7 +9,8 @@ angles as fractions of a full turn in [0, 1).
 The machine emission mode is canonical (sorted keys, normalized rationals)
 so reports can be compared byte for byte; parsing an emitted report
 reproduces the Report object exactly. Every report carries enough data to
-re-verify its verdict with the L-factor layer alone.
+re-verify its verdict with the L-factor layer alone. One direct writer,
+`canonical_json`, produces those bytes from the records themselves.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from types import NoneType, UnionType
 from typing import Annotated, Union, get_args, get_origin, get_type_hints
@@ -224,8 +226,71 @@ def _object_decoder(cls, name: str):
     return decode
 
 
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+# The JSON text of each leaf type the writer accepts; a rational is quoted in
+# `format_fraction`'s "num/den" form.
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    NoneType: lambda v: "null",
+    Fraction: lambda x: f'"{x.numerator}/{x.denominator}"',
+}
+
+
+def canonical_json(value) -> str:
+    """Canonical JSON of `value`, written directly: sorted keys, a two-space
+    indent, ASCII escapes and a final newline, the bytes that `json.dumps`
+    gives for `_encode(value)` with `sort_keys=True` and an indent of 2.
+    Dataclasses become objects keyed by their field names, tuples and lists
+    arrays; dicts need str keys, and the leaves are exactly the types in
+    `_LEAF_TEXT`. Any other type raises TypeError, as `json.dumps` does."""
+    out = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the text of `value`; `newline` is a line break followed by the
+    indentation of the line that `value` starts on."""
+    cls = type(value)
+    if cls is tuple or cls is list:
+        brackets, members = "[]", [("", item) for item in value]
+    elif cls is dict:
+        brackets = "{}"
+        members = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        keys = _sorted_keys(cls)
+        if keys is None:
+            leaf = _LEAF_TEXT.get(cls)
+            if leaf is None:
+                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+            out.append(leaf(value))
+            return
+        brackets, members = "{}", [(key, getattr(value, name)) for name, key in keys]
+    if not members:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for key, item in members:
+        leaf = _LEAF_TEXT.get(type(item))
+        if leaf is None:
+            out.append(separator + key)
+            _write(item, inner, out)
+        else:
+            out.append(separator + key + leaf(item))
+        separator = "," + inner
+    out.append(newline + brackets[1])
+
+
+@lru_cache(maxsize=None)
+def _sorted_keys(cls) -> tuple[tuple[str, str], ...] | None:
+    """A dataclass's field names in sorted order, each with its JSON key."""
+    names = _field_names(cls)
+    if names is None:
+        return None
+    return tuple([(name, encode_basestring_ascii(name) + ": ") for name in sorted(names)])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +587,7 @@ report_from_dict = partial(_decode, Report, name="report")
 
 
 def emit_report_machine(r: Report) -> str:
-    return canonical_json(report_to_dict(r))
+    return canonical_json(r)
 
 
 def parse_report_text(text: str) -> Report:

@@ -2,25 +2,29 @@
 
 From arthurcalc this module imports only input validation
 (`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank
-and Cartan matrix) and the error type a singular system raises. It shares
-no code with the layers it checks:
+and Cartan matrix), the `QMonomial` constructor and the error type a
+singular system raises. It shares no code with the layers it checks:
 
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
 - simple roots, simple reflections of a root, Weyl words replayed on a
   vector of simple-root evaluations, and Gaussian elimination over
-  Fraction, which also gives the exact inverse of an integer matrix.
+  Fraction, which also gives the exact inverse of an integer matrix;
+- the inverse of a QMonomial;
+- canonical JSON by way of the standard library's encoder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import lcm
 
 from arthurcalc.errors import InvariantViolation
 from arthurcalc.nilpotent import partition_total, validate_partition
+from arthurcalc.parameters import QMonomial
 from arthurcalc.roots import RootDatum
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -209,3 +213,32 @@ def integer_inverse_fractions(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     D = lcm(*(x.denominator for x in inverse))
     flat = [x.numerator * (D // x.denominator) for x in inverse]
     return D, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+# -- eigenvalues and reports -----------------------------------------------------
+
+
+def qmonomial_inverse(m: QMonomial) -> QMonomial:
+    """zeta^-1 * q^-e for zeta * q^e, the angle negated mod 1 by hand."""
+    a = m.angle
+    return QMonomial(-m.q_exp, Fraction(-a.numerator % a.denominator, a.denominator))
+
+
+def encode(value):
+    """Plain JSON values: Fraction -> "num/den", tuple and list -> list,
+    dataclass -> object keyed by field name, dict -> dict of encoded values;
+    str, int, bool and None pass through."""
+    if type(value) is Fraction:
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (tuple, list)):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def reference_canonical_json(value) -> str:
+    """The canonical machine bytes through the standard library's encoder."""
+    return json.dumps(encode(value), sort_keys=True, indent=2) + "\n"

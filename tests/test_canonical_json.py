@@ -1,0 +1,173 @@
+"""The direct canonical writer against the standard library's encoder.
+
+`canonical_json` writes the machine bytes straight from the records;
+`oracle.reference_canonical_json` encodes them to plain JSON values first
+and dumps those with `json.dumps(sort_keys=True, indent=2)`. The two must
+agree byte for byte on every report the fuzz pools accept, on synthetic
+nested values, and on the CLI's `batch`, `global` and `orbits` outputs.
+"""
+
+import gc
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import reference_canonical_json
+from test_fuzz import hostile_cases, library_scenarios
+
+from arthurcalc import cli
+from arthurcalc.errors import ValidationError
+from arthurcalc.nilpotent import is_very_even, weighted_diagram
+from arthurcalc.parameters import QMonomial
+from arthurcalc.roots import CartanSpec
+from arthurcalc.scenarios import (
+    MAX_NUMERAL_DIGITS,
+    Scenario,
+    canonical_json,
+    emit_report_machine,
+    global_report_from_dict,
+    parse_family_text,
+    parse_report_text,
+    parse_scenario_text,
+    ramanujan_report,
+    run_scenario,
+)
+from arthurcalc.sweeps import valid_partitions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def accepted_record(kind: str, text: str):
+    """The report or global report a fuzz case yields, or None if refused."""
+    try:
+        if kind == "family":
+            return ramanujan_report(parse_family_text(text))
+        if kind == "global":
+            return global_report_from_dict(json.loads(text))
+        if kind == "scenario":
+            return run_scenario(parse_scenario_text(text))
+        return parse_report_text(text)
+    except ValidationError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_cases())
+def test_writer_matches_the_reference_on_fuzzed_files(case):
+    record = accepted_record(*case)
+    if record is not None:
+        assert canonical_json(record) == reference_canonical_json(record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(library_scenarios())
+def test_writer_matches_the_reference_on_library_scenarios(kwargs):
+    try:
+        report = run_scenario(Scenario(**kwargs))
+    except ValidationError:
+        return
+    assert emit_report_machine(report) == reference_canonical_json(report)
+
+
+@dataclass(frozen=True)
+class Record:
+    """Fields declared out of order: the writer must sort them."""
+
+    zeta: object
+    alpha: object
+    mid: object
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+CAP = 10**MAX_NUMERAL_DIGITS - 1  # the largest numeral a report may hold
+SPECIAL = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ", "\U0001f600", "\ud800"]
+texts = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=8)
+integers = st.one_of(st.integers(-CAP, CAP), st.sampled_from([0, CAP, -CAP]))
+fractions = st.builds(Fraction, integers, st.one_of(st.integers(1, CAP), st.just(CAP)))
+leaves = st.one_of(texts, integers, fractions, st.booleans(), st.none(), st.just(Empty()))
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+        st.builds(Record, children, children, children),
+        st.builds(QMonomial, fractions, fractions),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_writer_matches_the_reference_on_nested_values(value):
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, b"x", object(), Record, [Fraction(1, 2), 0.5], {"a": {1: "b"}}],
+    ids=["float", "set", "bytes", "object", "class", "nested-float", "int-key"],
+)
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def run_cli(capsys, *argv) -> str:
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_batch_machine_output_matches_the_reference(capsys):
+    reports = [
+        run_scenario(parse_scenario_text(path.read_text()))
+        for path in sorted((ROOT / "scenarios").glob("*.json"))
+    ]
+    out = run_cli(capsys, "batch", str(ROOT / "scenarios"), "--format", "machine")
+    assert out == reference_canonical_json(reports)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "families").glob("*.json")), ids=lambda path: path.stem
+)
+def test_global_machine_output_matches_the_reference(path, capsys):
+    report = ramanujan_report(parse_family_text(path.read_text()))
+    out = run_cli(capsys, "global", str(path), "--format", "machine")
+    assert out == reference_canonical_json(report)
+
+
+def test_orbits_machine_output_matches_the_reference(capsys):
+    rows = [
+        {
+            "partition": list(parts),
+            "diagram": list(weighted_diagram("B", 6, parts)),
+            "very_even": is_very_even("B", parts),
+        }
+        for parts in valid_partitions("B", 6)
+    ]
+    out = run_cli(capsys, "orbits", "B", "6", "--format", "machine")
+    assert out == reference_canonical_json(rows)
+
+
+def test_emission_leaves_no_cyclic_garbage():
+    scenario = Scenario("a12-principal", CartanSpec("A", 12), (0,) * 12, "partition", (13,))
+    report = run_scenario(scenario)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        emit_report_machine(report)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []

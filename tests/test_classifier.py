@@ -17,6 +17,7 @@ from arthurcalc.classifier import (
     classify_packet,
     genericity_verdict,
     irreducibility_verdict,
+    packet_verdict,
     standard_module_datum,
     witness_root,
 )
@@ -98,6 +99,15 @@ def test_twist_must_vanish_exactly_on_levi():
     with pytest.raises(ValidationError, match="not dominant") as err:
         twisted_module("A", 2, (Fraction(1), Fraction(-1)))
     assert err.value.field == "twist"
+
+
+@pytest.mark.parametrize("generic", ["no", 1, None], ids=["string", "int", "none"])
+def test_standard_module_refuses_a_generic_flag_that_is_not_a_bool(generic):
+    parameter = standard_module_datum(unit_psi("A", 1, (2,))).parameter
+    with pytest.raises(ValidationError) as err:
+        StandardModuleDatum(parameter, generic)
+    assert err.value.raw_message == f"expected a boolean, got {generic!r}"
+    assert err.value.field == "generic"
 
 
 # -- irreducibility and genericity --------------------------------------------------
@@ -203,6 +213,31 @@ def test_packet_verdict_invariants():
             Certificate(QMonomial.q(1), Fraction(1)),
             frozenset(),
         )
+
+
+@pytest.mark.parametrize(
+    "psi, other",
+    [
+        (unit_psi("A", 1, (1, 1)), unit_psi("A", 1, (2,))),
+        (unit_psi("A", 1, (2,)), unit_psi("A", 1, (1, 1))),
+        # the same diagram with other unit angles
+        (
+            unit_psi("C", 2, (2, 2), angles=(Fraction(1, 2), Fraction(0))),
+            unit_psi("C", 2, (2, 2)),
+        ),
+        # the same exponents and angles on another datum
+        (unit_psi("B", 2, (5,)), unit_psi("C", 2, (4,))),
+    ],
+    ids=["tempered-psi", "principal-psi", "unit-angles", "datum"],
+)
+def test_packet_verdict_refuses_another_parameters_standard_module(psi, other):
+    """A mismatched pair is the caller's error, not a failed cross-check."""
+    sm = standard_module_datum(other)
+    with pytest.raises(ValidationError, match="not the standard module") as err:
+        packet_verdict(psi, sm)
+    assert err.value.field == "sm"
+    for generic in (True, False):
+        assert packet_verdict(psi, standard_module_datum(psi, generic)) == classify_packet(psi)
 
 
 # -- Weyl equivariance of the verdict ----------------------------------------------------

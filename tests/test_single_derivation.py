@@ -60,14 +60,6 @@ def count_calls(monkeypatch):
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
                     monkeypatch.setattr(module, attr, counted)
-    real_inverse = QMonomial.inverse
-
-    def counted_inverse(self):
-        counts["QMonomial.inverse"] += 1
-        return real_inverse(self)
-
-    counts["QMonomial.inverse"] = 0
-    monkeypatch.setattr(QMonomial, "inverse", counted_inverse)
     return counts
 
 
@@ -96,7 +88,6 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
         "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
-        "QMonomial.inverse": 0,  # the numerator negates the integer pairs
     }
 
 
