@@ -208,21 +208,19 @@ def genericity_verdict(sm: StandardModuleDatum) -> Genericity:
 def witness_root(psi: ArthurParameter, levi: LeviSubset) -> Root:
     """Minimal support root (canonical enumeration order) that certifies
     non-temperedness: diagram pairing 2, trivial unit evaluation, outside the
-    Levi. Each condition is re-checked rather than assumed; no L-factor is
-    read, so the full product stays an independent check."""
+    Levi. Each condition is re-checked on integers rather than assumed; no
+    L-factor is read, so the full product stays an independent check."""
     if psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
     diagram, units = psi.sl2.diagram, psi.tempered_part
     outside = off_levi_indicator(units.datum, levi)
-    candidates = []
-    for root in psi.sl2.support:
-        if diagram_pairing(root, diagram) != 2:
-            continue
-        if not evaluate_root(root, units).is_one:
-            continue
-        if not any(map(mul, root, outside)):
-            continue
-        candidates.append(root)
+    candidates = [
+        root
+        for root in psi.sl2.support
+        if diagram_pairing(root, diagram) == 2
+        and units.unit_is_trivial_on(root)
+        and any(map(mul, root, outside))
+    ]
     if not candidates:
         raise InvariantViolation(
             "no support root qualifies as a witness; the centralizer and "

@@ -17,6 +17,11 @@ with 0 <= an < D is zeta(an / D) * q^(qn / D); the reciprocal is
 the integers: over one D, pairs sort exactly like (q_exp, angle). QMonomials
 and Fractions are built only for a report or on request, each distinct
 value once per factor.
+
+The grading levels and the pairs come from `roots.root_values`, which
+evaluates an integer vector on every positive root with one addition per
+root (each root is its parent plus a simple root), so no nilradical root is
+evaluated by a dot product.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice
-from operator import mul
 from typing import Callable
 
 from .errors import InvariantViolation, ValidationError
-from .roots import LeviSubset, Root, RootDatum, levi_and_nilradical, off_levi_indicator
+from .roots import LeviSubset, Root, RootDatum, off_levi_indicator, root_values, validate_levi
 from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs
 
 ORIENTATIONS = ("r", "r-tilde")
@@ -43,7 +47,7 @@ class GradedNilradical:
     levi: LeviSubset
     levels: tuple[tuple[int, tuple[Root, ...]], ...]
 
-    @property
+    @cached_property
     def all_roots(self) -> tuple[Root, ...]:
         return tuple([root for _, roots in self.levels for root in roots])
 
@@ -89,13 +93,14 @@ class LocalLFactor:
 
 def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     """Bucket the nilradical of the Levi by total coefficient on simple roots
-    outside theta; levels start at 1 (empty when theta is everything)."""
-    theta = frozenset(theta)
-    _, nilradical = levi_and_nilradical(d, theta)
-    outside = off_levi_indicator(d, theta)
+    outside theta; levels start at 1 (empty when theta is everything). One
+    pass of `root_values` gives every positive root its level, and the Levi
+    roots are the ones at level 0."""
+    theta = validate_levi(d, theta)
     buckets: dict[int, list[Root]] = {}
-    for root in nilradical:
-        buckets.setdefault(sum(map(mul, root, outside)), []).append(root)
+    for root, level in zip(d.positive_roots, root_values(d, off_levi_indicator(d, theta))):
+        if level:
+            buckets.setdefault(level, []).append(root)
     # positive_roots is in root_sort_key order, so each bucket is too
     levels = tuple([(level, tuple(buckets[level])) for level in sorted(buckets)])
     if levels and levels[0][0] < 1:

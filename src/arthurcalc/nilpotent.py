@@ -18,6 +18,7 @@ from itertools import accumulate, product
 
 from .errors import InvariantViolation, ValidationError
 from .roots import (
+    _INT_ONLY,
     CartanSpec,
     Root,
     RootDatum,
@@ -247,7 +248,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
                 x[pt] += st
                 x[ps] -= ss
                 root = _from_epsilon(family, x)
-                if any(c < 0 for c in root) or root not in datum.root_set:
+                if any(c < 0 for c in root) or root not in datum.root_index:
                     raise InvariantViolation(
                         f"support entry {format_root(root)} is not a positive root"
                     )
@@ -261,11 +262,6 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     if all(v == 0 for v in diagram) != (not support):
         raise InvariantViolation("support/diagram triviality mismatch")
     return SL2Data(diagram, tuple(sorted(support, key=root_sort_key)))
-
-
-# Exactly int: bool is an int subclass, and True == 1 would pass every
-# later check.
-_INT_ONLY = frozenset({int})
 
 
 def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
@@ -293,7 +289,7 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
                 problems.append(f"diagram entry {v} at position {i + 1} is outside 0/1/2")
         for root in data.support:
             if type(root) is not tuple:
-                # a list is unhashable, so the root-set lookup below would fail
+                # a list is unhashable, so the root-index lookup below would fail
                 problems.append(f"support root {root!r} is not a tuple")
                 continue
             if len(root) != d.rank:
@@ -302,7 +298,7 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             if not _INT_ONLY.issuperset(map(type, root)):
                 problems.append(f"support root {root} has a coefficient that is not an integer")
                 continue
-            if root not in d.root_set:
+            if root not in d.root_index:
                 problems.append(f"support root {format_root(root)} is not a positive root")
                 continue
             if not typed:

@@ -4,6 +4,14 @@ A parameter is stored modulo center as one QMonomial per simple root of the
 dual-side datum. The residue cardinality q stays a formal symbol: a factor
 1 - zeta * q^(a-s) with real s and real q > 1 vanishes iff zeta = 1 and
 a = s, so every verdict below is uniform in q.
+
+Evaluation on roots works over the parameter's integer form: every
+coordinate over one denominator D. `eigenvalue_pairs` evaluates the
+exponent and angle numerators on all positive roots at once with
+`roots.root_values`; the centralizer check and the witness search test
+the angle numerators of the few support roots mod D
+(`unit_is_trivial_on`); `evaluate_root` builds one QMonomial, for a
+certificate or an error message.
 """
 
 from __future__ import annotations
@@ -23,6 +31,9 @@ from .roots import (
     dominantize,
     format_root,
     over_common_denominator,
+    root_positions,
+    root_values,
+    validate_word,
 )
 
 
@@ -94,6 +105,15 @@ class UnramifiedParameter:
     coords: tuple[QMonomial, ...]
 
     def __post_init__(self):
+        if not isinstance(self.datum, RootDatum):
+            raise ValidationError(f"expected a RootDatum, got {self.datum!r}", field="datum")
+        if not isinstance(self.coords, (tuple, list)):
+            raise ValidationError(
+                f"expected a tuple of QMonomials, got {self.coords!r}", field="coords"
+            )
+        for i, t in enumerate(self.coords):
+            if not isinstance(t, QMonomial):
+                raise ValidationError(f"expected a QMonomial, got {t!r}", field=f"coords[{i + 1}]")
         if len(self.coords) != self.datum.rank:
             raise ValidationError(
                 f"expected {self.datum.rank} coordinates, got {len(self.coords)}"
@@ -110,6 +130,12 @@ class UnramifiedParameter:
         )
         return D, nums[:n], nums[n:]
 
+    def unit_is_trivial_on(self, root: Root) -> bool:
+        """Whether the unit part of the eigenvalue on the root is 1: D divides
+        the root's angle numerator."""
+        D, _, angles = self.integer_form
+        return not sum(map(mul, root, angles)) % D
+
 
 def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
     return UnramifiedParameter(d, tuple(QMonomial.one() for _ in range(d.rank)))
@@ -118,20 +144,22 @@ def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
 def eigenvalue_pairs(roots, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
     """Eigenvalues of the parameter on the root spaces as integer pairs over
     D = p.integer_form[0]: the pair (qn, an), 0 <= an < D, stands for
-    zeta(an / D) * q^(qn / D). Each pair is two integer dot products over
-    the parameter's integer form; the roots' lengths are the caller's to
-    check."""
+    zeta(an / D) * q^(qn / D). The exponent and angle numerators are
+    evaluated on every positive root by `root_values`, one addition per
+    root each, and read off at the roots' positions; a root that is not a
+    positive root of the parameter's datum is refused."""
+    d = p.datum
+    positions = root_positions(d, roots)
     D, exponents, angles = p.integer_form
-    return tuple([
-        (sum(map(mul, root, exponents)), sum(map(mul, root, angles)) % D)
-        for root in roots
-    ])
+    qns, ans = root_values(d, exponents), root_values(d, angles)
+    return tuple([(qns[k], ans[k] % D) for k in positions])
 
 
 def evaluate_root(root: Root, p: UnramifiedParameter) -> QMonomial:
     """Eigenvalue of the parameter on the root space: the product of the
-    coordinates raised to the root's coefficients, as a QMonomial. The same
-    two dot products as `eigenvalue_pairs`, for one root."""
+    coordinates raised to the root's coefficients, as a QMonomial, from two
+    dot products over the parameter's integer form. For one root of any
+    sign; whole-datum work goes through `eigenvalue_pairs`."""
     if len(root) != p.datum.rank:
         raise ValidationError("root length does not match the parameter's rank")
     D, exponents, angles = p.integer_form
@@ -192,8 +220,9 @@ class ArthurParameter:
             )
         validate_sl2_data(self.tempered_part.datum, self.sl2)
         for root in self.sl2.support:
-            value = evaluate_root(root, self.tempered_part)
-            if not value.is_one:
+            # the exponents are zero, so a trivial unit part is the value 1
+            if not self.tempered_part.unit_is_trivial_on(root):
+                value = evaluate_root(root, self.tempered_part)
                 raise ValidationError(
                     f"centralizer condition fails at {format_root(root)}: "
                     f"evaluation {value} is not 1",
@@ -209,11 +238,16 @@ def make_arthur_parameter(phi: UnramifiedParameter, rho: SL2Data) -> ArthurParam
     return ArthurParameter(phi, rho)
 
 
+# d / 2 for each diagram value d in 0/1/2
+_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
 def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
     """Evaluate the sl2 factor at the half-weight torus element: coordinate i
-    picks up q^(d_i/2) where d_i is the diagram value."""
+    picks up q^(d_i/2) where d_i is the diagram value. The tempered part has
+    zero exponents, so coordinate i is q^(d_i/2) with the unit's angle."""
     coords = tuple([
-        t * QMonomial.q(Fraction(d, 2))
+        QMonomial(_HALF_WEIGHTS[d], t.angle)
         for t, d in zip(psi.tempered_part.coords, psi.sl2.diagram)
     ])
     return UnramifiedParameter(psi.datum, coords)
@@ -221,6 +255,7 @@ def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
 
 def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> UnramifiedParameter:
     """Weyl action on torus eigen-data: s_i sends t_j to t_j * t_i^(-cartan[j][i])."""
+    validate_word(p.datum, word)
     coords = list(p.coords)
     for i in word:
         ti = coords[i]

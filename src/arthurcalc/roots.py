@@ -4,6 +4,11 @@ Everything is generated from an explicit integer Cartan matrix; there are no
 stored root tables. Matrix convention: cartan[i][j] = <alpha_i, alpha_j^vee>,
 so a root with coefficient vector c pairs with the j-th simple coroot as
 sum_i c[i] * cartan[i][j]. Simple roots follow Bourbaki numbering.
+
+Each datum links every positive root that is not simple to a parent, a
+positive root one simple root lower, so `root_values` evaluates an integer
+vector on all positive roots with one addition per root. It is the one
+path for whole-datum evaluation.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
@@ -25,6 +31,9 @@ IntegerInverse = tuple[int, tuple[tuple[int, ...], ...]]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D", "G": "G"}
+# Exactly int: bool is an int subclass, and True == 1 would pass every
+# later check.
+_INT_ONLY = frozenset({int})
 
 # Largest rank a CartanSpec accepts; a larger rank is refused as input.
 # Work grows super-cubically with the rank: at rank 24 a principal-orbit
@@ -159,8 +168,31 @@ class RootDatum:
         return _generate_positive_roots(self.cartan)
 
     @cached_property
-    def root_set(self) -> frozenset[Root]:
-        return frozenset(self.positive_roots)
+    def root_index(self) -> dict[Root, int]:
+        """Position of each positive root in `positive_roots`."""
+        return {root: k for k, root in enumerate(self.positive_roots)}
+
+    @cached_property
+    def root_links(self) -> tuple[tuple[int, int] | None, ...]:
+        """Entry k is (parent position, i) with positive_roots[k] equal to
+        positive_roots[parent] + alpha_i, or None for a simple root. Every
+        positive root that is not simple is a positive root plus a simple
+        root; heights grow along `positive_roots`, so the simple roots come
+        first and each parent precedes its child."""
+        index = self.root_index
+        links: list[tuple[int, int] | None] = []
+        for root in self.positive_roots:
+            if sum(root) == 1:
+                links.append(None)
+                continue
+            for i, c in enumerate(root):
+                parent = index.get((*root[:i], c - 1, *root[i + 1 :])) if c else None
+                if parent is not None:
+                    links.append((parent, i))
+                    break
+            else:
+                raise InvariantViolation(f"positive root {root} has no parent")
+        return tuple(links)
 
     @cached_property
     def cartan_inverse(self) -> IntegerInverse:
@@ -184,6 +216,34 @@ def dual_datum(d: RootDatum) -> RootDatum:
     return shared if shared.cartan == transposed else RootDatum(spec, transposed)
 
 
+def root_values(d: RootDatum, vector) -> list[int]:
+    """The integer vector's value sum_i root[i] * vector[i] on every
+    positive root, in `positive_roots` order: the simple roots take the
+    entries themselves, every other root its parent's value plus one entry."""
+    if len(vector) != d.rank:
+        raise ValidationError("vector length does not match rank")
+    values = list(vector)
+    append = values.append
+    for parent, i in islice(d.root_links, d.rank, None):
+        append(values[parent] + vector[i])
+    return values
+
+
+def root_positions(d: RootDatum, roots) -> list[int]:
+    """Positions of the roots in `positive_roots`; anything that is not a
+    positive root of the datum is refused."""
+    index = d.root_index
+    positions = []
+    for root in roots:
+        try:
+            positions.append(index[root])
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"{root!r} is not a positive root of {d.spec}", field="roots"
+            ) from None
+    return positions
+
+
 def coroot_pairing(d: RootDatum, root: Root, j: int) -> int:
     """<root, alpha_j^vee>."""
     if len(root) != d.rank:
@@ -196,16 +256,34 @@ def diagram_pairing(root: Root, diagram: tuple[int, ...]) -> int:
     weighted diagram: sum of coefficient * diagram entry."""
     if len(root) != len(diagram):
         raise ValidationError("root and diagram lengths differ")
-    return sum(c * d for c, d in zip(root, diagram))
+    return sum(map(mul, root, diagram))
+
+
+def validate_word(d: RootDatum, word) -> None:
+    """Refuse a Weyl word unless every letter is an int (bool excluded) in
+    0..rank-1: one pass over the letters' types and one over their range."""
+    if not isinstance(word, (tuple, list)):
+        raise ValidationError(f"expected a tuple of simple indices, got {word!r}", field="word")
+    if _INT_ONLY.issuperset(map(type, word)) and (not word or 0 <= min(word) and max(word) < d.rank):
+        return
+    bad = next(i for i in word if type(i) is not int or not 0 <= i < d.rank)
+    raise ValidationError(
+        f"letter {bad!r} is not a simple index in 0..{d.rank - 1}", field="word"
+    )
+
+
+def _reflect(cartan, i: int, vector: RationalVector) -> RationalVector:
+    vi = vector[i]
+    return tuple(v - cartan[j][i] * vi for j, v in enumerate(vector))
 
 
 def reflect_vector(d: RootDatum, i: int, vector: RationalVector) -> RationalVector:
     """Simple reflection acting on a vector of simple-root evaluations:
     v'_j = v_j - cartan[j][i] * v_i."""
+    validate_word(d, (i,))
     if len(vector) != d.rank:
         raise ValidationError("vector length does not match rank")
-    vi = vector[i]
-    return tuple(v - d.cartan[j][i] * vi for j, v in enumerate(vector))
+    return _reflect(d.cartan, i, vector)
 
 
 def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
@@ -228,7 +306,7 @@ def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, t
         if len(word) > bound:
             raise InvariantViolation("dominantization exceeded the positive-root bound")
         i = negative[0]
-        current = reflect_vector(d, i, current)
+        current = _reflect(d.cartan, i, current)
         word.append(i)
 
 
@@ -253,8 +331,8 @@ def levi_and_nilradical(d: RootDatum, theta: LeviSubset) -> tuple[tuple[Root, ..
     outside = off_levi_indicator(d, validate_levi(d, theta))
     levi: list[Root] = []
     nilradical: list[Root] = []
-    for root in d.positive_roots:
-        (nilradical if any(map(mul, root, outside)) else levi).append(root)
+    for root, level in zip(d.positive_roots, root_values(d, outside)):
+        (nilradical if level else levi).append(root)
     return tuple(levi), tuple(nilradical)
 
 

@@ -531,7 +531,8 @@ def run_scenario(s: Scenario) -> Report:
     InvariantViolation rather than shading the verdict."""
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
-    phi = UnramifiedParameter(dual, tuple([QMonomial.unit(a) for a in s.satake_angles]))
+    # the scenario holds its angles reduced to [0, 1), which QMonomial keeps
+    phi = UnramifiedParameter(dual, tuple([QMonomial(angle=a) for a in s.satake_angles]))
     psi = make_arthur_parameter(phi, sl2)
     sm = standard_module_datum(psi, s.generic_assumption)
     verdict = packet_verdict(psi, sm)

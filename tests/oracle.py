@@ -1,9 +1,10 @@
 """Slow, independent references that only the tests use.
 
 From arthurcalc this module imports only input validation
-(`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank
-and Cartan matrix), the `QMonomial` constructor and the error type a
-singular system raises. It shares no code with the layers it checks:
+(`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank,
+Cartan matrix and positive-root list), the `QMonomial` constructor and the
+error type a singular system raises. It shares no code with the layers it
+checks:
 
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
@@ -11,6 +12,9 @@ singular system raises. It shares no code with the layers it checks:
 - simple roots, simple reflections of a root, Weyl words replayed on a
   vector of simple-root evaluations, and Gaussian elimination over
   Fraction, which also gives the exact inverse of an integer matrix;
+- one dot product per root for a vector's value on every positive root,
+  the Levi/nilradical split, the grading levels and the eigenvalues on
+  roots (what `roots.root_values` gets by the height recurrence);
 - the inverse of a QMonomial;
 - canonical JSON by way of the standard library's encoder.
 """
@@ -189,6 +193,39 @@ def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector) -> tuple:
     for i in word:
         vector = tuple(v - d.cartan[j][i] * vector[i] for j, v in enumerate(vector))
     return vector
+
+
+def dot_root_values(d: RootDatum, vector) -> list[int]:
+    """sum_i root[i] * vector[i] on every positive root, in list order."""
+    return [sum(c * v for c, v in zip(root, vector)) for root in d.positive_roots]
+
+
+def dot_levi_and_nilradical(d: RootDatum, theta) -> tuple[tuple, tuple]:
+    """Positive roots supported on theta, and the rest."""
+    levi = tuple(r for r in d.positive_roots if all(c == 0 or i in theta for i, c in enumerate(r)))
+    return levi, tuple(r for r in d.positive_roots if r not in levi)
+
+
+def dot_grading(d: RootDatum, theta) -> tuple[tuple[int, tuple], ...]:
+    """Nilradical roots by level, the coefficient sum off theta, each level
+    in list order."""
+    levels: dict[int, list] = {}
+    for root in dot_levi_and_nilradical(d, theta)[1]:
+        level = sum(c for i, c in enumerate(root) if i not in theta)
+        levels.setdefault(level, []).append(root)
+    return tuple((level, tuple(levels[level])) for level in sorted(levels))
+
+
+def dot_eigenvalues(roots, p) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(q_exp, angle) of the parameter on each root: two dot products with
+    the coordinates' fields, the angle reduced mod 1."""
+    return tuple(
+        (
+            sum((c * t.q_exp for c, t in zip(root, p.coords)), Fraction(0)),
+            sum((c * t.angle for c, t in zip(root, p.coords)), Fraction(0)) % 1,
+        )
+        for root in roots
+    )
 
 
 def solve_linear_fractions(rows, rhs) -> list[Fraction]:

@@ -4,9 +4,10 @@ library-built scenarios: only ValidationError escapes.
 Each file case starts from a shipped scenario, family or golden report,
 replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
-pipeline. Each library case calls `Scenario(...)` with keyword values drawn
-from fixed pools of Python values. Whatever is accepted must read back from
-its own machine report.
+pipeline. Each library case calls `Scenario(...)` or `UnramifiedParameter(...)` with
+values drawn from fixed pools of Python values. An accepted scenario must
+read back from its own machine report; an accepted parameter must go through
+the parameter layer.
 """
 
 import copy
@@ -18,9 +19,19 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arthurcalc.classifier import classify_packet
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import SL2Data
-from arthurcalc.roots import CartanSpec
+from arthurcalc.parameters import (
+    QMonomial,
+    UnramifiedParameter,
+    apply_word_parameter,
+    eigenvalue_pairs,
+    evaluate_root,
+    make_arthur_parameter,
+    recover_arthur_data,
+)
+from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum
 from arthurcalc.scenarios import (
     Scenario,
     canonical_json,
@@ -186,3 +197,42 @@ def test_hostile_library_scenarios_raise_only_validation_errors(kwargs):
         return
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
     assert parse_report_text(emit_report_machine(report)) == report
+
+
+# Each parameter case draws a datum and coordinates, each either of the
+# right kind or a Python value no parser produces: `UnramifiedParameter(d,
+# (1, 2))` used to construct and then fail with an AttributeError.
+DATA = [
+    build_root_datum(CartanSpec("A", 2)),
+    dual_datum(build_root_datum(CartanSpec("B", 3))),
+    dual_datum(build_root_datum(CartanSpec("G", 2))),
+]
+MONOMIALS = [QMonomial(), QMonomial(1), QMonomial(Fraction(1, 2), Fraction(1, 2)), QMonomial(0, Fraction(1, 4))]
+
+
+@st.composite
+def library_parameters(draw):
+    datum = draw(st.sampled_from(DATA + PYTHON_VALUES))
+    coords = draw(st.lists(st.sampled_from(MONOMIALS + PYTHON_VALUES), max_size=4))
+    coords = draw(st.sampled_from([coords, tuple(coords), *PYTHON_VALUES]))
+    return datum, coords
+
+
+@settings(max_examples=400, deadline=None)
+@given(library_parameters())
+@example((DATA[0], (1, 2)))
+@example((DATA[0], [QMonomial(), QMonomial(1)]))
+@example(("A2", (QMonomial(), QMonomial())))
+def test_hostile_library_parameters_raise_only_validation_errors(case):
+    try:
+        p = UnramifiedParameter(*case)
+    except ValidationError:
+        return
+    roots = p.datum.positive_roots
+    assert len(eigenvalue_pairs(roots, p)) == len(roots)
+    assert [evaluate_root(root, p) for root in roots[: p.datum.rank]] == list(p.coords)
+    try:
+        units, diagram = recover_arthur_data(apply_word_parameter(p, (0, p.datum.rank - 1)))
+        classify_packet(make_arthur_parameter(units, SL2Data(diagram, ())))
+    except ValidationError:
+        pass

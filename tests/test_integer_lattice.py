@@ -89,6 +89,9 @@ def test_evaluate_root_matches_the_product_of_powers(d, draw):
         mp.setattr(parameters, "QMonomial", recording)
         values = [evaluate_root(root, p) for root in roots + (vector,)]
     assert values == [reference_evaluate_root(root, p) for root in roots + (vector,)]
+    assert [p.unit_is_trivial_on(root) for root in roots + (vector,)] == [
+        value.angle == 0 for value in values
+    ]
     # one QMonomial per root, handed over already reduced, so its
     # constructor keeps both fields as they are
     assert len(built) == len(values)

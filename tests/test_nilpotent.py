@@ -157,7 +157,7 @@ def test_support_roots_are_positive_with_pairing_two():
             for parts in valid_partitions(family, rank):
                 data = sl2_from_partition(family, rank, parts)
                 for root in data.support:
-                    assert root in d.root_set
+                    assert root in d.root_index
                     assert diagram_pairing(root, data.diagram) == 2
 
 

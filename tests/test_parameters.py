@@ -1,6 +1,7 @@
 """QMonomial algebra, parameters, Weyl action, Arthur validation, recovery."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from oracle import qmonomial_inverse, reflect_root
 from arthurcalc import parameters
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
+from arthurcalc.lfactors import GradedNilradical, l_factor
 from arthurcalc.parameters import (
     ArthurParameter,
     QMonomial,
@@ -17,6 +19,7 @@ from arthurcalc.parameters import (
     apply_word_parameter,
     decompose_parameter,
     defining_levi,
+    eigenvalue_pairs,
     evaluate_root,
     is_tempered,
     langlands_parameter,
@@ -25,7 +28,8 @@ from arthurcalc.parameters import (
     recover_arthur_data,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum
+from arthurcalc.roots import CartanSpec, build_root_datum, reflect_vector
+from arthurcalc.sweeps import unit_grid, unit_parameter, valid_partitions
 
 monomials = st.builds(
     QMonomial,
@@ -121,6 +125,30 @@ def test_reflection_of_parameters_is_involutive(data):
     assert apply_word_parameter(p, (i, i)) == p
 
 
+@pytest.mark.parametrize("letter", [-1, True, 2, 5, 1.0, "0", None])
+def test_weyl_word_letters_must_be_simple_indices(letter):
+    # -1 used to act as the last reflection, True as letter 1, and 5 raised
+    # an IndexError
+    d = build_root_datum(CartanSpec("A", 2))
+    p = UnramifiedParameter(d, (QMonomial.q(1), QMonomial.unit(Fraction(1, 3))))
+    for call in (
+        lambda: apply_word_parameter(p, (0, letter, 1)),
+        lambda: reflect_vector(d, letter, (Fraction(1), Fraction(2))),
+    ):
+        with pytest.raises(ValidationError, match="is not a simple index in 0..1") as info:
+            call()
+        assert info.value.field == "word"
+
+
+def test_weyl_words_are_sequences_of_letters():
+    d = build_root_datum(CartanSpec("A", 2))
+    p = trivial_parameter(d)
+    assert apply_word_parameter(p, ()) == apply_word_parameter(p, [0, 0]) == p
+    with pytest.raises(ValidationError, match="expected a tuple of simple indices") as info:
+        apply_word_parameter(p, 1)
+    assert info.value.field == "word"
+
+
 # -- decomposition ---------------------------------------------------------------
 
 
@@ -140,6 +168,43 @@ def test_defining_levi_requires_dominance():
     assert defining_levi((Fraction(0), Fraction(0)), d) == frozenset({0, 1})
     with pytest.raises(ValidationError, match="dominant"):
         defining_levi((Fraction(-1), Fraction(1)), d)
+
+
+def test_eigenvalue_pairs_refuse_roots_outside_the_datum():
+    # (1, 1, 1) on A2 used to give a truncated dot product, ((3, 0),)
+    d = build_root_datum(CartanSpec("A", 2))
+    p = UnramifiedParameter(d, (QMonomial.q(1), QMonomial.q(Fraction(1, 2))))
+    assert eigenvalue_pairs(((1, 1), (0, 1)), p) == ((3, 0), (1, 0))
+    for root in [(1, 1, 1), (1,), (2, 1), (1, -1), (0, 0), [1, 1], ([1], 1), 5]:
+        with pytest.raises(ValidationError, match="is not a positive root of A2") as info:
+            eigenvalue_pairs(((1, 0), root), p)
+        assert info.value.field == "roots"
+    hand_built = GradedNilradical(d, frozenset(), ((1, ((1, 0), (0, 1))), (2, ((1, 1, 1),))))
+    for orientation in ("r", "r-tilde"):
+        with pytest.raises(ValidationError, match=r"\(1, 1, 1\) is not a positive root"):
+            l_factor(hand_built, p, orientation)
+
+
+@pytest.mark.parametrize(
+    "datum, coords, field",
+    [
+        (CartanSpec("A", 2), (QMonomial.one(),) * 2, "datum"),
+        (None, (QMonomial.one(),) * 2, "datum"),
+        ("A2", (), "datum"),
+        ("A2D", (1, 2), "coords[1]"),
+        ("A2D", (QMonomial.one(), Fraction(1, 2)), "coords[2]"),
+        ("A2D", ((0, 0), QMonomial.one()), "coords[1]"),
+        ("A2D", None, "coords"),
+        ("A2D", QMonomial.one(), "coords"),
+    ],
+)
+def test_unramified_parameter_refuses_inputs_of_the_wrong_type(datum, coords, field):
+    # (A2, (1, 2)) used to construct and fail later inside integer_form
+    if datum == "A2D":
+        datum = build_root_datum(CartanSpec("A", 2))
+    with pytest.raises(ValidationError) as info:
+        UnramifiedParameter(datum, coords)
+    assert info.value.field == field
 
 
 # -- Arthur parameters --------------------------------------------------------------
@@ -192,6 +257,28 @@ def test_langlands_parameter_a2_subregular():
     psi = make_arthur_parameter(trivial_parameter(d), sl2_from_partition("A", 2, (2, 1)))
     p = langlands_parameter(psi)
     assert p.coords == (QMonomial.q(Fraction(1, 2)), QMonomial.q(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_langlands_parameter_is_the_product_with_half_the_diagram(family, rank):
+    d = build_root_datum(CartanSpec(family, rank))
+    orbits = (
+        [sl2_from_partition(family, rank, parts) for parts in valid_partitions(family, rank)]
+        if family != "G"
+        else [SL2Data(h, support) for h, support in [((2, 2), ((1, 0), (0, 1))), ((0, 2), ((0, 1),))]]
+    )
+    accepted = 0
+    for sl2 in orbits:
+        for units in map(partial(unit_parameter, d), unit_grid(rank)):
+            try:
+                psi = make_arthur_parameter(units, sl2)
+            except ValidationError:
+                continue  # the units do not centralize the orbit
+            accepted += 1
+            assert langlands_parameter(psi).coords == tuple(
+                t * QMonomial.q(Fraction(h, 2)) for t, h in zip(units.coords, sl2.diagram)
+            )
+    assert accepted > len(orbits)  # units other than the trivial one pass too
 
 
 def test_exponents_are_half_the_diagram():

@@ -49,3 +49,30 @@ def test_survey_dichotomy_rejects_empty_type_list():
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def test_stage_times_on_the_shipped_scenarios():
+    done = run_script("scripts/stage_times.py", "scenarios", "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    count = len(list((ROOT / "scenarios").glob("*.json")))
+    assert lines[0] == f"{count} scenarios, 1 timed rounds each"
+    stages = ["parse_scenario_text", "run_scenario", "emit_report_machine", "parse_report_text"]
+    assert [line.split("`")[1] for line in lines[3:]] == stages
+    assert all(float(line.split("|")[2]) >= 0 for line in lines[3:])
+
+
+def test_stage_times_names_each_failing_file(tmp_path):
+    good = (ROOT / "scenarios" / "a1-principal.json").read_text()
+    (tmp_path / "good.json").write_text(good)
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "huge.json").write_text(good.replace('"rank": 1', '"rank": 100000'))
+    done = run_script("scripts/stage_times.py", str(tmp_path))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    errors = done.stderr.splitlines()
+    assert [line.split(": ")[1] for line in errors] == [
+        str(tmp_path / "broken.json"),
+        str(tmp_path / "huge.json"),
+    ]

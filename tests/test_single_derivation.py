@@ -39,7 +39,7 @@ COUNTED = {
     "apply_word_parameter": parameters.apply_word_parameter,
     "local_coefficient_ratio": lfactors.local_coefficient_ratio,
     "grade_nilradical": lfactors.grade_nilradical,
-    "levi_and_nilradical": roots.levi_and_nilradical,
+    "root_values": roots.root_values,
     "l_factor": lfactors.l_factor,
     "character_exponents": roots.character_exponents,
     "integer_inverse": roots.integer_inverse,
@@ -73,10 +73,10 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
     run_scenario(scenario)
     support = len(scenario.resolved_sl2().support)
     assert counts.pop("evaluate_root") == (
-        # per support root: the centralizer check and the witness search;
-        # then the witness itself, if there is one. No nilradical root is
-        # evaluated one by one: the L-factor takes integer pairs.
-        2 * support + (support > 0)
+        # only the witness, if there is one: the centralizer check and the
+        # witness search test angle numerators on the parameter's integer
+        # form, and the L-factor takes integer pairs
+        support > 0
     )
     assert counts == {
         "langlands_parameter": 1,
@@ -84,7 +84,9 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "apply_word_parameter": 0,
         "local_coefficient_ratio": 1,
         "grade_nilradical": 1,
-        "levi_and_nilradical": 1,  # the nilradical is split once
+        # every positive root evaluated in one pass each: the grading
+        # levels, and the denominator's exponent and angle numerators
+        "root_values": 3,
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
         "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
@@ -125,7 +127,7 @@ def test_tempered_classification_builds_no_l_factor(monkeypatch):
     assert counts["l_factor"] == 0
     assert counts["character_exponents"] == 0
     assert counts["apply_word_parameter"] == counts["dominantize"] == 0
-    assert counts["levi_and_nilradical"] == 0
+    assert counts["root_values"] == 0
     assert counts["langlands_parameter"] == 1
 
 
