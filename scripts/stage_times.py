@@ -5,20 +5,25 @@ Usage:
     python3 scripts/stage_times.py DIR [--rounds N]
 
 Every `*.json` scenario in DIR goes through `parse_scenario_text`,
-`run_scenario`, `emit_report_machine` and `parse_report_text`, in process,
-once untimed (which fills the per-datum caches and finds failing files) and
-then N timed rounds. A stage's time for one file is its median over the
-rounds; the table gives the median of those over the files, in ms. Output
-goes to stdout only. A file that fails in any stage is named on stderr, and
-the exit code is 1.
+`run_scenario`, `emit_report_machine` and `parse_report_text`, and then the
+whole command `arthurcalc check FILE --format machine` (`check`: argument
+parsing, reading the file, the pipeline and the report on a captured
+stdout), in process, once untimed (which fills the per-datum caches and
+finds failing files) and then N timed rounds. A stage's time for one file
+is its median over the rounds; the table gives the median of those over
+the files, in ms. Output goes to stdout only. A file that fails in any
+stage is named on stderr, and the exit code is 1.
 """
 
 import argparse
+import io
 import statistics
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter_ns
 
+from arthurcalc import cli
 from arthurcalc.scenarios import (
     emit_report_machine,
     parse_report_text,
@@ -27,16 +32,31 @@ from arthurcalc.scenarios import (
 )
 
 STAGES = (parse_scenario_text, run_scenario, emit_report_machine, parse_report_text)
+NAMES = [stage.__name__ for stage in STAGES] + ["check"]
 
 
-def run_stages(text: str) -> list[int]:
-    """Nanoseconds per stage, each stage fed the previous one's output."""
+def check(path: Path) -> str:
+    """The machine report of `arthurcalc check PATH --format machine`."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check", str(path), "--format", "machine"])
+    if code:
+        raise RuntimeError(f"check exited with code {code}")
+    return out.getvalue()
+
+
+def run_stages(path: Path, text: str) -> list[int]:
+    """Nanoseconds per stage: the library stages, each fed the previous
+    one's output, then the whole `check` command on the file."""
     times = []
     value = text
     for stage in STAGES:
         start = perf_counter_ns()
         value = stage(value)
         times.append(perf_counter_ns() - start)
+    start = perf_counter_ns()
+    check(path)
+    times.append(perf_counter_ns() - start)
     return times
 
 
@@ -53,7 +73,7 @@ def main() -> int:
     for path in sorted(args.dir.glob("*.json")):
         try:
             texts[path] = path.read_text()
-            run_stages(texts[path])
+            run_stages(path, texts[path])
         except Exception as err:  # every failure is reported, not raised
             failed.append(path)
             print(f"error: {path}: {type(err).__name__}: {err}", file=sys.stderr)
@@ -64,14 +84,17 @@ def main() -> int:
         return 1
 
     per_file = [
-        [statistics.median(column) for column in zip(*(run_stages(text) for _ in range(args.rounds)))]
-        for text in texts.values()
+        [
+            statistics.median(column)
+            for column in zip(*(run_stages(path, text) for _ in range(args.rounds)))
+        ]
+        for path, text in texts.items()
     ]
     print(f"{len(texts)} scenarios, {args.rounds} timed rounds each")
     print("| stage | median ms |")
     print("| --- | --- |")
-    for stage, column in zip(STAGES, zip(*per_file)):
-        print(f"| `{stage.__name__}` | {statistics.median(column) / 1e6:.3f} |")
+    for name, column in zip(NAMES, zip(*per_file)):
+        print(f"| `{name}` | {statistics.median(column) / 1e6:.3f} |")
     return 0
 
 

@@ -21,7 +21,8 @@ value once per factor.
 The grading levels and the pairs come from `roots.root_values`, which
 evaluates an integer vector on every positive root with one addition per
 root (each root is its parent plus a simple root), so no nilradical root is
-evaluated by a dot product.
+evaluated by a dot product. The grading keeps each root's position in
+`positive_roots`, where the pairs are read off, so no root is looked up.
 """
 
 from __future__ import annotations
@@ -33,7 +34,15 @@ from itertools import islice
 from typing import Callable
 
 from .errors import InvariantViolation, ValidationError
-from .roots import LeviSubset, Root, RootDatum, off_levi_indicator, root_values, validate_levi
+from .roots import (
+    LeviSubset,
+    Root,
+    RootDatum,
+    off_levi_indicator,
+    root_positions,
+    root_values,
+    validate_levi,
+)
 from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs
 
 ORIENTATIONS = ("r", "r-tilde")
@@ -54,6 +63,14 @@ class GradedNilradical:
     @property
     def dimension(self) -> int:
         return len(self.all_roots)
+
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """Position of each root of `all_roots` in the datum's
+        `positive_roots`. `grade_nilradical` fills this in from the positions
+        it bucketed; a grading built by hand has its roots looked up, and one
+        that is not a positive root of the datum is refused."""
+        return tuple(root_positions(self.datum, self.all_roots))
 
 
 @dataclass(frozen=True)
@@ -97,15 +114,21 @@ def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     pass of `root_values` gives every positive root its level, and the Levi
     roots are the ones at level 0."""
     theta = validate_levi(d, theta)
-    buckets: dict[int, list[Root]] = {}
-    for root, level in zip(d.positive_roots, root_values(d, off_levi_indicator(d, theta))):
+    buckets: dict[int, list[int]] = {}
+    for k, level in enumerate(root_values(d, off_levi_indicator(d, theta))):
         if level:
-            buckets.setdefault(level, []).append(root)
-    # positive_roots is in root_sort_key order, so each bucket is too
-    levels = tuple([(level, tuple(buckets[level])) for level in sorted(buckets)])
-    if levels and levels[0][0] < 1:
+            buckets.setdefault(level, []).append(k)
+    order = sorted(buckets)
+    if order and order[0] < 1:
         raise InvariantViolation("nilradical level below 1")
-    return GradedNilradical(d, theta, levels)
+    # positive_roots is in root_sort_key order, so each bucket is too
+    roots = d.positive_roots
+    g = GradedNilradical(d, theta, tuple([
+        (level, tuple([roots[k] for k in buckets[level]])) for level in order
+    ]))
+    # fill the cached `positions` so that no root is looked up again
+    g.__dict__["positions"] = tuple([k for level in order for k in buckets[level]])
+    return g
 
 
 def l_factor(g: GradedNilradical, p: UnramifiedParameter, orientation: str) -> LocalLFactor:
@@ -113,12 +136,11 @@ def l_factor(g: GradedNilradical, p: UnramifiedParameter, orientation: str) -> L
         raise ValidationError("parameter and grading live on different data")
     if orientation not in ORIENTATIONS:
         raise ValidationError(f"unknown orientation {orientation!r}")
-    roots = g.all_roots
     D = p.integer_form[0]
-    pairs = eigenvalue_pairs(roots, p)
+    pairs = eigenvalue_pairs(g.positions, p)
     if orientation == "r":
         pairs = _reciprocals(pairs, D)
-    return LocalLFactor(orientation, roots, D, pairs)
+    return LocalLFactor(orientation, g.all_roots, D, pairs)
 
 
 def _reciprocals(pairs, D: int) -> tuple[tuple[int, int], ...]:

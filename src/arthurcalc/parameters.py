@@ -8,10 +8,10 @@ a = s, so every verdict below is uniform in q.
 Evaluation on roots works over the parameter's integer form: every
 coordinate over one denominator D. `eigenvalue_pairs` evaluates the
 exponent and angle numerators on all positive roots at once with
-`roots.root_values`; the centralizer check and the witness search test
-the angle numerators of the few support roots mod D
-(`unit_is_trivial_on`); `evaluate_root` builds one QMonomial, for a
-certificate or an error message.
+`roots.root_values` and reads them off at given root positions; the
+centralizer check and the witness search test the angle numerators of the
+few support roots mod D (`unit_is_trivial_on`); `evaluate_root` builds one
+QMonomial, for a certificate or an error message.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .roots import (
     dominantize,
     format_root,
     over_common_denominator,
-    root_positions,
     root_values,
     validate_word,
 )
@@ -141,15 +140,14 @@ def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
     return UnramifiedParameter(d, tuple(QMonomial.one() for _ in range(d.rank)))
 
 
-def eigenvalue_pairs(roots, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
-    """Eigenvalues of the parameter on the root spaces as integer pairs over
-    D = p.integer_form[0]: the pair (qn, an), 0 <= an < D, stands for
-    zeta(an / D) * q^(qn / D). The exponent and angle numerators are
-    evaluated on every positive root by `root_values`, one addition per
-    root each, and read off at the roots' positions; a root that is not a
-    positive root of the parameter's datum is refused."""
+def eigenvalue_pairs(positions, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
+    """Eigenvalues of the parameter on the positive roots at `positions` in
+    `positive_roots` (as `roots.root_positions` or a grading gives them), as
+    integer pairs over D = p.integer_form[0]: the pair (qn, an),
+    0 <= an < D, stands for zeta(an / D) * q^(qn / D). The exponent and
+    angle numerators are evaluated on every positive root by `root_values`,
+    one addition per root each, and read off at the positions."""
     d = p.datum
-    positions = root_positions(d, roots)
     D, exponents, angles = p.integer_form
     qns, ans = root_values(d, exponents), root_values(d, angles)
     return tuple([(qns[k], ans[k] % D) for k in positions])

@@ -243,18 +243,34 @@ def canonical_json(value) -> str:
     gives for `_encode(value)` with `sort_keys=True` and an indent of 2.
     Dataclasses become objects keyed by their field names, tuples and lists
     arrays; dicts need str keys, and the leaves are exactly the types in
-    `_LEAF_TEXT`. Any other type raises TypeError, as `json.dumps` does."""
+    `_LEAF_TEXT`. Any other type raises TypeError, as `json.dumps` does.
+
+    Each dataclass instance is written once per indentation and its text
+    reused wherever the same object recurs (a report shares one QMonomial
+    per distinct eigenvalue); the memo lives for this call only. An array
+    whose items all have one leaf type is written with one join."""
     out = []
-    _write(value, "\n", out)
+    _write(value, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, newline: str, out: list) -> None:
+def _write(value, newline: str, out: list, memo: dict) -> None:
     """Append the text of `value`; `newline` is a line break followed by the
-    indentation of the line that `value` starts on."""
+    indentation of the line that `value` starts on. `memo` maps
+    (id(record), newline) to (record, start, end), the slice of `out` that
+    holds the record's text; holding the record keeps its id from being
+    reused while the memo lives."""
     cls = type(value)
+    record = None
     if cls is tuple or cls is list:
+        if value:
+            kinds = set(map(type, value))  # bool and int stay apart
+            leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+            if leaf is not None:
+                inner = newline + "  "
+                out.append("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
+                return
         brackets, members = "[]", [("", item) for item in value]
     elif cls is dict:
         brackets = "{}"
@@ -267,6 +283,12 @@ def _write(value, newline: str, out: list) -> None:
                 raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
             out.append(leaf(value))
             return
+        record = (id(value), newline)
+        seen = memo.get(record)
+        if seen is not None:
+            out.extend(out[seen[1] : seen[2]])
+            return
+        start = len(out)
         brackets, members = "{}", [(key, getattr(value, name)) for name, key in keys]
     if not members:
         out.append(brackets)
@@ -277,11 +299,13 @@ def _write(value, newline: str, out: list) -> None:
         leaf = _LEAF_TEXT.get(type(item))
         if leaf is None:
             out.append(separator + key)
-            _write(item, inner, out)
+            _write(item, inner, out, memo)
         else:
             out.append(separator + key + leaf(item))
         separator = "," + inner
     out.append(newline + brackets[1])
+    if record is not None:
+        memo[record] = value, start, len(out)
 
 
 @lru_cache(maxsize=None)

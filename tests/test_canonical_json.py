@@ -5,10 +5,15 @@
 and dumps those with `json.dumps(sort_keys=True, indent=2)`. The two must
 agree byte for byte on every report the fuzz pools accept, on synthetic
 nested values, and on the CLI's `batch`, `global` and `orbits` outputs.
+The writer formats a record that recurs once per indentation and joins an
+array of one leaf type in one go, so the synthetic values repeat one
+instance at one depth and at another, and the leaf arrays mix `bool`,
+`int` and `Fraction`.
 """
 
 import gc
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +24,7 @@ from hypothesis import strategies as st
 from oracle import reference_canonical_json
 from test_fuzz import hostile_cases, library_scenarios
 
-from arthurcalc import cli
+from arthurcalc import cli, scenarios
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import is_very_even, weighted_diagram
 from arthurcalc.parameters import QMonomial
@@ -87,6 +92,11 @@ class Empty:
     pass
 
 
+def repeated(item, other):
+    """`item` twice at one depth, and again one and two levels deeper."""
+    return (item, item, Record(item, other, [item]))
+
+
 CAP = 10**MAX_NUMERAL_DIGITS - 1  # the largest numeral a report may hold
 SPECIAL = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ", "\U0001f600", "\ud800"]
 texts = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=8)
@@ -101,6 +111,7 @@ values = st.recursive(
         st.dictionaries(texts, children, max_size=4),
         st.builds(Record, children, children, children),
         st.builds(QMonomial, fractions, fractions),
+        st.builds(repeated, children, children),
     ),
     max_leaves=40,
 )
@@ -110,6 +121,82 @@ values = st.recursive(
 @given(values)
 def test_writer_matches_the_reference_on_nested_values(value):
     assert canonical_json(value) == reference_canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [True, False, True],
+        (True, 1, False, 0),
+        [0, True],
+        (1, Fraction(1, 2), -3, Fraction(5)),
+        [Fraction(0), Fraction(-7, 3)],
+        (None, None),
+        ("a", "b"),
+        (),
+        [],
+        [(), [], {}, (True,), (1,), (Fraction(1, 2),)],
+        {"a": (), "b": [False, 1], "c": ((1, 2), (True, False))},
+    ],
+    ids=[
+        "bools", "bool-int", "int-bool", "int-fraction", "fractions", "nones", "strs",
+        "empty-tuple", "empty-list", "nested-small", "in-dict",
+    ],
+)
+def test_writer_matches_the_reference_on_leaf_arrays(value):
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
+@dataclass
+class Mutable:
+    value: object
+
+
+def test_writer_keeps_nothing_between_calls():
+    record = Mutable(Fraction(1, 2))
+    value = [record, (record, record)]
+    first = canonical_json(value)
+    assert first == reference_canonical_json(value)
+    record.value = (True, 1)
+    second = canonical_json(value)
+    assert second == reference_canonical_json(value)
+    assert second != first
+
+
+def principal_report(group: str, rank: int, partition: tuple[int, ...]):
+    spec = CartanSpec(group, rank)
+    return run_scenario(Scenario(f"{spec}-principal", spec, (0,) * rank, "partition", partition))
+
+
+# dual type -> (group, rank, principal partition on the dual datum)
+PRINCIPAL = {
+    "A22": ("A", 22, (23,)),
+    "B12": ("C", 12, (25,)),
+    "C12": ("B", 12, (24,)),
+    "D13": ("D", 13, (25, 1)),
+}
+
+
+@pytest.mark.parametrize("dual", PRINCIPAL)
+def test_writer_matches_the_reference_on_principal_reports(dual):
+    report = principal_report(*PRINCIPAL[dual])
+    assert emit_report_machine(report) == reference_canonical_json(report)
+
+
+def test_writer_formats_each_shared_rational_once(monkeypatch):
+    # an A22 principal report names 938 rationals; its records share
+    # one QMonomial per distinct eigenvalue, so 476 formattings suffice
+    report = principal_report(*PRINCIPAL["A22"])
+    monitored = weakref.ref(report.eigenvalues_by_level[0][0])
+    calls = []
+    fraction_text = scenarios._LEAF_TEXT[Fraction]
+    monkeypatch.setitem(
+        scenarios._LEAF_TEXT, Fraction, lambda x: calls.append(x) or fraction_text(x)
+    )
+    emit_report_machine(report)
+    assert 0 < len(calls) <= 476
+    del report
+    assert monitored() is None  # the writer kept no reference
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from arthurcalc.parameters import (
     make_arthur_parameter,
     recover_arthur_data,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum
+from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum, root_positions
 from arthurcalc.scenarios import (
     Scenario,
     canonical_json,
@@ -229,7 +229,7 @@ def test_hostile_library_parameters_raise_only_validation_errors(case):
     except ValidationError:
         return
     roots = p.datum.positive_roots
-    assert len(eigenvalue_pairs(roots, p)) == len(roots)
+    assert len(eigenvalue_pairs(root_positions(p.datum, roots), p)) == len(roots)
     assert [evaluate_root(root, p) for root in roots[: p.datum.rank]] == list(p.coords)
     try:
         units, diagram = recover_arthur_data(apply_word_parameter(p, (0, p.datum.rank - 1)))

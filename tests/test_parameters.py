@@ -28,7 +28,7 @@ from arthurcalc.parameters import (
     recover_arthur_data,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, reflect_vector
+from arthurcalc.roots import CartanSpec, build_root_datum, reflect_vector, root_positions
 from arthurcalc.sweeps import unit_grid, unit_parameter, valid_partitions
 
 monomials = st.builds(
@@ -174,10 +174,10 @@ def test_eigenvalue_pairs_refuse_roots_outside_the_datum():
     # (1, 1, 1) on A2 used to give a truncated dot product, ((3, 0),)
     d = build_root_datum(CartanSpec("A", 2))
     p = UnramifiedParameter(d, (QMonomial.q(1), QMonomial.q(Fraction(1, 2))))
-    assert eigenvalue_pairs(((1, 1), (0, 1)), p) == ((3, 0), (1, 0))
+    assert eigenvalue_pairs(root_positions(d, ((1, 1), (0, 1))), p) == ((3, 0), (1, 0))
     for root in [(1, 1, 1), (1,), (2, 1), (1, -1), (0, 0), [1, 1], ([1], 1), 5]:
         with pytest.raises(ValidationError, match="is not a positive root of A2") as info:
-            eigenvalue_pairs(((1, 0), root), p)
+            root_positions(d, ((1, 0), root))
         assert info.value.field == "roots"
     hand_built = GradedNilradical(d, frozenset(), ((1, ((1, 0), (0, 1))), (2, ((1, 1, 1),))))
     for orientation in ("r", "r-tilde"):

@@ -17,7 +17,7 @@ from oracle import dot_eigenvalues, dot_grading, dot_levi_and_nilradical, dot_ro
 
 from arthurcalc.classifier import standard_module_datum
 from arthurcalc.errors import ValidationError
-from arthurcalc.lfactors import grade_nilradical, l_factor
+from arthurcalc.lfactors import GradedNilradical, grade_nilradical, l_factor
 from arthurcalc.nilpotent import sl2_from_partition
 from arthurcalc.parameters import (
     QMonomial,
@@ -32,6 +32,7 @@ from arthurcalc.roots import (
     build_root_datum,
     dual_datum,
     levi_and_nilradical,
+    root_positions,
     root_values,
 )
 
@@ -74,6 +75,20 @@ def test_root_values_match_the_dot_products(spec, data):
         assert root_values(d, tuple(vector)) == dot_root_values(d, vector)
 
 
+@pytest.mark.parametrize("spec", [spec for spec in SPECS if spec.rank <= 12], ids=str)
+def test_gradings_carry_the_root_positions(spec):
+    # the positions grade_nilradical bucketed are the ones a lookup finds,
+    # for the empty and the full Levi and each Levi of one or all but one index
+    for d in both_data(spec):
+        everything = frozenset(range(d.rank))
+        levis = [frozenset(), everything]
+        levis += [frozenset({i}) for i in range(d.rank)] + [everything - {i} for i in range(d.rank)]
+        for theta in levis:
+            g = grade_nilradical(d, theta)
+            assert g.positions == tuple(root_positions(d, g.all_roots))
+            assert GradedNilradical(d, theta, g.levels).positions == g.positions
+
+
 def test_root_values_refuses_a_vector_of_the_wrong_length():
     d = build_root_datum(CartanSpec("A", 2))
     with pytest.raises(ValidationError, match="vector length does not match rank"):
@@ -98,7 +113,7 @@ def test_gradings_and_pairs_above_rank_six(spec, dual, data):
     assert levi_and_nilradical(d, theta) == dot_levi_and_nilradical(d, theta)
     D = p.integer_form[0]
     assert [
-        (Fraction(qn, D), Fraction(an, D)) for qn, an in eigenvalue_pairs(g.all_roots, p)
+        (Fraction(qn, D), Fraction(an, D)) for qn, an in eigenvalue_pairs(g.positions, p)
     ] == list(dot_eigenvalues(g.all_roots, p))
 
 

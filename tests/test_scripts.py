@@ -58,7 +58,9 @@ def test_stage_times_on_the_shipped_scenarios():
     lines = done.stdout.splitlines()
     count = len(list((ROOT / "scenarios").glob("*.json")))
     assert lines[0] == f"{count} scenarios, 1 timed rounds each"
-    stages = ["parse_scenario_text", "run_scenario", "emit_report_machine", "parse_report_text"]
+    stages = [
+        "parse_scenario_text", "run_scenario", "emit_report_machine", "parse_report_text", "check",
+    ]
     assert [line.split("`")[1] for line in lines[3:]] == stages
     assert all(float(line.split("|")[2]) >= 0 for line in lines[3:])
 
