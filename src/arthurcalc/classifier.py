@@ -19,9 +19,9 @@ irreducibility fails, so a packet with a generic member cannot carry a
 nontrivial sl2 component. Cross-checks that raise InvariantViolation (a bug,
 not a verdict): the witness route vs the full product, the witness
 eigenvalue vs q^1, and, in `run_scenario`, denominator vanishing vs verdict.
-Word application vs dominantization is checked where a real word is walked,
-in `parameters.recover_arthur_data`. A standard module that is not the one
-of the Arthur parameter's Langlands parameter is the caller's error
+A real Weyl word is walked once, in `parameters.recover_arthur_data`: found
+on the exponents and applied to the unit part. A standard module that is not
+the one of the Arthur parameter's Langlands parameter is the caller's error
 (ValidationError), not a failed cross-check.
 """
 

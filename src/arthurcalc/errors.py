@@ -22,6 +22,11 @@ class ValidationError(ValueError):
             message = f"{field}: {message}"
         super().__init__(message)
 
+    def under(self, prefix: str) -> "ValidationError":
+        """The same message with the field re-rooted: `prefix.field`."""
+        field = f"{prefix}.{self.field}" if self.field else prefix
+        return ValidationError(self.raw_message, field=field)
+
 
 class InvariantViolation(AssertionError):
     """An internal cross-check failed; indicates a bug, not bad input."""

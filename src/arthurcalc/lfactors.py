@@ -114,20 +114,20 @@ def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     pass of `root_values` gives every positive root its level, and the Levi
     roots are the ones at level 0."""
     theta = validate_levi(d, theta)
-    buckets: dict[int, list[int]] = {}
-    for k, level in enumerate(root_values(d, off_levi_indicator(d, theta))):
+    levels = root_values(d, off_levi_indicator(d, theta))
+    buckets: dict[int, list[int]] = {level: [] for level in sorted(set(levels) - {0})}
+    for k, level in enumerate(levels):
         if level:
-            buckets.setdefault(level, []).append(k)
-    order = sorted(buckets)
-    if order and order[0] < 1:
+            buckets[level].append(k)
+    if min(buckets, default=1) < 1:
         raise InvariantViolation("nilradical level below 1")
     # positive_roots is in root_sort_key order, so each bucket is too
     roots = d.positive_roots
     g = GradedNilradical(d, theta, tuple([
-        (level, tuple([roots[k] for k in buckets[level]])) for level in order
+        (level, tuple([roots[k] for k in ks])) for level, ks in buckets.items()
     ]))
     # fill the cached `positions` so that no root is looked up again
-    g.__dict__["positions"] = tuple([k for level in order for k in buckets[level]])
+    g.__dict__["positions"] = tuple([k for ks in buckets.values() for k in ks])
     return g
 
 

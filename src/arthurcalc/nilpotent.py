@@ -30,6 +30,9 @@ from .roots import (
 
 _PARTITION_FAMILIES = ("A", "B", "C", "D")
 
+# Parts of this parity come in pairs (even multiplicity); type A has none.
+PAIRED_PARITY = {"B": 0, "C": 1, "D": 0}
+
 
 @dataclass(frozen=True)
 class SL2Data:
@@ -76,16 +79,12 @@ def validate_partition(family: str, rank: int, parts) -> tuple[int, ...]:
             f"partition sums to {got}, expected {expected} for {family}{rank}",
             field="partition",
         )
-    if family in ("B", "D"):
-        bad_parity, label = 0, "even"
-    elif family == "C":
-        bad_parity, label = 1, "odd"
-    else:
-        return ordered
+    paired = PAIRED_PARITY.get(family)
     for m in sorted(set(ordered), reverse=True):
-        if m % 2 == bad_parity and ordered.count(m) % 2 == 1:
+        if m % 2 == paired and ordered.count(m) % 2 == 1:
             raise ValidationError(
-                f"{label} part {m} has odd multiplicity (not allowed in type {family})",
+                f"{('even', 'odd')[paired]} part {m} has odd multiplicity "
+                f"(not allowed in type {family})",
                 field="partition",
             )
     return ordered
@@ -226,11 +225,10 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     converted to simple-root coefficients by partial sums (`_from_epsilon`).
     For B/C/D, e preserves the invariant form, so link k of a chain of
     length m and its form-mirror, link m - k, give the same root; links with
-    2k > m are skipped.
+    2k > m are skipped. The result must pass `validate_sl2_data`.
     """
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
-    datum = build_root_datum(CartanSpec(family, rank))
     chains, weight, signs = _chains(family, ordered)
     size = rank + 1 if family == "A" else rank
 
@@ -247,21 +245,15 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
                 x = [0] * size
                 x[pt] += st
                 x[ps] -= ss
-                root = _from_epsilon(family, x)
-                if any(c < 0 for c in root) or root not in datum.root_index:
-                    raise InvariantViolation(
-                        f"support entry {format_root(root)} is not a positive root"
-                    )
-                if diagram_pairing(root, diagram) != 2:
-                    raise InvariantViolation(
-                        f"support root {format_root(root)} pairs to "
-                        f"{diagram_pairing(root, diagram)}, expected 2"
-                    )
-                support.add(root)
+                support.add(_from_epsilon(family, x))
 
-    if all(v == 0 for v in diagram) != (not support):
-        raise InvariantViolation("support/diagram triviality mismatch")
-    return SL2Data(diagram, tuple(sorted(support, key=root_sort_key)))
+    data = SL2Data(diagram, tuple(sorted(support, key=root_sort_key)))
+    try:
+        validate_sl2_data(build_root_datum(CartanSpec(family, rank)), data)
+    except ValidationError as err:
+        # the package built this data, so a failed check is a bug, not bad input
+        raise InvariantViolation(f"partition {ordered} gives invalid sl2 data: {err}")
+    return data
 
 
 def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .errors import InvariantViolation, ValidationError
+from .errors import ValidationError
 from .nilpotent import SL2Data, validate_sl2_data
 from .roots import (
     LeviSubset,
@@ -266,10 +266,10 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
 
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
     """Invert the Arthur evaluation: dominantize the exponents, double them
-    into a diagram candidate, and return the correspondingly conjugated unit
-    part. Rejects parameters that are not of Arthur shape; the word must
-    carry the exponents to the dominant vector, or that is a bug."""
-    _, exponents = decompose_parameter(p)
+    into a diagram candidate, and return the unit part conjugated by the
+    same word (the action on angles does not depend on the exponents).
+    Rejects parameters that are not of Arthur shape."""
+    units, exponents = decompose_parameter(p)
     for i, e in enumerate(exponents):
         if (2 * e).denominator != 1:
             raise ValidationError(
@@ -288,8 +288,4 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
                 field="parameter",
             )
         diagram.append(int(d))
-    conjugated = apply_word_parameter(p, word)
-    units, moved = decompose_parameter(conjugated)
-    if moved != dominant:
-        raise InvariantViolation("word application disagrees with dominantization")
-    return units, tuple(diagram)
+    return apply_word_parameter(units, word), tuple(diagram)

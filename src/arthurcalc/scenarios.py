@@ -141,20 +141,6 @@ def _join_field(prefix: str, name: str) -> str:
 # the codec: every report shape is derived from its dataclass fields
 
 
-def _encode(value):
-    """Fraction -> "num/den", tuple -> list, dataclass -> object keyed by
-    field name; str, int, bool and None pass through."""
-    cls = type(value)
-    if cls is Fraction:
-        return format_fraction(value)
-    if cls is tuple:
-        return [_encode(v) for v in value]
-    names = _field_names(cls)
-    if names is None:
-        return value
-    return {name: _encode(getattr(value, name)) for name in names}
-
-
 @lru_cache(maxsize=None)
 def _field_names(cls) -> tuple[str, ...] | None:
     return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
@@ -239,11 +225,12 @@ _LEAF_TEXT = {
 
 def canonical_json(value) -> str:
     """Canonical JSON of `value`, written directly: sorted keys, a two-space
-    indent, ASCII escapes and a final newline, the bytes that `json.dumps`
-    gives for `_encode(value)` with `sort_keys=True` and an indent of 2.
-    Dataclasses become objects keyed by their field names, tuples and lists
-    arrays; dicts need str keys, and the leaves are exactly the types in
-    `_LEAF_TEXT`. Any other type raises TypeError, as `json.dumps` does.
+    indent, ASCII escapes and a final newline, as `json.dumps` writes the
+    plain JSON value of `value` with `sort_keys=True` and an indent of 2.
+    Dataclasses become objects keyed by their field names, rationals the
+    string "num/den", tuples and lists arrays; dicts need str keys, and the
+    leaves are exactly the types in `_LEAF_TEXT`. Any other type raises
+    TypeError, as `json.dumps` does.
 
     Each dataclass instance is written once per indentation and its text
     reused wherever the same object recurs (a report shares one QMonomial
@@ -335,8 +322,7 @@ class Scenario:
     generic_assumption: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise ValidationError("label must be a nonempty string", field="label")
+        _expect_str(self.label, "label")
         if self.sl2_kind not in SL2_KINDS:
             raise ValidationError(
                 f"sl2 kind must be one of {SL2_KINDS}, got {self.sl2_kind!r}",
@@ -409,19 +395,21 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.sl2_kind == "trivial":
         sl2_payload = "trivial"
     elif s.sl2_kind == "partition":
-        sl2_payload = {"partition": _encode(s.partition)}
+        sl2_payload = {"partition": s.partition}
     else:
-        sl2_payload = {"expert": _encode(s.expert_data)}
-    return {
+        sl2_payload = {"expert": s.expert_data}
+    return _json_value({
         "label": s.label,
-        "group": _encode(s.group),
-        "satake_angles": _encode(s.satake_angles),
+        "group": s.group,
+        "satake_angles": s.satake_angles,
         "sl2": sl2_payload,
         "generic_assumption": s.generic_assumption,
-    }
+    })
 
 
 def scenario_from_dict(payload, field: str = "") -> Scenario:
+    """Decode a scenario's JSON shape (keys, rationals, lists, the `sl2`
+    union); `Scenario` checks the values. Errors are named under `field`."""
     payload = _expect_dict(payload, field or "scenario")
     _check_keys(
         payload,
@@ -429,21 +417,15 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
         {"generic_assumption"},
         field or "scenario",
     )
-    label = _expect_str(payload["label"], _join_field(field, "label"))
     group = _decode(CartanSpec, payload["group"], _join_field(field, "group"))
     angles = _decode(
         tuple[Fraction, ...], payload["satake_angles"], _join_field(field, "satake_angles")
-    )
-    generic = _expect_bool(
-        payload.get("generic_assumption", True), _join_field(field, "generic_assumption")
     )
 
     sl2_field = _join_field(field, "sl2")
     sl2_value = payload["sl2"]
     kind, partition, expert = "trivial", None, None
-    if sl2_value == "trivial":
-        pass
-    elif isinstance(sl2_value, dict):
+    if isinstance(sl2_value, dict):
         _check_keys(sl2_value, set(), {"partition", "expert"}, sl2_field)
         if len(sl2_value) != 1:
             raise ValidationError(
@@ -452,9 +434,7 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
         if "partition" in sl2_value:
             kind = "partition"
             partition = _decode(
-                tuple[int, ...],
-                sl2_value["partition"],
-                _join_field(sl2_field, "partition"),
+                tuple[int, ...], sl2_value["partition"], _join_field(sl2_field, "partition")
             )
         else:
             kind = "expert"
@@ -470,13 +450,17 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
                     {"group": group},
                 ),
             )
-    else:
+    elif sl2_value != "trivial":
         raise ValidationError(
             'sl2 must be "trivial" or an object with "partition" or "expert"',
             field=sl2_field,
         )
 
-    return Scenario(label, group, angles, kind, partition, expert, generic)
+    generic = payload.get("generic_assumption", True)
+    try:
+        return Scenario(payload["label"], group, angles, kind, partition, expert, generic)
+    except ValidationError as err:
+        raise err.under(field) if field else err
 
 
 def _load_json(text: str):
@@ -607,7 +591,12 @@ def run_scenario(s: Scenario) -> Report:
     )
 
 
-report_to_dict = _encode
+def _json_value(value):
+    """The plain JSON value of `value`: its canonical bytes, read back."""
+    return json.loads(canonical_json(value))
+
+
+report_to_dict = _json_value
 report_from_dict = partial(_decode, Report, name="report")
 
 
@@ -707,8 +696,7 @@ class PlaceFamily:
     assumptions: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise ValidationError("label must be a nonempty string", field="label")
+        _expect_str(self.label, "label")
         if not isinstance(self.places, (tuple, list)):
             raise ValidationError(f"expected a list of places, got {self.places!r}", field="places")
         if not self.places:
@@ -720,10 +708,7 @@ class PlaceFamily:
                     f"expected a (label, scenario) pair, got {place!r}", field=f"places[{i + 1}]"
                 )
             place_label, scenario = place
-            if not isinstance(place_label, str) or not place_label:
-                raise ValidationError(
-                    "place label must be a nonempty string", field=f"places[{i + 1}].label"
-                )
+            _expect_str(place_label, f"places[{i + 1}].label")
             if place_label in seen:
                 raise ValidationError(
                     f"duplicate place label {place_label!r}", field=f"places[{i + 1}].label"
@@ -751,32 +736,30 @@ class PlaceFamily:
 
 
 def family_from_dict(payload) -> PlaceFamily:
+    """Decode a family's JSON shape (keys, lists, the `places` objects);
+    `PlaceFamily` and `Scenario` check the values."""
     payload = _expect_dict(payload, "family")
     _check_keys(payload, {"label", "places"}, {"assumptions"}, "family")
-    label = _expect_str(payload["label"], "label")
     assumptions = _decode(tuple[str, ...], payload.get("assumptions", []), "assumptions")
     places = []
     for i, entry in enumerate(_expect_list(payload["places"], "places")):
         entry_field = f"places[{i + 1}]"
         entry = _expect_dict(entry, entry_field)
         _check_keys(entry, {"label", "scenario"}, set(), entry_field)
-        place_label = _expect_str(entry["label"], _join_field(entry_field, "label"))
-        scenario = scenario_from_dict(
-            entry["scenario"], _join_field(entry_field, "scenario")
-        )
-        places.append((place_label, scenario))
-    return PlaceFamily(label, tuple(places), assumptions)
+        scenario = scenario_from_dict(entry["scenario"], f"{entry_field}.scenario")
+        places.append((entry["label"], scenario))
+    return PlaceFamily(payload["label"], tuple(places), assumptions)
 
 
 def family_to_dict(f: PlaceFamily) -> dict:
-    return {
+    return _json_value({
         "label": f.label,
-        "assumptions": _encode(f.assumptions),
+        "assumptions": f.assumptions,
         "places": [
             {"label": place_label, "scenario": scenario_to_dict(scenario)}
             for place_label, scenario in f.places
         ],
-    }
+    })
 
 
 def parse_family_text(text: str) -> PlaceFamily:
@@ -807,9 +790,7 @@ def ramanujan_report(f: PlaceFamily) -> GlobalReport:
         try:
             reports.append(run_scenario(scenario))
         except ValidationError as err:
-            place = f"places[{i + 1}].scenario"
-            field = _join_field(place, err.field) if err.field else place
-            raise ValidationError(err.raw_message, field=field)
+            raise err.under(f"places[{i + 1}].scenario")
     labels = tuple(place_label for place_label, _ in f.places)
     verdicts = tuple(r.verdict_kind for r in reports)
     nontempered = tuple(
@@ -854,7 +835,7 @@ def ramanujan_report(f: PlaceFamily) -> GlobalReport:
     )
 
 
-global_report_to_dict = _encode
+global_report_to_dict = _json_value
 global_report_from_dict = partial(_decode, GlobalReport, name="global_report")
 
 

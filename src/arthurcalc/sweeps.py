@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import ValidationError
-from .nilpotent import partition_total, sl2_from_partition
+from .nilpotent import PAIRED_PARITY, partition_total, sl2_from_partition
 from .parameters import (
     ArthurParameter,
     QMonomial,
@@ -48,9 +48,9 @@ DICHOTOMY_SPECS: tuple[CartanSpec, ...] = (
 def valid_partitions(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Partitions labelling nilpotent orbits of the given classical type, in
     reverse lexicographic order: a part of the parity the family allows only
-    in even multiplicity (even for B/D, odd for C) is taken in pairs."""
+    in even multiplicity (`PAIRED_PARITY`) is taken in pairs."""
     CartanSpec(family, rank)
-    paired_parity = {"B": 0, "D": 0, "C": 1}.get(family)
+    paired_parity = PAIRED_PARITY.get(family)
 
     def below(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
         if total == 0:

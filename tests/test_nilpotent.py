@@ -16,6 +16,7 @@ from oracle import (
     standard_triple,
 )
 
+from arthurcalc import nilpotent
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.nilpotent import (
     SL2Data,
@@ -209,6 +210,13 @@ def test_partial_sums_refuse_a_fractional_coefficient():
     for family in ("C", "D"):
         with pytest.raises(InvariantViolation, match="fractional coefficient"):
             _from_epsilon(family, [0, 0, 1])
+
+
+def test_package_built_sl2_data_failing_the_rule_check_is_a_bug(monkeypatch):
+    # every chain link of A2 [3] then gives a1 + a2, which pairs to 4 with (2, 2)
+    monkeypatch.setattr(nilpotent, "_from_epsilon", lambda family, x: (1, 1))
+    with pytest.raises(InvariantViolation, match="pairs with H to 4, expected 2"):
+        sl2_from_partition.__wrapped__("A", 2, (3,))  # bypass the cache
 
 
 def test_trivial_partition_gives_trivial_sl2():

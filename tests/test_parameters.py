@@ -1,15 +1,14 @@
 """QMonomial algebra, parameters, Weyl action, Arthur validation, recovery."""
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import qmonomial_inverse, reflect_root
+from oracle import apply_word_vector, qmonomial_inverse, reflect_root
 
-from arthurcalc import parameters
-from arthurcalc.errors import InvariantViolation, ValidationError
+from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
 from arthurcalc.lfactors import GradedNilradical, l_factor
 from arthurcalc.parameters import (
@@ -28,8 +27,20 @@ from arthurcalc.parameters import (
     recover_arthur_data,
     trivial_parameter,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, reflect_vector, root_positions
-from arthurcalc.sweeps import unit_grid, unit_parameter, valid_partitions
+from arthurcalc.roots import (
+    CartanSpec,
+    build_root_datum,
+    dominantize,
+    reflect_vector,
+    root_positions,
+)
+from arthurcalc.sweeps import (
+    DICHOTOMY_SPECS,
+    iter_dichotomy_parameters,
+    unit_grid,
+    unit_parameter,
+    valid_partitions,
+)
 
 monomials = st.builds(
     QMonomial,
@@ -320,17 +331,30 @@ def test_recover_dominantizes_non_dominant_input():
     assert units == trivial_parameter(d)
 
 
-def test_recover_checks_the_word_against_dominantization(monkeypatch):
-    """A word application that disagrees with dominantize is a bug."""
+@cache
+def dichotomy_parameters(spec):
+    return tuple(iter_dichotomy_parameters(spec))
 
-    def dropping_a_letter(p, word):
-        return apply_word_parameter(p, word[1:])
 
-    monkeypatch.setattr(parameters, "apply_word_parameter", dropping_a_letter)
-    d = build_root_datum(CartanSpec("A", 2))
-    p = UnramifiedParameter(d, (QMonomial.q(Fraction(-1, 2)), QMonomial.q(1)))
-    with pytest.raises(InvariantViolation, match="word application disagrees"):
-        recover_arthur_data(p)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DICHOTOMY_SPECS), st.data())
+def test_recover_inverts_a_random_conjugation(spec, data):
+    """Conjugating the Langlands parameter by a random word and recovering
+    gives the diagram back, with the unit angles moved by that word and then
+    by dominantize's word, replayed by the oracle."""
+    psi = data.draw(st.sampled_from(dichotomy_parameters(spec)))
+    d = psi.datum
+    word = tuple(data.draw(st.lists(st.integers(0, d.rank - 1), max_size=3 * d.rank)))
+    moved = apply_word_parameter(langlands_parameter(psi), word)
+    units, diagram = recover_arthur_data(moved)
+    assert diagram == psi.sl2.diagram
+    _, back = dominantize(d, decompose_parameter(moved)[1])
+    replay = partial(apply_word_vector, d)
+    half = tuple(Fraction(v, 2) for v in psi.sl2.diagram)
+    assert replay(back, replay(word, half)) == half
+    angles = replay(back, replay(word, tuple(t.angle for t in psi.tempered_part.coords)))
+    assert all(t.q_exp == 0 for t in units.coords)
+    assert [(t.angle - a) % 1 for t, a in zip(units.coords, angles)] == [0] * d.rank
 
 
 def test_recover_rejects_non_arthur_shapes():

@@ -22,3 +22,9 @@ def test_documented_entry_points_are_exported():
     names = [alias.name for alias in statement.names]
     assert "StandardModuleDatum" in names
     assert sorted(set(names) - set(arthurcalc.__all__)) == []
+
+
+def test_named_scripts_exist():
+    named = set(re.findall(r"scripts/[\w.-]+\.py", README.read_text()))
+    assert named
+    assert sorted(name for name in named if not (README.parent / name).is_file()) == []

@@ -553,6 +553,43 @@ def test_cli_global_names_the_place_whose_run_is_refused(tmp_path, capsys):
     )
 
 
+B2_ODD_PAIR = {
+    "label": "b2",
+    "group": {"family": "B", "rank": 2},
+    "satake_angles": ["0", "0"],
+    "sl2": {"partition": [3, 1]},
+}
+A1_LOW_DIAGRAM = a1_payload(sl2={"expert": {"diagram": [1], "support": [[1]]}})
+
+
+@pytest.mark.parametrize(
+    "places, message",
+    [
+        (
+            [a1_payload(), B2_ODD_PAIR],
+            "error: places[2].scenario.sl2.partition: odd part 3 has odd multiplicity "
+            "(not allowed in type C)\n",
+        ),
+        (
+            [A1_LOW_DIAGRAM, a1_payload()],
+            "error: places[1].scenario.sl2: support root a1 pairs with H to 1, expected 2\n",
+        ),
+    ],
+    ids=["partition-parity", "expert-pairing"],
+)
+def test_cli_global_names_the_place_whose_reading_is_refused(tmp_path, capsys, places, message):
+    """A scenario error found while reading the family carries the place
+    path, as one found while running it does."""
+    family = {
+        "label": "fam",
+        "places": [{"label": f"v{i}", "scenario": s} for i, s in enumerate(places)],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    assert cli.main(["global", str(path)]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_cli_batch_rejects_empty_directory(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path)]) == 1
     assert "no scenario files" in capsys.readouterr().err

@@ -1,5 +1,7 @@
-"""The example scripts run end to end against the package sources."""
+"""The example scripts and the worked-examples command run end to end
+against the package sources."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,11 +22,17 @@ def run_script(*argv):
     )
 
 
-def test_run_worked_examples():
-    done = run_script("scripts/run_worked_examples.py")
+def test_batch_certify_prints_one_block_per_shipped_scenario():
+    """`arthurcalc batch scenarios --certify` prints the worked examples: one
+    text report per shipped scenario, in file order, with the per-level
+    eigenvalues."""
+    done = run_script("-m", "arthurcalc", "batch", "scenarios", "--certify")
     assert done.returncode == 0, done.stderr
-    scenarios = sorted(path.name for path in (ROOT / "scenarios").glob("*.json"))
-    assert [line[4:-4] for line in done.stdout.splitlines() if line.startswith("=== ")] == scenarios
+    files = sorted((ROOT / "scenarios").glob("*.json"))
+    labels = [json.loads(path.read_text())["label"] for path in files]
+    blocks = done.stdout.rstrip("\n").split("\n\n")
+    assert [block.splitlines()[0] for block in blocks] == [f"scenario: {label}" for label in labels]
+    assert "  level 1 eigenvalues: " in done.stdout
 
 
 def test_survey_dichotomy():
