@@ -41,7 +41,6 @@ from .parameters import (
     UnramifiedParameter,
     defining_levi,
     evaluate_root,
-    is_tempered,
     langlands_parameter,
 )
 from .roots import (
@@ -82,6 +81,10 @@ class StandardModuleDatum:
     generic: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.parameter, UnramifiedParameter):
+            raise ValidationError(
+                f"expected an UnramifiedParameter, got {self.parameter!r}", field="parameter"
+            )
         if not isinstance(self.generic, bool):
             raise ValidationError(f"expected a boolean, got {self.generic!r}", field="generic")
         if any(e < 0 for e in self.exponents):
@@ -156,8 +159,6 @@ def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdi
             field="sm",
         )
     if psi.sl2.is_trivial:
-        if not is_tempered(sm.parameter):
-            raise InvariantViolation("trivial sl2 component left a nonzero exponent")
         return PacketVerdict(VerdictKind.TEMPERED, None, None, sm.levi)
     witness = witness_root(psi, sm.levi)
     eigenvalue = evaluate_root(witness, sm.parameter)

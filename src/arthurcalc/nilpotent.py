@@ -136,7 +136,7 @@ def is_very_even(family: str, parts: tuple[int, ...]) -> bool:
 
 
 def _chains(family: str, ordered: tuple[int, ...]):
-    """Return (chains, weight, signs) for the canonical nilpositive.
+    """Return (chains, signs) for the canonical nilpositive.
 
     Blocks pair equal parts two at a time, at most one leftover keeping its
     own chain; type A and the even parts of type C (sp-chains) never pair,
@@ -166,7 +166,7 @@ def _chains(family: str, ordered: tuple[int, ...]):
         (v for v in weight if family == "A" or weight[v] > 0), key=lambda v: (-weight[v], v)
     )
     if family == "A":
-        return chains, weight, {v: [(1, p)] for p, v in enumerate(front)}
+        return chains, {v: [(1, p)] for p, v in enumerate(front)}
 
     zeros = [v for v in weight if weight[v] == 0 and v[1] == 0]
     front += [v for v in zeros if blocks[v[0]][1] == 2]
@@ -194,7 +194,7 @@ def _chains(family: str, ordered: tuple[int, ...]):
             if mirror is None:
                 raise InvariantViolation("a chain vector got no epsilon coordinates")
             signs[v] = [(-s, p) for s, p in mirror]
-    return chains, weight, signs
+    return chains, signs
 
 
 def _from_epsilon(family: str, x: list[int]) -> Root:
@@ -229,7 +229,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     """
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
-    chains, weight, signs = _chains(family, ordered)
+    chains, signs = _chains(family, ordered)
     size = rank + 1 if family == "A" else rank
 
     support: set[Root] = set()
@@ -239,8 +239,6 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
             if family != "A" and 2 * k > m:
                 continue  # its form-mirror, link m - k, gives the same root
             target, source = chain[k - 1], chain[k]
-            if weight[target] != weight[source] + 2:
-                raise InvariantViolation("chain entry violates the h-grading")
             for (st, pt), (ss, ps) in product(signs[target], signs[source]):
                 x = [0] * size
                 x[pt] += st

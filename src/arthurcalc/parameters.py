@@ -28,6 +28,7 @@ from .roots import (
     RationalVector,
     Root,
     RootDatum,
+    _reflect,
     dominantize,
     format_root,
     over_common_denominator,
@@ -209,6 +210,10 @@ class ArthurParameter:
     sl2: SL2Data
 
     def __post_init__(self):
+        if not isinstance(self.tempered_part, UnramifiedParameter):
+            raise ValidationError(
+                f"expected an UnramifiedParameter, got {self.tempered_part!r}", field="parameter"
+            )
         bad = [i for i, t in enumerate(self.tempered_part.coords) if t.q_exp != 0]
         if bad:
             raise ValidationError(
@@ -252,16 +257,17 @@ def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
 
 
 def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> UnramifiedParameter:
-    """Weyl action on torus eigen-data: s_i sends t_j to t_j * t_i^(-cartan[j][i])."""
+    """Weyl action on torus eigen-data: s_i sends t_j to t_j * t_i^(-cartan[j][i]),
+    so `roots._reflect` reflects the exponent and the angle vector alike; each
+    QMonomial is built once at the end, which reduces its angle mod 1."""
     validate_word(p.datum, word)
-    coords = list(p.coords)
+    cartan = p.datum.cartan
+    exponents = tuple([t.q_exp for t in p.coords])
+    angles = tuple([t.angle for t in p.coords])
     for i in word:
-        ti = coords[i]
-        coords = [
-            t * (ti ** (-p.datum.cartan[j][i]))
-            for j, t in enumerate(coords)
-        ]
-    return UnramifiedParameter(p.datum, tuple(coords))
+        exponents = _reflect(cartan, i, exponents)
+        angles = _reflect(cartan, i, angles)
+    return UnramifiedParameter(p.datum, tuple(map(QMonomial, exponents, angles)))
 
 
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:

@@ -5,10 +5,11 @@ stored root tables. Matrix convention: cartan[i][j] = <alpha_i, alpha_j^vee>,
 so a root with coefficient vector c pairs with the j-th simple coroot as
 sum_i c[i] * cartan[i][j]. Simple roots follow Bourbaki numbering.
 
-Each datum links every positive root that is not simple to a parent, a
-positive root one simple root lower, so `root_values` evaluates an integer
-vector on all positive roots with one addition per root. It is the one
-path for whole-datum evaluation.
+One enumeration pass per datum gives the positive roots, their positions
+and, for each root that is not simple, a link to its parent: the positive
+root one simple root lower from which the pass reached it. Along the links
+`root_values` evaluates an integer vector on all positive roots with one
+addition per root. It is the one path for whole-datum evaluation.
 """
 
 from __future__ import annotations
@@ -114,38 +115,39 @@ def _pairing(cartan: tuple[tuple[int, ...], ...], root: Root, j: int) -> int:
     return sum(root[i] * cartan[i][j] for i in range(len(root)))
 
 
-def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
-    """Closure under root strings, walking up one height level at a time."""
+def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]):
+    """Closure under root strings, one height at a time. Returns the positive
+    roots in `root_sort_key` order, their links (parent position, i), each
+    recorded as parent + alpha_i is first added (None for a simple root),
+    and the root-to-position map."""
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known: set[Root] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        grown: list[Root] = []
-        for beta in frontier:
+    roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    links: list[tuple[int, int] | None] = [None] * n
+    index = {root: k for k, root in enumerate(roots)}
+    start = 0
+    while start < len(roots):
+        grown: dict[Root, tuple[int, int]] = {}
+        for parent in range(start, len(roots)):
+            beta = roots[parent]
             for i in range(n):
                 # q = p - <beta, alpha_i^vee> with p the depth of the string
                 depth = 0
-                gamma = list(beta)
-                while True:
-                    gamma[i] -= 1
-                    if gamma[i] < 0 or tuple(gamma) not in known:
-                        break
+                while depth < beta[i] and (*beta[:i], beta[i] - depth - 1, *beta[i + 1 :]) in index:
                     depth += 1
                 if depth - _pairing(cartan, beta, i) > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    candidate = tuple(up)
-                    if candidate not in known:
-                        known.add(candidate)
-                        grown.append(candidate)
-        frontier = grown
-    return tuple(sorted(known, key=root_sort_key))
+                    grown.setdefault((*beta[:i], beta[i] + 1, *beta[i + 1 :]), (parent, i))
+        start = len(roots)
+        for root in sorted(grown, key=root_sort_key):
+            index[root] = len(roots)
+            roots.append(root)
+            links.append(grown[root])
+    return tuple(roots), tuple(links), index
 
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Cartan matrix with its positive-root list, generated on first use.
+    """Cartan matrix with its positive roots, their positions and their
+    parent links, all from one enumeration pass on first use.
 
     For dual data of B/C the index labels stay aligned with the original
     group's simple roots (the transpose convention), which is again the
@@ -164,35 +166,23 @@ class RootDatum:
         return self.spec.rank
 
     @cached_property
-    def positive_roots(self) -> tuple[Root, ...]:
+    def _enumeration(self):
         return _generate_positive_roots(self.cartan)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        return self._enumeration[0]
+
+    @cached_property
+    def root_links(self) -> tuple[tuple[int, int] | None, ...]:
+        """Entry k is (parent, i) with parent < k and positive_roots[k] =
+        positive_roots[parent] + alpha_i, or None for a simple root."""
+        return self._enumeration[1]
 
     @cached_property
     def root_index(self) -> dict[Root, int]:
         """Position of each positive root in `positive_roots`."""
-        return {root: k for k, root in enumerate(self.positive_roots)}
-
-    @cached_property
-    def root_links(self) -> tuple[tuple[int, int] | None, ...]:
-        """Entry k is (parent position, i) with positive_roots[k] equal to
-        positive_roots[parent] + alpha_i, or None for a simple root. Every
-        positive root that is not simple is a positive root plus a simple
-        root; heights grow along `positive_roots`, so the simple roots come
-        first and each parent precedes its child."""
-        index = self.root_index
-        links: list[tuple[int, int] | None] = []
-        for root in self.positive_roots:
-            if sum(root) == 1:
-                links.append(None)
-                continue
-            for i, c in enumerate(root):
-                parent = index.get((*root[:i], c - 1, *root[i + 1 :])) if c else None
-                if parent is not None:
-                    links.append((parent, i))
-                    break
-            else:
-                raise InvariantViolation(f"positive root {root} has no parent")
-        return tuple(links)
+        return self._enumeration[2]
 
     @cached_property
     def cartan_inverse(self) -> IntegerInverse:

@@ -9,7 +9,8 @@ checks:
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
-- simple roots, simple reflections of a root, Weyl words replayed on a
+- simple roots, simple reflections of a root, the Weyl orbit of a set of
+  roots (the reference for the positive roots), Weyl words replayed on a
   vector of simple-root evaluations, and Gaussian elimination over
   Fraction, which also gives the exact inverse of an integer matrix;
 - one dot product per root for a vector's value on every positive root,
@@ -185,6 +186,17 @@ def reflect_root(d: RootDatum, i: int, root: tuple[int, ...]) -> tuple[int, ...]
     out = list(root)
     out[i] -= sum(c * d.cartan[k][i] for k, c in enumerate(root))
     return tuple(out)
+
+
+def weyl_orbit(d: RootDatum, roots) -> set[tuple[int, ...]]:
+    """Closure of the roots under the simple reflections."""
+    orbit = set(roots)
+    frontier = list(orbit)
+    while frontier:
+        grown = {reflect_root(d, i, root) for root in frontier for i in range(d.rank)}
+        frontier = list(grown - orbit)
+        orbit |= grown
+    return orbit
 
 
 def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector) -> tuple:

@@ -4,10 +4,11 @@ library-built scenarios: only ValidationError escapes.
 Each file case starts from a shipped scenario, family or golden report,
 replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
-pipeline. Each library case calls `Scenario(...)` or `UnramifiedParameter(...)` with
-values drawn from fixed pools of Python values. An accepted scenario must
-read back from its own machine report; an accepted parameter must go through
-the parameter layer.
+pipeline. Each library case calls `Scenario(...)`, `UnramifiedParameter(...)`,
+`StandardModuleDatum(...)` or `make_arthur_parameter(...)` with values drawn
+from fixed pools of Python values. An accepted scenario must read back from
+its own machine report; an accepted parameter or record must go through the
+parameter layer and the classifier.
 """
 
 import copy
@@ -16,10 +17,11 @@ from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arthurcalc.classifier import classify_packet
+from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import SL2Data
 from arthurcalc.parameters import (
@@ -30,6 +32,7 @@ from arthurcalc.parameters import (
     evaluate_root,
     make_arthur_parameter,
     recover_arthur_data,
+    trivial_parameter,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum, root_positions
 from arthurcalc.scenarios import (
@@ -236,3 +239,45 @@ def test_hostile_library_parameters_raise_only_validation_errors(case):
         classify_packet(make_arthur_parameter(units, SL2Data(diagram, ())))
     except ValidationError:
         pass
+
+
+# Each record case hands `StandardModuleDatum` and `make_arthur_parameter` a
+# parameter that is either real or a Python value: both records used to
+# fail on `"x"` with an AttributeError.
+RECORD_PARAMETERS = [
+    UnramifiedParameter(DATA[0], (QMonomial(1), QMonomial(Fraction(1, 2), Fraction(1, 2)))),
+    UnramifiedParameter(DATA[1], (QMonomial(0, Fraction(1, 4)),) * 3),
+    *(trivial_parameter(d) for d in DATA),
+]
+SL2_DATA = [SL2Data((0, 0), ()), SL2Data((2, 2), ((1, 0), (0, 1))), SL2Data((0, 0, 0), ())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RECORD_PARAMETERS + PYTHON_VALUES),
+    st.sampled_from(SL2_DATA),
+    st.sampled_from([True, False, *PYTHON_VALUES]),
+)
+@example("x", SL2_DATA[0], True)
+@example(DATA[0], SL2_DATA[0], True)
+def test_hostile_library_records_raise_only_validation_errors(parameter, sl2, generic):
+    try:
+        sm = StandardModuleDatum(parameter, generic)
+        irreducibility_verdict(sm)
+    except ValidationError:
+        pass
+    try:
+        classify_packet(make_arthur_parameter(parameter, sl2))
+    except ValidationError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "value", ["x", None, DATA[0], QMonomial()], ids=["str", "none", "datum", "monomial"]
+)
+def test_records_refuse_a_parameter_of_the_wrong_type(value):
+    for build in (StandardModuleDatum, lambda p: make_arthur_parameter(p, SL2Data((0, 0), ()))):
+        with pytest.raises(ValidationError) as info:
+            build(value)
+        assert info.value.field == "parameter"
+        assert info.value.raw_message == f"expected an UnramifiedParameter, got {value!r}"

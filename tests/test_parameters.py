@@ -31,6 +31,7 @@ from arthurcalc.roots import (
     CartanSpec,
     build_root_datum,
     dominantize,
+    dual_datum,
     reflect_vector,
     root_positions,
 )
@@ -47,6 +48,11 @@ monomials = st.builds(
     q_exp=st.fractions(min_value=-3, max_value=3, max_denominator=4),
     angle=st.fractions(min_value=0, max_value=1, max_denominator=8),
 )
+
+
+def both_data(spec):
+    d = build_root_datum(spec)
+    return d, dual_datum(d)
 
 
 def parameter_strategy(d):
@@ -134,6 +140,23 @@ def test_reflection_of_parameters_is_involutive(data):
     p = data.draw(parameter_strategy(d))
     i = data.draw(st.integers(min_value=0, max_value=1))
     assert apply_word_parameter(p, (i, i)) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DICHOTOMY_SPECS + (CartanSpec("G", 2),)), st.data())
+def test_word_action_matches_the_oracle_replay(spec, data):
+    """A random word moves the exponents exactly as the oracle replays it on
+    vectors, and the angles the same way mod 1."""
+    d = data.draw(st.sampled_from(both_data(spec)))
+    p = data.draw(parameter_strategy(d))
+    word = tuple(data.draw(st.lists(st.integers(0, d.rank - 1), max_size=3 * d.rank)))
+    moved = apply_word_parameter(p, word)
+    assert moved.datum is d
+    assert [t.q_exp for t in moved.coords] == list(
+        apply_word_vector(d, word, tuple(t.q_exp for t in p.coords))
+    )
+    angles = apply_word_vector(d, word, tuple(t.angle for t in p.coords))
+    assert [t.angle for t in moved.coords] == [a % 1 for a in angles]
 
 
 @pytest.mark.parametrize("letter", [-1, True, 2, 5, 1.0, "0", None])

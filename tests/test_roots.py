@@ -11,6 +11,7 @@ from oracle import (
     reflect_root,
     simple_roots,
     solve_linear_fractions,
+    weyl_orbit,
 )
 
 from arthurcalc.errors import InvariantViolation, ValidationError
@@ -105,14 +106,32 @@ def test_rank_cap():
 
 
 def test_positive_root_counts():
-    for n in range(1, 7):
+    for n in range(1, MAX_RANK + 1):
         assert len(build_root_datum(CartanSpec("A", n)).positive_roots) == n * (n + 1) // 2
-    for n in range(2, 7):
+    for n in range(2, MAX_RANK + 1):
         assert len(build_root_datum(CartanSpec("B", n)).positive_roots) == n * n
         assert len(build_root_datum(CartanSpec("C", n)).positive_roots) == n * n
-    for n in range(3, 7):
+    for n in range(3, MAX_RANK + 1):
         assert len(build_root_datum(CartanSpec("D", n)).positive_roots) == n * (n - 1)
     assert len(build_root_datum(CartanSpec("G", 2)).positive_roots) == 6
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CartanSpec("A", n) for n in range(1, 13)]
+    + [CartanSpec(f, n) for f in "BC" for n in range(2, 13)]
+    + [CartanSpec("D", n) for n in range(3, 13)]
+    + [CartanSpec("G", 2)],
+    ids=str,
+)
+def test_positive_roots_are_the_positive_part_of_the_weyl_orbit(spec):
+    """Against an independent reference: every root is W-conjugate to a
+    simple root, so the orbit of the simple roots under the oracle's simple
+    reflections is the whole root system."""
+    d = build_root_datum(spec)
+    for datum in (d, dual_datum(d)):
+        positive = [root for root in weyl_orbit(datum, simple_roots(datum)) if min(root) >= 0]
+        assert sorted(positive, key=root_sort_key) == list(datum.positive_roots)
 
 
 def test_positive_roots_frozen_small():
