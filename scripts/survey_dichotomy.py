@@ -17,17 +17,10 @@ import sys
 from collections import Counter
 
 from arthurcalc.classifier import VerdictKind, classify_packet
-from arthurcalc.roots import CartanSpec, build_root_datum
-from arthurcalc.sweeps import (
-    DICHOTOMY_SPECS,
-    MU4_ANGLES,
-    unit_grid,
-    unit_parameter,
-    valid_partitions,
-)
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import sl2_from_partition
-from arthurcalc.parameters import make_arthur_parameter
+from arthurcalc.roots import CartanSpec
+from arthurcalc.sweeps import DICHOTOMY_SPECS, iter_dichotomy_parameters, valid_partitions
 
 
 def parse_type(name: str) -> CartanSpec:
@@ -42,20 +35,16 @@ def parse_type(name: str) -> CartanSpec:
 
 
 def survey(spec: CartanSpec) -> bool:
-    datum = build_root_datum(spec)
     print(f"-- dual type {spec} --")
+    # distinct partitions are distinct orbits, whose sl2 data differ
+    rows = {
+        sl2_from_partition(spec.family, spec.rank, parts): (parts, Counter())
+        for parts in valid_partitions(spec.family, spec.rank)
+    }
+    for psi in iter_dichotomy_parameters(spec):
+        rows[psi.sl2][1][classify_packet(psi).kind] += 1
     clean = True
-    for parts in valid_partitions(spec.family, spec.rank):
-        counts = Counter()
-        for angles in unit_grid(spec.rank, MU4_ANGLES):
-            phi = unit_parameter(datum, angles)
-            try:
-                psi = make_arthur_parameter(
-                    phi, sl2_from_partition(spec.family, spec.rank, parts)
-                )
-            except ValidationError:
-                continue  # Satake point sits outside the centralizer
-            counts[classify_packet(psi).kind] += 1
+    for parts, counts in rows.values():
         tempered = counts[VerdictKind.TEMPERED]
         nontempered = counts[VerdictKind.NON_TEMPERED]
         trivial = all(m == 1 for m in parts)

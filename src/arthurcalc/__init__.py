@@ -23,13 +23,11 @@ from .roots import (
     build_root_datum,
     cartan_matrix,
     character_exponents,
-    coroot_pairing,
     diagram_pairing,
     dominantize,
     dual_datum,
     evaluation_exponents,
     format_root,
-    levi_and_nilradical,
 )
 from .nilpotent import (
     SL2Data,
@@ -47,12 +45,10 @@ from .parameters import (
     decompose_parameter,
     defining_levi,
     evaluate_root,
-    is_tempered,
     langlands_parameter,
     make_arthur_parameter,
     recompose_parameter,
     recover_arthur_data,
-    trivial_parameter,
 )
 from .lfactors import (
     CoefficientRatio,

@@ -60,10 +60,6 @@ class GradedNilradical:
     def all_roots(self) -> tuple[Root, ...]:
         return tuple([root for _, roots in self.levels for root in roots])
 
-    @property
-    def dimension(self) -> int:
-        return len(self.all_roots)
-
     @cached_property
     def positions(self) -> tuple[int, ...]:
         """Position of each root of `all_roots` in the datum's

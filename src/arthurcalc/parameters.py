@@ -37,13 +37,20 @@ from .roots import (
 )
 
 
+def _rational(value, field: str):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"expected a rational, got {value!r}", field=field)
+    return value
+
+
 @dataclass(frozen=True)
 class QMonomial:
     """Exact value zeta * q^q_exp with zeta = exp(2*pi*i*angle).
 
-    The angle is a rational in [0,1); Fraction keeps it in lowest terms.
-    Fields that are already a Fraction, and an angle already in [0,1), are
-    kept as given; anything else is converted and reduced mod 1.
+    `QMonomial()` is 1, `QMonomial(e)` is q^e and `QMonomial(angle=a)` is
+    zeta(a). Both fields are exact rationals: a Fraction, or an int (not a
+    bool) that is converted; anything else is refused. The angle lies in
+    [0,1): one already there is kept as given, any other is reduced mod 1.
     """
 
     q_exp: Fraction = Fraction(0)
@@ -51,39 +58,16 @@ class QMonomial:
 
     def __post_init__(self):
         if type(self.q_exp) is not Fraction:
-            object.__setattr__(self, "q_exp", Fraction(self.q_exp))
+            object.__setattr__(self, "q_exp", Fraction(_rational(self.q_exp, "q_exp")))
         angle = self.angle
-        if type(angle) is not Fraction or not 0 <= angle.numerator < angle.denominator:
-            object.__setattr__(self, "angle", Fraction(angle) % 1)
-
-    @staticmethod
-    def one() -> "QMonomial":
-        return QMonomial()
-
-    @staticmethod
-    def q(exp=1) -> "QMonomial":
-        return QMonomial(q_exp=Fraction(exp))
-
-    @staticmethod
-    def unit(angle) -> "QMonomial":
-        return QMonomial(angle=Fraction(angle))
-
-    def __mul__(self, other: "QMonomial") -> "QMonomial":
-        return QMonomial(self.q_exp + other.q_exp, self.angle + other.angle)
-
-    def __pow__(self, n: int) -> "QMonomial":
-        return QMonomial(self.q_exp * n, self.angle * n)
-
-    @property
-    def is_one(self) -> bool:
-        return self.q_exp == 0 and self.angle == 0
+        if type(angle) is not Fraction:
+            object.__setattr__(self, "angle", Fraction(_rational(angle, "angle")) % 1)
+        elif not 0 <= angle.numerator < angle.denominator:
+            object.__setattr__(self, "angle", angle % 1)
 
     def is_q_power(self, s) -> bool:
         """True iff the value equals q^s on the nose (unit part trivial)."""
         return self.angle == 0 and self.q_exp == s
-
-    def unit_part(self) -> "QMonomial":
-        return QMonomial(Fraction(0), self.angle)
 
     def __str__(self) -> str:
         pieces = []
@@ -137,10 +121,6 @@ class UnramifiedParameter:
         return not sum(map(mul, root, angles)) % D
 
 
-def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
-    return UnramifiedParameter(d, tuple(QMonomial.one() for _ in range(d.rank)))
-
-
 def eigenvalue_pairs(positions, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
     """Eigenvalues of the parameter on the positive roots at `positions` in
     `positive_roots` (as `roots.root_positions` or a grading gives them), as
@@ -168,23 +148,20 @@ def evaluate_root(root: Root, p: UnramifiedParameter) -> QMonomial:
     )
 
 
-def is_tempered(p: UnramifiedParameter) -> bool:
-    return all(t.q_exp == 0 for t in p.coords)
-
-
 def decompose_parameter(p: UnramifiedParameter) -> tuple[UnramifiedParameter, RationalVector]:
     """Split into the bounded (unit) part and the exponent vector; the two
     recompose to the input exactly."""
-    units = UnramifiedParameter(p.datum, tuple([t.unit_part() for t in p.coords]))
+    units = UnramifiedParameter(p.datum, tuple([QMonomial(angle=t.angle) for t in p.coords]))
     return units, tuple([t.q_exp for t in p.coords])
 
 
 def recompose_parameter(units: UnramifiedParameter, exponents: RationalVector) -> UnramifiedParameter:
     if len(exponents) != units.datum.rank:
         raise ValidationError("exponent vector length does not match rank")
-    coords = tuple(
-        t * QMonomial.q(e) for t, e in zip(units.coords, exponents)
-    )
+    coords = tuple([
+        QMonomial(t.q_exp + _rational(e, "exponents"), t.angle)
+        for t, e in zip(units.coords, exponents)
+    ])
     return UnramifiedParameter(units.datum, coords)
 
 

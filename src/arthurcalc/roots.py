@@ -234,13 +234,6 @@ def root_positions(d: RootDatum, roots) -> list[int]:
     return positions
 
 
-def coroot_pairing(d: RootDatum, root: Root, j: int) -> int:
-    """<root, alpha_j^vee>."""
-    if len(root) != d.rank:
-        raise ValidationError("root length does not match rank")
-    return _pairing(d.cartan, root, j)
-
-
 def diagram_pairing(root: Root, diagram: tuple[int, ...]) -> int:
     """Value of the root on the semisimple element H determined by the
     weighted diagram: sum of coefficient * diagram entry."""
@@ -263,17 +256,10 @@ def validate_word(d: RootDatum, word) -> None:
 
 
 def _reflect(cartan, i: int, vector: RationalVector) -> RationalVector:
+    """Simple reflection s_i of a vector of simple-root evaluations:
+    v'_j = v_j - cartan[j][i] * v_i."""
     vi = vector[i]
     return tuple(v - cartan[j][i] * vi for j, v in enumerate(vector))
-
-
-def reflect_vector(d: RootDatum, i: int, vector: RationalVector) -> RationalVector:
-    """Simple reflection acting on a vector of simple-root evaluations:
-    v'_j = v_j - cartan[j][i] * v_i."""
-    validate_word(d, (i,))
-    if len(vector) != d.rank:
-        raise ValidationError("vector length does not match rank")
-    return _reflect(d.cartan, i, vector)
 
 
 def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
@@ -314,16 +300,6 @@ def off_levi_indicator(d: RootDatum, theta: LeviSubset) -> tuple[int, ...]:
     """1 at each simple index outside theta, 0 inside: its dot product with a
     positive root is the root's coefficient sum off the Levi."""
     return tuple([0 if i in theta else 1 for i in range(d.rank)])
-
-
-def levi_and_nilradical(d: RootDatum, theta: LeviSubset) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
-    """Split positive roots into those supported on theta and the rest."""
-    outside = off_levi_indicator(d, validate_levi(d, theta))
-    levi: list[Root] = []
-    nilradical: list[Root] = []
-    for root, level in zip(d.positive_roots, root_values(d, outside)):
-        (nilradical if level else levi).append(root)
-    return tuple(levi), tuple(nilradical)
 
 
 def format_root(root: Root) -> str:

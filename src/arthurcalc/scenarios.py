@@ -378,12 +378,8 @@ class Scenario:
             object.__setattr__(self, "expert_data", SL2Data(tuple(diagram), tuple(support)))
         _expect_bool(self.generic_assumption, "generic_assumption")
 
-    @property
-    def dual_spec(self) -> CartanSpec:
-        return dual_datum(build_root_datum(self.group)).spec
-
     def resolved_sl2(self) -> SL2Data:
-        dual = self.dual_spec
+        dual = dual_datum(build_root_datum(self.group)).spec
         if self.sl2_kind == "trivial":
             return SL2Data((0,) * dual.rank, ())
         if self.sl2_kind == "partition":

@@ -2,7 +2,10 @@
 
 Everything here yields in a fixed order (partitions in reverse
 lexicographic order, unit grids in row-major product order) so sweep
-results and reports are reproducible byte for byte.
+results and reports are reproducible byte for byte. The one sweep is the
+dichotomy sweep, `iter_dichotomy_parameters`: every partition of a dual
+type against the grid of fourth roots of unity, which
+`scripts/survey_dichotomy.py` tabulates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .parameters import (
     UnramifiedParameter,
     make_arthur_parameter,
 )
-from .roots import CartanSpec, RationalVector, RootDatum, build_root_datum
+from .roots import CartanSpec, RootDatum, build_root_datum
 
 # Fourth roots of unity, as angles in [0, 1).
 MU4_ANGLES: tuple[Fraction, ...] = (
@@ -28,9 +31,6 @@ MU4_ANGLES: tuple[Fraction, ...] = (
     Fraction(1, 4),
     Fraction(3, 4),
 )
-
-# Strictly positive half-integral twist entries for the holomorphy sweep.
-TWIST_VALUES: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 # Types of the parameter-side (dual) datum covered by the dichotomy sweep.
 DICHOTOMY_SPECS: tuple[CartanSpec, ...] = (
@@ -71,31 +71,21 @@ def unit_grid(rank: int, angles: tuple[Fraction, ...] = MU4_ANGLES) -> Iterator[
 
 
 def unit_parameter(datum: RootDatum, angles: tuple[Fraction, ...]) -> UnramifiedParameter:
-    return UnramifiedParameter(datum, tuple(QMonomial.unit(a) for a in angles))
+    return UnramifiedParameter(datum, tuple([QMonomial(angle=a) for a in angles]))
 
 
-def iter_dichotomy_parameters(
-    spec: CartanSpec, angles: tuple[Fraction, ...] = MU4_ANGLES
-) -> Iterator[ArthurParameter]:
-    """Every (partition, unit tuple) combination over the grid whose unit
-    part centralizes the sl2 component; the rest are silently skipped, since
-    they are not Arthur parameters at all."""
+def iter_dichotomy_parameters(spec: CartanSpec) -> Iterator[ArthurParameter]:
+    """Every (partition, unit tuple) combination over the mu_4 grid whose
+    unit part centralizes the sl2 component, partition by partition in
+    `valid_partitions` order; the rest are silently skipped, since they are
+    not Arthur parameters at all."""
     datum = build_root_datum(spec)
     for parts in valid_partitions(spec.family, spec.rank):
         sl2 = sl2_from_partition(spec.family, spec.rank, parts)
-        for grid_point in unit_grid(spec.rank, angles):
+        for grid_point in unit_grid(spec.rank):
             phi = unit_parameter(datum, grid_point)
             try:
                 psi = make_arthur_parameter(phi, sl2)
             except ValidationError:
                 continue
             yield psi
-
-
-def strictly_dominant_twists(
-    rank: int, values: tuple[Fraction, ...] = TWIST_VALUES
-) -> Iterator[RationalVector]:
-    """Evaluation-exponent vectors with every entry strictly positive."""
-    if any(v <= 0 for v in values):
-        raise ValidationError("twist entries must be strictly positive")
-    yield from itertools.product(values, repeat=rank)

@@ -2,9 +2,9 @@
 
 From arthurcalc this module imports only input validation
 (`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank,
-Cartan matrix and positive-root list), the `QMonomial` constructor and the
-error type a singular system raises. It shares no code with the layers it
-checks:
+Cartan matrix and positive-root list), the `QMonomial` and
+`UnramifiedParameter` constructors and the error type a singular system
+raises. It shares no code with the layers it checks:
 
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
@@ -16,7 +16,8 @@ checks:
 - one dot product per root for a vector's value on every positive root,
   the Levi/nilradical split, the grading levels and the eigenvalues on
   roots (what `roots.root_values` gets by the height recurrence);
-- the inverse of a QMonomial;
+- the product, power and inverse of QMonomials, and the trivial
+  parameter;
 - canonical JSON by way of the standard library's encoder.
 """
 
@@ -29,7 +30,7 @@ from math import lcm
 
 from arthurcalc.errors import InvariantViolation
 from arthurcalc.nilpotent import partition_total, validate_partition
-from arthurcalc.parameters import QMonomial
+from arthurcalc.parameters import QMonomial, UnramifiedParameter
 from arthurcalc.roots import RootDatum
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -267,10 +268,25 @@ def integer_inverse_fractions(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
 # -- eigenvalues and reports -----------------------------------------------------
 
 
+def qmonomial_mul(a: QMonomial, b: QMonomial) -> QMonomial:
+    """The product: exponents and angles add, the angle reduced mod 1."""
+    return QMonomial(a.q_exp + b.q_exp, a.angle + b.angle)
+
+
+def qmonomial_pow(m: QMonomial, n: int) -> QMonomial:
+    """The n-th power: exponent and angle times n, the angle reduced mod 1."""
+    return QMonomial(m.q_exp * n, m.angle * n)
+
+
 def qmonomial_inverse(m: QMonomial) -> QMonomial:
     """zeta^-1 * q^-e for zeta * q^e, the angle negated mod 1 by hand."""
     a = m.angle
     return QMonomial(-m.q_exp, Fraction(-a.numerator % a.denominator, a.denominator))
+
+
+def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
+    """The parameter whose every coordinate is 1."""
+    return UnramifiedParameter(d, (QMonomial(),) * d.rank)
 
 
 def encode(value):

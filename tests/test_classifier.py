@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from oracle import reflect_root
+from oracle import qmonomial_pow, reflect_root, trivial_parameter
 
 from arthurcalc import classifier
 from arthurcalc.classifier import (
@@ -32,7 +32,6 @@ from arthurcalc.parameters import (
     langlands_parameter,
     make_arthur_parameter,
     recompose_parameter,
-    trivial_parameter,
 )
 from arthurcalc.roots import (
     CartanSpec,
@@ -52,7 +51,7 @@ def unit_psi(family, rank, parts, angles=None):
     d = build_root_datum(CartanSpec(family, rank))
     if angles is None:
         angles = (Fraction(0),) * rank
-    phi = UnramifiedParameter(d, tuple(QMonomial.unit(a) for a in angles))
+    phi = UnramifiedParameter(d, tuple(QMonomial(angle=a) for a in angles))
     return make_arthur_parameter(phi, sl2_from_partition(family, rank, parts))
 
 
@@ -68,7 +67,7 @@ def test_standard_module_a1_principal():
     assert decompose_parameter(sm.parameter)[0] == psi.tempered_part
     # the support itself, unmoved, lies off the Levi
     assert psi.sl2.support == ((1,),)
-    assert sm.parameter.coords == (QMonomial.q(1),)
+    assert sm.parameter.coords == (QMonomial(1),)
 
 
 def test_standard_module_tempered_case():
@@ -176,7 +175,7 @@ def test_classify_a1_principal():
     verdict = classify_packet(unit_psi("A", 1, (2,)))
     assert verdict.kind is VerdictKind.NON_TEMPERED
     assert verdict.witness == (1,)
-    assert verdict.certificate.eigenvalue == QMonomial.q(1)
+    assert verdict.certificate.eigenvalue == QMonomial(1)
     assert verdict.certificate.s == Fraction(1)
     assert verdict.levi == frozenset()
 
@@ -196,21 +195,21 @@ def test_packet_verdict_invariants():
         PacketVerdict(
             VerdictKind.NON_TEMPERED,
             (1,),
-            Certificate(QMonomial.q(Fraction(1, 2)), Fraction(1)),
+            Certificate(QMonomial(Fraction(1, 2)), Fraction(1)),
             frozenset(),
         )
     with pytest.raises(ValidationError, match="s = 1"):
         PacketVerdict(
             VerdictKind.NON_TEMPERED,
             (1,),
-            Certificate(QMonomial.q(1), Fraction(2)),
+            Certificate(QMonomial(1), Fraction(2)),
             frozenset(),
         )
     with pytest.raises(ValidationError, match="no witness"):
         PacketVerdict(
             VerdictKind.TEMPERED,
             (1,),
-            Certificate(QMonomial.q(1), Fraction(1)),
+            Certificate(QMonomial(1), Fraction(1)),
             frozenset(),
         )
 
@@ -294,7 +293,7 @@ def scenario_parameters():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         s = parse_scenario_text(path.read_text())
         dual = dual_datum(build_root_datum(s.group))
-        phi = UnramifiedParameter(dual, tuple(QMonomial.unit(a) for a in s.satake_angles))
+        phi = UnramifiedParameter(dual, tuple(QMonomial(angle=a) for a in s.satake_angles))
         yield make_arthur_parameter(phi, s.resolved_sl2())
 
 
@@ -313,7 +312,7 @@ def test_witness_route_and_full_product_must_agree(monkeypatch):
     """A full product that misses the witness is a bug, not a verdict."""
 
     def squared(d, theta, p):
-        squared_parameter = UnramifiedParameter(d, tuple(t ** 2 for t in p.coords))
+        squared_parameter = UnramifiedParameter(d, tuple(qmonomial_pow(t, 2) for t in p.coords))
         return local_coefficient_ratio(d, theta, squared_parameter)
 
     monkeypatch.setattr(classifier, "local_coefficient_ratio", squared)

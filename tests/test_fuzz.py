@@ -4,11 +4,12 @@ library-built scenarios: only ValidationError escapes.
 Each file case starts from a shipped scenario, family or golden report,
 replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
-pipeline. Each library case calls `Scenario(...)`, `UnramifiedParameter(...)`,
-`StandardModuleDatum(...)` or `make_arthur_parameter(...)` with values drawn
-from fixed pools of Python values. An accepted scenario must read back from
-its own machine report; an accepted parameter or record must go through the
-parameter layer and the classifier.
+pipeline. Each library case calls `Scenario(...)`, `QMonomial(...)`,
+`UnramifiedParameter(...)`, `StandardModuleDatum(...)` or
+`make_arthur_parameter(...)` with values drawn from fixed pools of Python
+values. An accepted scenario must read back from its own machine report; an
+accepted monomial must hold its values exactly; an accepted parameter or
+record must go through the parameter layer and the classifier.
 """
 
 import copy
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import trivial_parameter
 
 from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
@@ -32,7 +34,6 @@ from arthurcalc.parameters import (
     evaluate_root,
     make_arthur_parameter,
     recover_arthur_data,
-    trivial_parameter,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum, root_positions
 from arthurcalc.scenarios import (
@@ -200,6 +201,26 @@ def test_hostile_library_scenarios_raise_only_validation_errors(kwargs):
         return
     assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
     assert parse_report_text(emit_report_machine(report)) == report
+
+
+# Each monomial case draws both fields from the pools: a string, a float or
+# a bool used to be converted (`QMonomial(angle=0.1)` held
+# 3602879701896397/36028797018963968, `QMonomial(True)` was q), and "x",
+# None or inf leaked a ValueError, TypeError or OverflowError.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PYTHON_VALUES + RATIONALS), st.sampled_from(PYTHON_VALUES + RATIONALS))
+@example("x", 0)
+@example(None, 0)
+@example(float("inf"), 0)
+@example(0, 0.1)
+@example(True, 0)
+def test_hostile_monomials_raise_only_validation_errors(q_exp, angle):
+    try:
+        m = QMonomial(q_exp, angle)
+    except ValidationError:
+        return
+    assert (m.q_exp, m.angle) == (q_exp, angle % 1)
+    assert type(m.q_exp) is type(m.angle) is Fraction
 
 
 # Each parameter case draws a datum and coordinates, each either of the

@@ -15,21 +15,20 @@ from oracle import (
 )
 
 from arthurcalc.errors import InvariantViolation, ValidationError
+from arthurcalc.lfactors import grade_nilradical
 from arthurcalc.roots import (
     MAX_RANK,
     CartanSpec,
+    _reflect,
     build_root_datum,
     cartan_matrix,
     character_exponents,
-    coroot_pairing,
     diagram_pairing,
     dominantize,
     dual_datum,
     evaluation_exponents,
     format_root,
     integer_inverse,
-    levi_and_nilradical,
-    reflect_vector,
     root_sort_key,
     validate_levi,
 )
@@ -206,15 +205,6 @@ def test_classical_dual_is_the_dual_specs_datum():
 # -- pairings ------------------------------------------------------------------
 
 
-def test_coroot_pairing_matches_matrix_rows():
-    for spec in SMALL_SPECS:
-        d = build_root_datum(spec)
-        for root in d.positive_roots:
-            for j in range(d.rank):
-                expected = sum(c * d.cartan[i][j] for i, c in enumerate(root))
-                assert coroot_pairing(d, root, j) == expected
-
-
 def test_diagram_pairing_is_coefficient_dot():
     assert diagram_pairing((1, 1), (2, 0)) == 2
     assert diagram_pairing((1, 2), (0, 1)) == 2
@@ -230,7 +220,7 @@ def test_reflection_is_an_involution_on_vectors(spec, data):
     d = build_root_datum(spec)
     v = data.draw(frac_vectors(d.rank))
     i = data.draw(st.integers(min_value=0, max_value=d.rank - 1))
-    assert reflect_vector(d, i, reflect_vector(d, i, v)) == tuple(Fraction(x) for x in v)
+    assert _reflect(d.cartan, i, _reflect(d.cartan, i, v)) == tuple(Fraction(x) for x in v)
 
 
 @given(st.sampled_from(SMALL_SPECS), st.data())
@@ -240,7 +230,7 @@ def test_reflection_negates_exactly_the_simple_evaluation(spec, data):
     d = build_root_datum(spec)
     v = data.draw(frac_vectors(d.rank))
     i = data.draw(st.integers(min_value=0, max_value=d.rank - 1))
-    assert reflect_vector(d, i, v)[i] == -Fraction(v[i])
+    assert _reflect(d.cartan, i, v)[i] == -Fraction(v[i])
 
 
 def _weyl_orbit(d, v):
@@ -251,7 +241,7 @@ def _weyl_orbit(d, v):
         nxt = []
         for u in frontier:
             for i in range(d.rank):
-                w = reflect_vector(d, i, u)
+                w = _reflect(d.cartan, i, u)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -291,16 +281,15 @@ def test_dominantize_word_length_bounded(spec, data):
 
 
 def test_levi_and_nilradical_a2():
+    """The nilradical `grade_nilradical` grades; the Levi roots are the
+    other positive roots."""
     d = build_root_datum(CartanSpec("A", 2))
-    levi, nilradical = levi_and_nilradical(d, frozenset({0}))
-    assert set(levi) == {(1, 0)}
-    assert set(nilradical) == {(0, 1), (1, 1)}
-    levi, nilradical = levi_and_nilradical(d, frozenset({0, 1}))
-    assert set(levi) == set(d.positive_roots)
-    assert nilradical == ()
-    levi, nilradical = levi_and_nilradical(d, frozenset())
-    assert levi == ()
-    assert set(nilradical) == set(d.positive_roots)
+    for theta, nilradical in [
+        ({0}, {(0, 1), (1, 1)}),
+        ({0, 1}, set()),
+        (set(), set(d.positive_roots)),
+    ]:
+        assert set(grade_nilradical(d, frozenset(theta)).all_roots) == nilradical
 
 
 def test_validate_levi_rejects_out_of_range():

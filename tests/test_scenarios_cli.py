@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracle import trivial_parameter
 
 from arthurcalc import cli
 from arthurcalc.errors import InvariantViolation, ValidationError
@@ -19,7 +20,6 @@ from arthurcalc.parameters import (
     UnramifiedParameter,
     make_arthur_parameter,
     recompose_parameter,
-    trivial_parameter,
 )
 from arthurcalc.nilpotent import SL2Data, validate_partition
 from arthurcalc.roots import CartanSpec, build_root_datum
@@ -358,7 +358,7 @@ def reverify_from_certificate(report):
     denominator at s = 1."""
     dual = build_root_datum(report.dual)
     units = UnramifiedParameter(
-        dual, tuple(QMonomial.unit(a) for a in report.dominant_unit_angles)
+        dual, tuple(QMonomial(angle=a) for a in report.dominant_unit_angles)
     )
     twisted = recompose_parameter(units, report.dominant_exponents)
     levi = frozenset(i - 1 for i in report.levi)
@@ -372,7 +372,7 @@ def reverify_from_certificate(report):
         assert report.certificate_point == Fraction(1)
     else:
         assert report.certificate_eigenvalue is None
-    assert grading.dimension == sum(
+    assert len(grading.all_roots) == sum(
         len(block) for block in report.eigenvalues_by_level
     )
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracle import trivial_parameter
 
 from arthurcalc import lfactors, parameters, roots
 from arthurcalc.classifier import (
@@ -26,7 +27,6 @@ from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     make_arthur_parameter,
-    trivial_parameter,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum
 from arthurcalc.scenarios import parse_scenario_text, run_scenario
@@ -119,7 +119,7 @@ def test_cold_run_enumerates_the_dual_roots_once(group, parts, monkeypatch):
 
 def test_tempered_classification_builds_no_l_factor(monkeypatch):
     d = build_root_datum(CartanSpec("C", 3))
-    phi = UnramifiedParameter(d, tuple(QMonomial.unit(Fraction(1, 4)) for _ in range(3)))
+    phi = UnramifiedParameter(d, tuple(QMonomial(angle=Fraction(1, 4)) for _ in range(3)))
     psi = make_arthur_parameter(phi, sl2_from_partition("C", 3, (1,) * 6))
     counts = count_calls(monkeypatch)
     assert classify_packet(psi).kind is VerdictKind.TEMPERED
