@@ -10,7 +10,9 @@ The machine emission mode is canonical (sorted keys, normalized rationals)
 so reports can be compared byte for byte; parsing an emitted report
 reproduces the Report object exactly. Every report carries enough data to
 re-verify its verdict with the L-factor layer alone. One direct writer,
-`canonical_json`, produces those bytes from the records themselves.
+`canonical_json`, produces those bytes from the records themselves, and
+one decoder per annotation reads them back. Each keeps a memo for one call
+only, so a value that recurs in a report is formatted or parsed once.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ def _expect_dict(value, field: str) -> dict:
 
 
 def _check_keys(payload: dict, required: set, optional: set, field: str) -> None:
+    if payload.keys() == required:
+        return
     unknown = sorted(set(payload) - required - optional)
     if unknown:
         raise ValidationError(f"unknown keys {unknown}", field=field)
@@ -146,80 +150,131 @@ def _field_names(cls) -> tuple[str, ...] | None:
     return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
-_LEAVES = {Fraction: parse_fraction, int: _expect_int, bool: _expect_bool, str: _expect_str}
+def _decode_rational(value, field, scope, memo):
+    """A rational, built once per distinct string per decode call. Only str
+    values are keys, so `true` never meets the entry for 1, and only
+    successes are kept, so every refusal keeps its message and path."""
+    if type(value) is not str:
+        return parse_fraction(value, field)
+    x = memo.get(value)
+    if x is None:
+        x = memo[value] = parse_fraction(value, field)
+    return x
+
+
+_LEAVES = {int: _expect_int, bool: _expect_bool, str: _expect_str}
+_INT, _STR = {int}, {str}
 
 
 def _decode(tp, value, field: str = "", scope: dict | None = None, name: str = ""):
     """Decode `value` as annotation `tp`; `field` is its dotted path, `scope`
     holds the fields of the enclosing object decoded so far, and `name`
-    labels a top-level object in its own messages."""
-    return _decoder(tp, name)(value, field, scope)
+    labels a top-level object in its own messages. One memo lives for this
+    call and keeps only successes: it builds one `Fraction` per distinct
+    rational string, and one object of a dataclass of rationals alone (a
+    `QMonomial`) per distinct sequence of string items. An element's
+    `field[i]` path is built only when the element is refused."""
+    return _decoder(tp, name)(value, field, scope, {})
 
 
 @lru_cache(maxsize=None)
 def _decoder(tp, name: str = ""):
-    """Build the decoder `(value, field, scope) -> object` for one annotation:
-    `X | None`, `tuple[T, ...]`, the leaf types, nested dataclasses, and
-    `Annotated[Root, sibling]`, a root vector whose length is the rank of
-    the spec in the sibling field."""
+    """Build the decoder `(value, field, scope, memo) -> object` for one
+    annotation: `X | None`, `tuple[T, ...]`, the leaf types, nested
+    dataclasses, and `Annotated[Root, sibling]`, a root vector whose length
+    is the rank of the spec in the sibling field."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is Annotated:
         inner, sibling = _decoder(args[0]), args[1]
 
-        def sized(value, field, scope):
+        def sized(value, field, scope, memo):
             rank = scope[sibling].rank
             if len(_expect_list(value, field)) != rank:
                 raise ValidationError(
                     f"expected {rank} coefficients, got {len(value)}", field=field
                 )
-            return inner(value, field, scope)
+            return inner(value, field, scope, memo)
 
         return sized
     if origin is Union or origin is UnionType:
         (some,) = (arg for arg in args if arg is not NoneType)
         inner = _decoder(some)
-        return lambda value, field, scope: (
-            None if value is None else inner(value, field, scope)
+        return lambda value, field, scope, memo: (
+            None if value is None else inner(value, field, scope, memo)
         )
     if origin is tuple:
-        inner = _decoder(args[0])
-        return lambda value, field, scope: tuple(
-            [inner(v, f"{field}[{i + 1}]", scope) for i, v in enumerate(_expect_list(value, field))]
-        )
+        inner, ints = _decoder(args[0]), args[0] is int
+
+        def items(value, field, scope, memo):
+            value = _expect_list(value, field)
+            if ints and _INT.issuperset(map(type, value)):
+                return tuple(value)  # a root, a diagram or indices: one pass
+            try:
+                if inner is _decode_rational and _STR.issuperset(map(type, value)):
+                    # the strings already in the memo, without a call each
+                    return tuple(
+                        [memo[v] if v in memo else inner(v, field, scope, memo) for v in value]
+                    )
+                return tuple([inner(v, field, scope, memo) for v in value])
+            except ValidationError:
+                pass  # decode again with each element's path, to name the refused one
+            return tuple([inner(v, f"{field}[{i + 1}]", scope, memo) for i, v in enumerate(value)])
+
+        return items
+    if tp is Fraction:
+        return _decode_rational
     if tp in _LEAVES:
         leaf = _LEAVES[tp]
-        return lambda value, field, scope: leaf(value, field)
+        return lambda value, field, scope, memo: leaf(value, field)
     return _object_decoder(tp, name)
 
 
 def _object_decoder(cls, name: str):
     hints = get_type_hints(cls, include_extras=True)
-    members = tuple((key, _decoder(hints[key])) for key in _field_names(cls))
-    required = {key for key, _ in members}
+    names = _field_names(cls)
+    members = tuple((key, _decoder(hints[key])) for key in names)
+    required = set(names)
 
-    def decode(value, field, scope):
+    def decode(value, field, scope, memo):
         own = field or name
         value = _expect_dict(value, own)
         _check_keys(value, required, set(), own)
         decoded = {}
-        for key, member in members:
-            decoded[key] = member(value[key], _join_field(field, key), decoded)
+        for member, decoder in members:
+            decoded[member] = decoder(value[member], _join_field(field, member), decoded, memo)
         try:
             return cls(**decoded)
         except ValidationError as err:
             raise ValidationError(err.raw_message, field=own)
 
-    return decode
+    if not all(hints[key] is Fraction for key in names):
+        return decode
+
+    def shared(value, field, scope, memo):
+        # an object of rationals alone: one per distinct sequence of string items
+        if type(value) is not dict:
+            return decode(value, field, scope, memo)
+        key = cls, *value.items()
+        try:
+            found = memo.get(key)
+        except TypeError:  # a list or an object is no key
+            return decode(value, field, scope, memo)
+        if found is None:
+            found = decode(value, field, scope, memo)
+            if _STR.issuperset(map(type, value.values())):  # so true never meets 1
+                memo[key] = found
+        return found
+
+    return shared
 
 
-# The JSON text of each leaf type the writer accepts; a rational is quoted in
-# `format_fraction`'s "num/den" form.
+# The JSON text of each leaf type the writer accepts but `Fraction`, which
+# `_write` quotes in `format_fraction`'s "num/den" form.
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: lambda v: "true" if v else "false",
     NoneType: lambda v: "null",
-    Fraction: lambda x: f'"{x.numerator}/{x.denominator}"',
 }
 
 
@@ -229,70 +284,77 @@ def canonical_json(value) -> str:
     plain JSON value of `value` with `sort_keys=True` and an indent of 2.
     Dataclasses become objects keyed by their field names, rationals the
     string "num/den", tuples and lists arrays; dicts need str keys, and the
-    leaves are exactly the types in `_LEAF_TEXT`. Any other type raises
-    TypeError, as `json.dumps` does.
+    leaves are exactly `Fraction` and the types in `_LEAF_TEXT`. Any other
+    type raises TypeError, as `json.dumps` does.
 
-    Each dataclass instance is written once per indentation and its text
-    reused wherever the same object recurs (a report shares one QMonomial
-    per distinct eigenvalue); the memo lives for this call only. An array
-    whose items all have one leaf type is written with one join."""
-    out = []
-    _write(value, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
+    One memo lives for this call, and each text in it is reused wherever
+    its value recurs: each rational is formatted once per object, each
+    dataclass instance (a report shares one QMonomial per distinct
+    eigenvalue) once per indentation, and each tuple of ints (a root) once
+    per value and indentation. An array whose items all have one leaf type,
+    or are all records of one class, is written with one join."""
+    return _write(value, "\n", {}) + "\n"
 
 
-def _write(value, newline: str, out: list, memo: dict) -> None:
-    """Append the text of `value`; `newline` is a line break followed by the
+def _write(value, newline: str, memo: dict) -> str:
+    """The text of `value`; `newline` is a line break followed by the
     indentation of the line that `value` starts on. `memo` maps
-    (id(record), newline) to (record, start, end), the slice of `out` that
-    holds the record's text; holding the record keeps its id from being
-    reused while the memo lives."""
+    id(rational) to (rational, text), (id(record), newline) to (record,
+    text) and (root, newline) to (root, text); holding each object keeps
+    its id from being reused while the memo lives."""
     cls = type(value)
-    record = None
-    if cls is tuple or cls is list:
-        if value:
-            kinds = set(map(type, value))  # bool and int stay apart
-            leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-            if leaf is not None:
-                inner = newline + "  "
-                out.append("[" + inner + ("," + inner).join(map(leaf, value)) + newline + "]")
-                return
-        brackets, members = "[]", [("", item) for item in value]
-    elif cls is dict:
-        brackets = "{}"
-        members = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
-    else:
-        keys = _sorted_keys(cls)
-        if keys is None:
-            leaf = _LEAF_TEXT.get(cls)
-            if leaf is None:
-                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-            out.append(leaf(value))
-            return
-        record = (id(value), newline)
-        seen = memo.get(record)
-        if seen is not None:
-            out.extend(out[seen[1] : seen[2]])
-            return
-        start = len(out)
-        brackets, members = "{}", [(key, getattr(value, name)) for name, key in keys]
-    if not members:
-        out.append(brackets)
-        return
+    if cls is Fraction:
+        seen = memo.get(id(value))
+        if seen is None:
+            seen = memo[id(value)] = value, f'"{format_fraction(value)}"'
+        return seen[1]
+    leaf = _LEAF_TEXT.get(cls)
+    if leaf is not None:
+        return leaf(value)
     inner = newline + "  "
-    separator = brackets[0] + inner
-    for key, item in members:
-        leaf = _LEAF_TEXT.get(type(item))
-        if leaf is None:
-            out.append(separator + key)
-            _write(item, inner, out, memo)
+    if cls is tuple or cls is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))  # bool and int stay apart
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is int and cls is tuple:
+            key = value, newline
+            seen = memo.get(key)
+            if seen is None:
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+                seen = memo[key] = value, text
+            return seen[1]
+        leaf = _LEAF_TEXT.get(kind)
+        if leaf is not None:
+            texts = map(leaf, value)
+        elif (keys := _sorted_keys(kind)) is not None:
+            texts = [_record_text(item, keys, inner, memo) for item in value]
         else:
-            out.append(separator + key + leaf(item))
-        separator = "," + inner
-    out.append(newline + brackets[1])
-    if record is not None:
-        memo[record] = value, start, len(out)
+            texts = [_write(item, inner, memo) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    if cls is dict:
+        if not value:
+            return "{}"
+        texts = [
+            encode_basestring_ascii(key) + ": " + _write(value[key], inner, memo)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    keys = _sorted_keys(cls)
+    if keys is None:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return _record_text(value, keys, newline, memo)
+
+
+def _record_text(record, keys, newline: str, memo: dict) -> str:
+    """The text of a dataclass instance whose sorted keys are `keys`."""
+    seen = memo.get((id(record), newline))
+    if seen is None:
+        inner = newline + "  "
+        texts = [key + _write(getattr(record, name), inner, memo) for name, key in keys]
+        text = "{" + inner + ("," + inner).join(texts) + newline + "}" if texts else "{}"
+        seen = memo[id(record), newline] = record, text
+    return seen[1]
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +403,11 @@ class Scenario:
                 raise ValidationError(
                     f"expected a rational, got {a!r}", field=f"satake_angles[{i + 1}]"
                 )
-        angles = tuple([Fraction(a) % 1 for a in self.satake_angles])
+        # one already a Fraction in [0, 1) is kept as given, as QMonomial keeps it
+        angles = tuple([
+            a if type(a) is Fraction and 0 <= a.numerator < a.denominator else Fraction(a) % 1
+            for a in self.satake_angles
+        ])
         if len(angles) != dual.rank:
             raise ValidationError(
                 f"expected {dual.rank} angles, got {len(angles)}",

@@ -5,14 +5,17 @@
 and dumps those with `json.dumps(sort_keys=True, indent=2)`. The two must
 agree byte for byte on every report the fuzz pools accept, on synthetic
 nested values, and on the CLI's `batch`, `global` and `orbits` outputs.
-The writer formats a record that recurs once per indentation and joins an
-array of one leaf type in one go, so the synthetic values repeat one
-instance at one depth and at another, and the leaf arrays mix `bool`,
-`int` and `Fraction`.
+The writer formats a record that recurs once per indentation, a rational
+once per object and a tuple of ints once per value and indentation, and
+joins an array of one leaf type or of records of one class in one go, so
+the synthetic values repeat one instance at one depth and at another, and
+the leaf arrays mix `bool`, `int` and `Fraction`. Two count gates pin the
+per-call memos of the writer and of the reader on a large report.
 """
 
 import gc
 import json
+import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,19 +187,39 @@ def test_writer_matches_the_reference_on_principal_reports(dual):
 
 
 def test_writer_formats_each_shared_rational_once(monkeypatch):
-    # an A22 principal report names 938 rationals; its records share
-    # one QMonomial per distinct eigenvalue, so 476 formattings suffice
+    # an A22 principal report names 938 rationals; its records share one
+    # QMonomial per distinct eigenvalue, and the writer formats each
+    # rational object once, so 71 formattings suffice
     report = principal_report(*PRINCIPAL["A22"])
     monitored = weakref.ref(report.eigenvalues_by_level[0][0])
     calls = []
-    fraction_text = scenarios._LEAF_TEXT[Fraction]
-    monkeypatch.setitem(
-        scenarios._LEAF_TEXT, Fraction, lambda x: calls.append(x) or fraction_text(x)
+    format_fraction = scenarios.format_fraction
+    monkeypatch.setattr(
+        scenarios, "format_fraction", lambda x: calls.append(x) or format_fraction(x)
     )
     emit_report_machine(report)
-    assert 0 < len(calls) <= 476
+    assert 0 < len(calls) <= 71
     del report
     assert monitored() is None  # the writer kept no reference
+
+
+def test_reader_parses_each_distinct_rational_string_once(monkeypatch):
+    # the same A22 report holds 938 rational strings but 32 distinct ones;
+    # the second read parses them again, since nothing is kept between calls
+    report = principal_report(*PRINCIPAL["A22"])
+    text = emit_report_machine(report)
+    strings = re.findall(r'"(-?[0-9]+/[0-9]+)"', text)
+    assert len(strings) == 938
+    parse = scenarios.parse_fraction
+    for _ in range(2):
+        calls = []
+        monkeypatch.setattr(
+            scenarios,
+            "parse_fraction",
+            lambda value, field: calls.append(value) or parse(value, field),
+        )
+        assert parse_report_text(text) == report
+        assert sorted(calls) == sorted(set(strings))
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
 from arthurcalc.lfactors import GradedNilradical, l_factor
 from arthurcalc.parameters import (
-    ArthurParameter,
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,

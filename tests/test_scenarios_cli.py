@@ -249,6 +249,17 @@ def test_scenario_round_trip():
         assert again == scenario
 
 
+def test_scenario_keeps_an_angle_already_in_range():
+    half = Fraction(1, 2)
+    kept = Scenario("a2-tempered", CartanSpec("A", 2), (half, half), "trivial")
+    assert kept.satake_angles[0] is half and kept.satake_angles[1] is half
+    reduced = Scenario(
+        "a2-tempered", CartanSpec("A", 2), (Fraction(3, 2), Fraction(-1, 2)), "trivial"
+    )
+    assert reduced.satake_angles == (half, half)
+    assert emit_report_machine(run_scenario(kept)) == emit_report_machine(run_scenario(reduced))
+
+
 def test_report_round_trips_exactly():
     for scenario in sample_scenarios():
         report = run_scenario(scenario)
@@ -326,6 +337,47 @@ def test_report_decoder_names_the_field(case):
     if value is DELETE:
         del target[last]
     else:
+        target[last] = value
+    with pytest.raises(ValidationError, match=message):
+        report_from_dict(payload)
+
+
+# Two rational fields edited at once: the decoder builds one Fraction per
+# distinct string per call, and neither the value nor the refusal of the
+# first field may decide how the second is read (the JSON true is not the
+# int 1; a refused string is refused where it first occurs).
+TWO_RATIONALS = {
+    "int-then-bool": (
+        (["exponents", 0], 1),
+        (["certificate_point"], True),
+        r"^certificate_point: expected a rational, got True$",
+    ),
+    "int-then-bool-in-one-array": (
+        (["pole_locations", 0], 1),
+        (["pole_locations", 1], True),
+        r"^pole_locations\[2\]: expected a rational, got True$",
+    ),
+    "int-then-bool-in-monomials": (
+        (["parameter", 0], {"angle": "0/1", "q_exp": 1}),
+        (["parameter", 1], {"angle": "0/1", "q_exp": True}),
+        r"^parameter\[2\]\.q_exp: expected a rational, got True$",
+    ),
+    "same-bad-string": (
+        (["unit_angles", 0], "1/0"),
+        (["pole_locations", 0], "1/0"),
+        r"^unit_angles\[1\]: cannot parse rational '1/0'$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_RATIONALS))
+def test_report_decoder_reads_each_rational_field_on_its_own(case):
+    *edits, message = TWO_RATIONALS[case]
+    payload = report_to_dict(run_scenario(sample_scenarios()[3]))
+    for (*parents, last), value in edits:
+        target = payload
+        for key in parents:
+            target = target[key]
         target[last] = value
     with pytest.raises(ValidationError, match=message):
         report_from_dict(payload)
