@@ -5,13 +5,15 @@ dual-side datum. The residue cardinality q stays a formal symbol: a factor
 1 - zeta * q^(a-s) with real s and real q > 1 vanishes iff zeta = 1 and
 a = s, so every verdict below is uniform in q.
 
-Evaluation on roots works over the parameter's integer form: every
-coordinate over one denominator D. `eigenvalue_pairs` evaluates the
-exponent and angle numerators on all positive roots at once with
-`roots.root_values` and reads them off at given root positions; the
+Evaluation on roots and the Weyl action both work over the parameter's
+integer form: every coordinate over one denominator D. `eigenvalue_pairs`
+evaluates the exponent and angle numerators on all positive roots at once
+with `roots.root_values` and reads them off at given root positions; the
 centralizer check and the witness search test the angle numerators of the
 few support roots mod D (`unit_is_trivial_on`); `evaluate_root` builds one
-QMonomial, for a certificate or an error message.
+QMonomial, for a certificate or an error message. `apply_word_parameter`
+reflects the numerators as integers and builds each QMonomial once, at the
+end; `recover_arthur_data` checks and dominantizes the exponent numerators.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .roots import (
     RationalVector,
     Root,
     RootDatum,
+    _rational,
     _reflect,
     dominantize,
     format_root,
@@ -35,12 +38,6 @@ from .roots import (
     root_values,
     validate_word,
 )
-
-
-def _rational(value, field: str):
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValidationError(f"expected a rational, got {value!r}", field=field)
-    return value
 
 
 @dataclass(frozen=True)
@@ -235,40 +232,44 @@ def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
 
 def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> UnramifiedParameter:
     """Weyl action on torus eigen-data: s_i sends t_j to t_j * t_i^(-cartan[j][i]),
-    so `roots._reflect` reflects the exponent and the angle vector alike; each
-    QMonomial is built once at the end, which reduces its angle mod 1."""
+    so `roots._reflect` reflects the exponent and the angle numerators of
+    the integer form alike, over the unchanged denominator D; each QMonomial
+    is built once at the end, with its angle reduced mod 1."""
     validate_word(p.datum, word)
     cartan = p.datum.cartan
-    exponents = tuple([t.q_exp for t in p.coords])
-    angles = tuple([t.angle for t in p.coords])
+    D, exponents, angles = p.integer_form
     for i in word:
         exponents = _reflect(cartan, i, exponents)
         angles = _reflect(cartan, i, angles)
-    return UnramifiedParameter(p.datum, tuple(map(QMonomial, exponents, angles)))
+    coords = [QMonomial(Fraction(e, D), Fraction(a % D, D)) for e, a in zip(exponents, angles)]
+    return UnramifiedParameter(p.datum, tuple(coords))
 
 
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
     """Invert the Arthur evaluation: dominantize the exponents, double them
-    into a diagram candidate, and return the unit part conjugated by the
-    same word (the action on angles does not depend on the exponents).
-    Rejects parameters that are not of Arthur shape."""
-    units, exponents = decompose_parameter(p)
-    for i, e in enumerate(exponents):
-        if (2 * e).denominator != 1:
+    into a diagram candidate, and return the unit part of the parameter
+    conjugated by the same word. The checks read the integer form over D:
+    an exponent n / D is half-integral iff D divides 2n, and `dominantize`
+    walks the numerators, so its dominant vector is integral and doubles to
+    the diagram times D. Rejects parameters that are not of Arthur shape."""
+    D, exponents, _ = p.integer_form
+    for i, n in enumerate(exponents):
+        if 2 * n % D:
             raise ValidationError(
-                f"exponent {e} at coordinate {i + 1} is not half-integral; "
+                f"exponent {Fraction(n, D)} at coordinate {i + 1} is not half-integral; "
                 "not of Arthur type",
                 field="parameter",
             )
     dominant, word = dominantize(p.datum, exponents)
     diagram = []
-    for i, e in enumerate(dominant):
-        d = 2 * e
+    for i, n in enumerate(dominant):
+        d = 2 * n.numerator // D
         if d not in (0, 1, 2):
             raise ValidationError(
                 f"doubled dominant exponent {d} at coordinate {i + 1} is outside "
                 "0/1/2; not of Arthur type",
                 field="parameter",
             )
-        diagram.append(int(d))
-    return apply_word_parameter(units, word), tuple(diagram)
+        diagram.append(d)
+    units, _ = decompose_parameter(apply_word_parameter(p, word))
+    return units, tuple(diagram)

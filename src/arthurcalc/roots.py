@@ -35,6 +35,8 @@ _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D", "G": "G"}
 # Exactly int: bool is an int subclass, and True == 1 would pass every
 # later check.
 _INT_ONLY = frozenset({int})
+# A vector of exactly these types needs no per-entry check.
+_RATIONAL_TYPES = frozenset({int, Fraction})
 
 # Largest rank a CartanSpec accepts; a larger rank is refused as input.
 # Work grows super-cubically with the rank: at rank 24 a principal-orbit
@@ -266,19 +268,19 @@ def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, t
     """Walk the vector into the closed dominant chamber (all entries >= 0).
 
     Returns (dominant vector, word): reflecting the input by the word's
-    letters in order gives the output. Each step strictly reduces the number
-    of positive roots evaluating negatively, so length <= number of positive
-    roots.
+    letters in order gives the output. The walk runs on the numerators of
+    the vector over one denominator D > 0, which have the signs of the
+    rationals, and only the output is built as Fractions. Each step
+    strictly reduces the number of positive roots evaluating negatively, so
+    length <= number of positive roots.
     """
-    current = tuple(Fraction(v) for v in vector)
-    if len(current) != d.rank:
-        raise ValidationError("vector length does not match rank")
+    D, current = _over_common_denominator_checked(d, vector, "vector")
     word: list[int] = []
     bound = len(d.positive_roots)
     while True:
         negative = [i for i, v in enumerate(current) if v < 0]
         if not negative:
-            return current, tuple(word)
+            return tuple([Fraction(v, D) for v in current]), tuple(word)
         if len(word) > bound:
             raise InvariantViolation("dominantization exceeded the positive-root bound")
         i = negative[0]
@@ -359,22 +361,37 @@ def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     return D, tuple([v.numerator * (D // v.denominator) for v in values])
 
 
+def _rational(value, field: str):
+    """The value if it is exact: a Fraction, or an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"expected a rational, got {value!r}", field=field)
+    return value
+
+
+def _over_common_denominator_checked(d: RootDatum, vector, field: str) -> tuple[int, tuple[int, ...]]:
+    """`over_common_denominator` of a tuple or list of rank rationals, each
+    held to `_rational`; anything else is refused on the field."""
+    if not isinstance(vector, (tuple, list)):
+        raise ValidationError(f"expected a tuple of rationals, got {vector!r}", field=field)
+    if len(vector) != d.rank:
+        raise ValidationError(f"expected {d.rank} rationals, got {len(vector)}", field=field)
+    if not _RATIONAL_TYPES.issuperset(map(type, vector)):
+        for v in vector:
+            _rational(v, field)
+    return over_common_denominator(vector)
+
+
 def evaluation_exponents(d: RootDatum, character_exps: RationalVector) -> RationalVector:
     """Satake evaluation exponents of the twist with the given character
-    exponents: e_i = sum_j cartan[i][j] * c_j."""
-    if len(character_exps) != d.rank:
-        raise ValidationError("exponent vector length does not match rank")
-    return tuple(
-        sum((Fraction(c) * d.cartan[i][j] for j, c in enumerate(character_exps)), Fraction(0))
-        for i in range(d.rank)
-    )
+    exponents: e_i = sum_j cartan[i][j] * c_j, one integer dot product per
+    Cartan row on the vector written over one denominator E."""
+    E, nums = _over_common_denominator_checked(d, character_exps, "exponents")
+    return tuple([Fraction(sum(map(mul, row, nums)), E) for row in d.cartan])
 
 
 def character_exponents(d: RootDatum, evaluation_exps: RationalVector) -> RationalVector:
     """Inverse of evaluation_exponents: the datum's cached inverse Cartan
     matrix N / D applied to the vector written over one denominator E."""
-    if len(evaluation_exps) != d.rank:
-        raise ValidationError("exponent vector length does not match rank")
-    E, nums = over_common_denominator([Fraction(v) for v in evaluation_exps])
+    E, nums = _over_common_denominator_checked(d, evaluation_exps, "exponents")
     D, N = d.cartan_inverse
     return tuple([Fraction(sum(map(mul, row, nums)), D * E) for row in N])

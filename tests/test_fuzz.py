@@ -5,11 +5,13 @@ Each file case starts from a shipped scenario, family or golden report,
 replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
 pipeline. Each library case calls `Scenario(...)`, `QMonomial(...)`,
-`UnramifiedParameter(...)`, `StandardModuleDatum(...)` or
-`make_arthur_parameter(...)` with values drawn from fixed pools of Python
+`UnramifiedParameter(...)`, `StandardModuleDatum(...)`,
+`make_arthur_parameter(...)`, `dominantize(...)`, `character_exponents(...)`
+or `evaluation_exponents(...)` with values drawn from fixed pools of Python
 values. An accepted scenario must read back from its own machine report; an
 accepted monomial must hold its values exactly; an accepted parameter or
-record must go through the parameter layer and the classifier.
+record must go through the parameter layer and the classifier; an accepted
+vector must come out as exact Fractions that the oracle confirms.
 """
 
 import copy
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import trivial_parameter
+from oracle import apply_word_vector, trivial_parameter
 
 from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
@@ -35,7 +37,15 @@ from arthurcalc.parameters import (
     make_arthur_parameter,
     recover_arthur_data,
 )
-from arthurcalc.roots import CartanSpec, build_root_datum, dual_datum, root_positions
+from arthurcalc.roots import (
+    CartanSpec,
+    build_root_datum,
+    character_exponents,
+    dominantize,
+    dual_datum,
+    evaluation_exponents,
+    root_positions,
+)
 from arthurcalc.scenarios import (
     Scenario,
     canonical_json,
@@ -291,6 +301,49 @@ def test_hostile_library_records_raise_only_validation_errors(parameter, sl2, ge
         classify_packet(make_arthur_parameter(parameter, sl2))
     except ValidationError:
         pass
+
+
+# Each vector case hands one of the exported vector functions a datum and a
+# vector whose entries, or the vector itself, come from the pools: "x" and
+# NaN leaked a ValueError, None a TypeError, and True, 0.5 and "1/2" were
+# silently converted.
+@st.composite
+def library_vectors(draw):
+    datum = draw(st.sampled_from(DATA))
+    size = draw(st.sampled_from([datum.rank, 0, 1, 2, 3, 4]))
+    entries = draw(st.lists(st.sampled_from(PYTHON_VALUES + RATIONALS), min_size=size, max_size=size))
+    vector = draw(st.sampled_from([entries, tuple(entries), *PYTHON_VALUES]))
+    return datum, vector
+
+
+@pytest.mark.parametrize(
+    "function", [dominantize, character_exponents, evaluation_exponents],
+    ids=["dominantize", "character_exponents", "evaluation_exponents"],
+)
+@settings(max_examples=200, deadline=None)
+@given(library_vectors())
+@example((DATA[0], ("x", 0)))
+@example((DATA[0], (float("nan"), 0)))
+@example((DATA[0], (None, 0)))
+@example((DATA[0], (True, 0)))
+@example((DATA[0], (0.5, 0)))
+@example((DATA[0], ("1/2", 0)))
+@example((DATA[0], None))
+def test_hostile_library_vectors_raise_only_validation_errors(function, case):
+    d, vector = case
+    try:
+        result = function(d, vector)
+    except ValidationError:
+        return
+    exact = tuple(Fraction(v) for v in vector)
+    if function is dominantize:
+        dominant, word = result
+        assert all(type(v) is Fraction and v >= 0 for v in dominant)
+        assert apply_word_vector(d, word, exact) == dominant
+    else:
+        assert all(type(v) is Fraction for v in result)
+        inverse = evaluation_exponents if function is character_exponents else character_exponents
+        assert inverse(d, result) == exact
 
 
 @pytest.mark.parametrize(

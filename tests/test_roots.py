@@ -381,6 +381,30 @@ def test_exponent_conversions_invert_each_other(spec, data):
     assert character_exponents(d, evaluation_exponents(d, c)) == c
 
 
+@pytest.mark.parametrize(
+    ("function", "field"),
+    [(dominantize, "vector"), (character_exponents, "exponents"), (evaluation_exponents, "exponents")],
+)
+@pytest.mark.parametrize("entry", ["x", float("nan"), None, True, 0.5, "1/2"])
+def test_vector_functions_refuse_entries_that_are_not_exact_rationals(function, field, entry):
+    # "x" and nan leaked a ValueError and None a TypeError; True, 0.5 and
+    # "1/2" were converted
+    d = build_root_datum(CartanSpec("A", 2))
+    with pytest.raises(ValidationError) as info:
+        function(d, (Fraction(1, 2), entry))
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: expected a rational, got {entry!r}"
+
+
+@pytest.mark.parametrize("function", [dominantize, character_exponents, evaluation_exponents])
+def test_vector_functions_refuse_vectors_of_the_wrong_shape(function):
+    d = build_root_datum(CartanSpec("A", 2))
+    with pytest.raises(ValidationError, match="expected a tuple of rationals, got None"):
+        function(d, None)
+    with pytest.raises(ValidationError, match="expected 2 rationals, got 3"):
+        function(d, (1, 2, 3))
+
+
 # -- formatting -------------------------------------------------------------------------
 
 

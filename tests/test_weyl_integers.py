@@ -1,0 +1,156 @@
+"""The Weyl action on integer numerators.
+
+`apply_word_parameter` reflects the numerators of a parameter's integer
+form, `dominantize` walks the numerators of its input over one
+denominator, and `recover_arthur_data` dominantizes the exponent
+numerators. The oracle replays compare with `==`, and `Fraction(1) == 1`,
+so these tests also pin what an integer loop could get wrong unseen: every
+coordinate out is a `Fraction` in lowest terms, every angle lies in [0, 1),
+and the diagram is made of `int`s. The gate at the end checks that the
+word loop itself sees only `int`s.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from oracle import apply_word_vector
+
+from arthurcalc import parameters, roots
+from arthurcalc.parameters import (
+    QMonomial,
+    UnramifiedParameter,
+    apply_word_parameter,
+    recover_arthur_data,
+)
+from arthurcalc.roots import CartanSpec, build_root_datum, dominantize, dual_datum
+
+F = Fraction
+
+# (datum, (q_exp, angle) per coordinate): mixed denominators, so the
+# integer form's D is the lcm of exponent and angle denominators.
+CASES = [
+    # exponent 1/3 with angle 1/4: D = 12
+    (build_root_datum(CartanSpec("A", 2)), [(F(1, 3), F(1, 4)), (F(-2, 3), F(3, 4))]),
+    # exponent 1/2 with angle 5/6: D = 6
+    (build_root_datum(CartanSpec("G", 2)), [(F(1, 2), F(5, 6)), (F(-1), F(1, 3))]),
+    (dual_datum(build_root_datum(CartanSpec("G", 2))), [(F(1, 2), F(5, 6)), (F(1, 3), F(1, 4))]),
+    (
+        dual_datum(build_root_datum(CartanSpec("B", 3))),
+        [(F(-1, 2), F(5, 6)), (F(1, 3), F(1, 4)), (F(2), F(0))],
+    ),
+]
+IDS = ["A2-D12", "G2-D6", "G2dual-D12", "C3-D12"]
+
+
+def long_word(d):
+    """A word longer than the number of positive roots, cycling through the
+    simple indices."""
+    return tuple(k % d.rank for k in range(len(d.positive_roots) + 1))
+
+
+def words(d):
+    return [(), (d.rank - 1,), long_word(d)]
+
+
+def assert_lowest_terms(values):
+    for v in values:
+        assert type(v) is Fraction, v
+        assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1, v
+
+
+def assert_monomials(coords):
+    assert_lowest_terms([t.q_exp for t in coords])
+    assert_lowest_terms([t.angle for t in coords])
+    assert all(0 <= t.angle < 1 for t in coords)
+
+
+def parameter(d, pairs):
+    return UnramifiedParameter(d, tuple(QMonomial(e, a) for e, a in pairs))
+
+
+@pytest.mark.parametrize(("d", "pairs"), CASES, ids=IDS)
+def test_word_action_gives_reduced_fractions_and_matches_the_oracle(d, pairs):
+    assert len(long_word(d)) > len(d.positive_roots)
+    p = parameter(d, pairs)
+    for word in words(d):
+        moved = apply_word_parameter(p, word)
+        assert_monomials(moved.coords)
+        exps = apply_word_vector(d, word, tuple(e for e, _ in pairs))
+        angles = apply_word_vector(d, word, tuple(a for _, a in pairs))
+        assert [t.q_exp for t in moved.coords] == list(exps)
+        assert [t.angle for t in moved.coords] == [a % 1 for a in angles]
+
+
+@pytest.mark.parametrize(("d", "pairs"), CASES, ids=IDS)
+def test_dominantize_gives_reduced_fractions_and_matches_the_oracle(d, pairs):
+    for word in words(d):
+        vector = apply_word_vector(d, word, tuple(e for e, _ in pairs))
+        for as_given in (vector, list(vector)):
+            dominant, back = dominantize(d, as_given)
+            assert_lowest_terms(dominant)
+            assert type(back) is tuple and all(type(i) is int for i in back)
+            assert all(v >= 0 for v in dominant)
+            assert apply_word_vector(d, back, vector) == dominant
+    # integer entries come back as Fractions too
+    dominant, _ = dominantize(d, tuple(range(-1, d.rank - 1)))
+    assert_lowest_terms(dominant)
+
+
+# (datum, (q_exp, angle) per coordinate) of Arthur shape: half-integral
+# exponents whose dominant representative doubles into 0/1/2.
+ARTHUR_CASES = [
+    (build_root_datum(CartanSpec("A", 2)), [(F(1, 2), F(5, 6)), (F(1, 2), F(1, 4))]),
+    (build_root_datum(CartanSpec("G", 2)), [(F(1, 2), F(5, 6)), (F(0), F(1, 3))]),
+    (
+        dual_datum(build_root_datum(CartanSpec("B", 3))),
+        [(F(1), F(5, 6)), (F(0), F(1, 4)), (F(1, 2), F(2, 3))],
+    ),
+]
+
+
+@pytest.mark.parametrize(("d", "pairs"), ARTHUR_CASES, ids=["A2", "G2", "C3"])
+def test_recover_gives_reduced_fractions_and_matches_the_oracle(d, pairs):
+    p = parameter(d, pairs)
+    diagram = tuple(int(2 * e) for e, _ in pairs)
+    for word in words(d):
+        moved = apply_word_parameter(p, word)
+        units, recovered = recover_arthur_data(moved)
+        assert_monomials(units.coords)
+        assert recovered == diagram and all(type(v) is int for v in recovered)
+        assert all(t.q_exp == 0 for t in units.coords)
+        # the recovered word takes the moved exponents back to the dominant
+        # ones, and the moved angles with them
+        _, back = dominantize(d, [t.q_exp for t in moved.coords])
+        angles = apply_word_vector(d, back, tuple(t.angle for t in moved.coords))
+        assert [t.angle for t in units.coords] == [a % 1 for a in angles]
+
+
+GATE_D, GATE_PAIRS = ARTHUR_CASES[0]
+GATE_P = parameter(GATE_D, GATE_PAIRS)
+GATE_WORD = long_word(GATE_D)
+GATE_MOVED = apply_word_parameter(GATE_P, GATE_WORD)
+GATE_CALLS = {
+    "apply_word_parameter": lambda: apply_word_parameter(GATE_P, GATE_WORD),
+    "dominantize": lambda: dominantize(GATE_D, tuple(t.q_exp for t in GATE_MOVED.coords)),
+    "recover_arthur_data": lambda: recover_arthur_data(GATE_MOVED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CALLS))
+def test_the_word_loop_sees_only_integers(monkeypatch, name):
+    """Every vector the Weyl entry point hands `_reflect`, read in `roots`
+    or in `parameters`, holds only ints: the walk runs on numerators and
+    builds Fractions only for its output."""
+    seen = []
+    reflect = roots._reflect
+
+    def recording(cartan, i, vector):
+        seen.append(vector)
+        return reflect(cartan, i, vector)
+
+    for module in (roots, parameters):
+        monkeypatch.setattr(module, "_reflect", recording)
+    GATE_CALLS[name]()
+    assert seen, "the call reflected nothing"
+    assert all(type(v) is int for vector in seen for v in vector), seen
