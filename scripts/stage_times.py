@@ -13,6 +13,11 @@ finds failing files) and then N timed rounds. A stage's time for one file
 is its median over the rounds; the table gives the median of those over
 the files, in ms. Output goes to stdout only. A file that fails in any
 stage is named on stderr, and the exit code is 1.
+
+The medians of one process move 5-10% with the host's load, more than
+many changes move a stage. Compare stages within one run; to compare two
+trees, alternate many runs of each, or time both trees in one process,
+interleaved file by file.
 """
 
 import argparse

@@ -42,7 +42,6 @@ from .parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
-    decompose_parameter,
     defining_levi,
     evaluate_root,
     langlands_parameter,

@@ -41,6 +41,7 @@ class SL2Data:
 
     diagram: tuple[int, ...]
     support: tuple[Root, ...]
+    _valid_for = None  # the datum `validate_sl2_data` last passed it on; not a field
 
     @property
     def is_trivial(self) -> bool:
@@ -258,8 +259,13 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
     """Structural checks for expert-supplied data; collects every violation.
 
     Deliberately does not certify genuine orbit membership: expert mode is
-    documented as unvalidated-orbit mode.
+    documented as unvalidated-orbit mode. Data that passes with tuple fields
+    is immutable, so it is marked valid for `d` (by identity) and returns at
+    once on `d` later: package-built data is checked once per datum. There
+    is no by-value memo, as `SL2Data((True,), ())` equals `SL2Data((1,), ())`.
     """
+    if type(data) is SL2Data and data._valid_for is d:
+        return
     if not isinstance(data, SL2Data):
         raise ValidationError(f"expected SL2Data, got {data!r}", field="sl2")
     for name, value in (("diagram", data.diagram), ("support", data.support)):
@@ -305,3 +311,5 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             problems.append("zero diagram must have empty support")
     if problems:
         raise ValidationError("; ".join(problems), field="sl2")
+    if type(data) is SL2Data and type(data.diagram) is tuple and type(data.support) is tuple:
+        object.__setattr__(data, "_valid_for", d)

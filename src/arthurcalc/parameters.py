@@ -8,12 +8,14 @@ a = s, so every verdict below is uniform in q.
 Evaluation on roots and the Weyl action both work over the parameter's
 integer form: every coordinate over one denominator D. `eigenvalue_pairs`
 evaluates the exponent and angle numerators on all positive roots at once
-with `roots.root_values` and reads them off at given root positions; the
-centralizer check and the witness search test the angle numerators of the
-few support roots mod D (`unit_is_trivial_on`); `evaluate_root` builds one
-QMonomial, for a certificate or an error message. `apply_word_parameter`
-reflects the numerators as integers and builds each QMonomial once, at the
-end; `recover_arthur_data` checks and dominantizes the exponent numerators.
+with `roots.root_values` and reads them off at given root positions;
+`ArthurParameter` reads it once, and its centralizer check, like the
+witness search (`unit_is_trivial_on`), tests the angle numerators of the
+few support roots mod D. `evaluate_root` builds one QMonomial, for a
+certificate or an error message. `apply_word_parameter` reflects the
+numerators as integers and builds each QMonomial once, at the end;
+`recover_arthur_data` dominantizes the exponent numerators and reflects
+only the angle numerators.
 """
 
 from __future__ import annotations
@@ -145,13 +147,6 @@ def evaluate_root(root: Root, p: UnramifiedParameter) -> QMonomial:
     )
 
 
-def decompose_parameter(p: UnramifiedParameter) -> tuple[UnramifiedParameter, RationalVector]:
-    """Split into the bounded (unit) part and the exponent vector; the two
-    recompose to the input exactly."""
-    units = UnramifiedParameter(p.datum, tuple([QMonomial(angle=t.angle) for t in p.coords]))
-    return units, tuple([t.q_exp for t in p.coords])
-
-
 def recompose_parameter(units: UnramifiedParameter, exponents: RationalVector) -> UnramifiedParameter:
     if len(exponents) != units.datum.rank:
         raise ValidationError("exponent vector length does not match rank")
@@ -188,17 +183,18 @@ class ArthurParameter:
             raise ValidationError(
                 f"expected an UnramifiedParameter, got {self.tempered_part!r}", field="parameter"
             )
-        bad = [i for i, t in enumerate(self.tempered_part.coords) if t.q_exp != 0]
-        if bad:
+        D, exponents, angles = self.tempered_part.integer_form
+        if any(exponents):
+            bad = next(i for i, n in enumerate(exponents) if n)
             raise ValidationError(
-                f"coordinate {bad[0] + 1} has nonzero exponent; the bounded part "
+                f"coordinate {bad + 1} has nonzero exponent; the bounded part "
                 "must be tempered",
                 field="parameter",
             )
         validate_sl2_data(self.tempered_part.datum, self.sl2)
         for root in self.sl2.support:
-            # the exponents are zero, so a trivial unit part is the value 1
-            if not self.tempered_part.unit_is_trivial_on(root):
+            # the exponents are zero, so D dividing the angle numerator means 1
+            if sum(map(mul, root, angles)) % D:
                 value = evaluate_root(root, self.tempered_part)
                 raise ValidationError(
                     f"centralizer condition fails at {format_root(root)}: "
@@ -252,7 +248,7 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
     an exponent n / D is half-integral iff D divides 2n, and `dominantize`
     walks the numerators, so its dominant vector is integral and doubles to
     the diagram times D. Rejects parameters that are not of Arthur shape."""
-    D, exponents, _ = p.integer_form
+    D, exponents, angles = p.integer_form
     for i, n in enumerate(exponents):
         if 2 * n % D:
             raise ValidationError(
@@ -271,5 +267,7 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
                 field="parameter",
             )
         diagram.append(d)
-    units, _ = decompose_parameter(apply_word_parameter(p, word))
-    return units, tuple(diagram)
+    for i in word:
+        angles = _reflect(p.datum.cartan, i, angles)
+    units = tuple([QMonomial(angle=Fraction(a % D, D)) for a in angles])
+    return UnramifiedParameter(p.datum, units), tuple(diagram)

@@ -16,8 +16,9 @@ raises. It shares no code with the layers it checks:
 - one dot product per root for a vector's value on every positive root,
   the Levi/nilradical split, the grading levels and the eigenvalues on
   roots (what `roots.root_values` gets by the height recurrence);
-- the product, power and inverse of QMonomials, and the trivial
-  parameter;
+- the product, power and inverse of QMonomials, the trivial parameter,
+  and the split of a parameter into its unit part and exponents (with the
+  Weyl action, the slow route for `recover_arthur_data`'s unit part);
 - canonical JSON by way of the standard library's encoder.
 """
 
@@ -287,6 +288,13 @@ def qmonomial_inverse(m: QMonomial) -> QMonomial:
 def trivial_parameter(d: RootDatum) -> UnramifiedParameter:
     """The parameter whose every coordinate is 1."""
     return UnramifiedParameter(d, (QMonomial(),) * d.rank)
+
+
+def decompose_parameter(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple]:
+    """Split into the bounded (unit) part and the exponent vector; the two
+    recompose to the input exactly."""
+    units = UnramifiedParameter(p.datum, tuple(QMonomial(angle=t.angle) for t in p.coords))
+    return units, tuple(t.q_exp for t in p.coords)
 
 
 def encode(value):

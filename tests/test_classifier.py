@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from oracle import qmonomial_pow, reflect_root, trivial_parameter
+from oracle import decompose_parameter, qmonomial_pow, reflect_root, trivial_parameter
 
 from arthurcalc import classifier
 from arthurcalc.classifier import (
@@ -28,7 +28,6 @@ from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
-    decompose_parameter,
     langlands_parameter,
     make_arthur_parameter,
     recompose_parameter,

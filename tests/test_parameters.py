@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
     apply_word_vector,
+    decompose_parameter,
     qmonomial_inverse,
     qmonomial_mul,
     qmonomial_pow,
@@ -22,7 +23,6 @@ from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
-    decompose_parameter,
     defining_levi,
     eigenvalue_pairs,
     evaluate_root,
@@ -288,6 +288,55 @@ def test_centralizer_rejects_minus_one_on_regular_orbit():
         make_arthur_parameter(phi, sl2_from_partition("A", 1, (2,)))
 
 
+@pytest.mark.parametrize(
+    "sl2",
+    [SL2Data((0, 0), ()), SL2Data((True, 0), ()), SL2Data([0], ()), "not sl2 data"],
+    ids=["valid", "bool-entry", "short-list", "not-sl2"],
+)
+def test_a_nonzero_exponent_is_reported_before_the_sl2_data(sl2):
+    d = build_root_datum(CartanSpec("A", 2))
+    phi = UnramifiedParameter(d, (QMonomial(angle=Fraction(1, 3)), QMonomial(Fraction(1, 2))))
+    with pytest.raises(ValidationError) as info:
+        make_arthur_parameter(phi, sl2)
+    assert info.value.field == "parameter"
+    assert info.value.raw_message == (
+        "coordinate 2 has nonzero exponent; the bounded part must be tempered"
+    )
+
+
+@pytest.mark.parametrize(
+    ("family", "angles", "parts", "message"),
+    [
+        (
+            "A",
+            (Fraction(1, 2),),
+            (2,),
+            "centralizer condition fails at a1: evaluation zeta(1/2) is not 1",
+        ),
+        # angles over 3 and 4: the check reads numerators over D = 12
+        (
+            "A",
+            (Fraction(1, 3), Fraction(1, 4)),
+            (2, 1),
+            "centralizer condition fails at a1 + a2: evaluation zeta(7/12) is not 1",
+        ),
+        (
+            "C",
+            (Fraction(1, 4), Fraction(1, 2)),
+            (2, 2),
+            "centralizer condition fails at a2: evaluation zeta(1/2) is not 1",
+        ),
+    ],
+)
+def test_centralizer_failure_names_the_root_and_its_value(family, angles, parts, message):
+    d = build_root_datum(CartanSpec(family, len(angles)))
+    phi = UnramifiedParameter(d, tuple(QMonomial(angle=a) for a in angles))
+    with pytest.raises(ValidationError) as info:
+        make_arthur_parameter(phi, sl2_from_partition(family, len(angles), parts))
+    assert info.value.field == "parameter"
+    assert info.value.raw_message == message
+
+
 def test_centralizer_accepts_central_units():
     d = build_root_datum(CartanSpec("C", 2))
     # support of [2,2] on the dual side: a2 and 2a1+a2; t = (-1, 1) passes
@@ -406,6 +455,39 @@ def test_recover_inverts_a_random_conjugation(spec, data):
     angles = replay(back, replay(word, tuple(t.angle for t in psi.tempered_part.coords)))
     assert all(t.q_exp == 0 for t in units.coords)
     assert [(t.angle - a) % 1 for t, a in zip(units.coords, angles)] == [0] * d.rank
+
+
+RECOVER_DATA = [
+    d for family, rank in [("A", 2), ("A", 3), ("B", 3), ("D", 4), ("G", 2)]
+    for d in both_data(CartanSpec(family, rank))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RECOVER_DATA), st.data())
+def test_recover_units_match_the_slow_route(d, data):
+    """`recover_arthur_data` reflects only the angle numerators; its units
+    must be the unit part of the parameter conjugated by dominantize's word,
+    taken the slow way. The first two angles have denominators 3 and 4, so
+    D mixes them; half the words are longer than the positive roots."""
+    half = data.draw(st.tuples(*[st.sampled_from((0, Fraction(1, 2), 1))] * d.rank))
+    denominators = (3, 4) + data.draw(st.tuples(*[st.sampled_from((1, 2, 5, 6))] * (d.rank - 2)))
+    angles = [
+        Fraction(data.draw(st.integers(1, n - 1) if n > 1 else st.just(0)), n) for n in denominators
+    ]
+    p = UnramifiedParameter(d, tuple(QMonomial(e, a) for e, a in zip(half, angles)))
+    long = tuple(k % d.rank for k in range(len(d.positive_roots) + 1))
+    word = data.draw(st.sampled_from(((), long))) + tuple(
+        data.draw(st.lists(st.integers(0, d.rank - 1), max_size=3 * d.rank))
+    )
+    moved = apply_word_parameter(p, word)
+    units, diagram = recover_arthur_data(moved)
+    assert diagram == tuple(int(2 * e) for e in half)
+    _, back = dominantize(d, decompose_parameter(moved)[1])
+    assert units == decompose_parameter(apply_word_parameter(moved, back))[0]
+    for t in units.coords:
+        assert type(t.q_exp) is Fraction and t.q_exp == 0
+        assert type(t.angle) is Fraction and 0 <= t.angle < 1
 
 
 def test_recover_rejects_non_arthur_shapes():
