@@ -8,10 +8,10 @@ a = s, so every verdict below is uniform in q.
 Evaluation on roots and the Weyl action both work over the parameter's
 integer form: every coordinate over one denominator D. `eigenvalue_pairs`
 evaluates the exponent and angle numerators on all positive roots at once
-with `roots.root_values` and reads them off at given root positions;
-`ArthurParameter` reads it once, and its centralizer check, like the
-witness search (`unit_is_trivial_on`), tests the angle numerators of the
-few support roots mod D. `evaluate_root` builds one QMonomial, for a
+with `roots.root_values` and reads them off at given root positions.
+`ArthurParameter` reads the integer form once; its centralizer check, like
+the witness search (`unit_is_trivial_on`), tests the angle numerators of
+the few support roots mod D. `evaluate_root` builds one QMonomial, for a
 certificate or an error message. `apply_word_parameter` reflects the
 numerators as integers and builds each QMonomial once, at the end;
 `recover_arthur_data` dominantizes the exponent numerators and reflects
