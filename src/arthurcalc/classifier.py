@@ -87,7 +87,7 @@ class StandardModuleDatum:
             )
         if not isinstance(self.generic, bool):
             raise ValidationError(f"expected a boolean, got {self.generic!r}", field="generic")
-        if any(e < 0 for e in self.exponents):
+        if any(n < 0 for n in self.parameter.integer_form[1]):
             raise ValidationError("twist exponents are not dominant", field="twist")
 
     @property
@@ -101,7 +101,8 @@ class StandardModuleDatum:
 
     @cached_property
     def levi(self) -> LeviSubset:
-        return defining_levi(self.exponents, self.datum)
+        """The zero set of the exponents, read off their numerators."""
+        return defining_levi(self.parameter.integer_form[1], self.datum)
 
     @cached_property
     def character_exponents(self) -> RationalVector:

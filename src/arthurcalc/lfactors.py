@@ -23,13 +23,19 @@ evaluates an integer vector on every positive root with one addition per
 root (each root is its parent plus a simple root), so no nilradical root is
 evaluated by a dot product. The grading keeps each root's position in
 `positive_roots`, where the pairs are read off, so no root is looked up.
+
+The grading is a fact of the (datum, Levi) pair, like the datum's
+`positive_roots`: `grade_nilradical` validates the Levi on every call and
+then builds each grading once, keeping at most `MAX_GRADINGS` of them (the
+least recently used is dropped first), so a loop over all Levis of a datum
+holds a bounded amount of memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import islice
 from typing import Callable
 
@@ -46,6 +52,10 @@ from .roots import (
 from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs
 
 ORIENTATIONS = ("r", "r-tilde")
+
+# Largest number of gradings kept. A grading holds at most the 576
+# positive roots of C24, about 25 KB, so the cache stays under 7 MB.
+MAX_GRADINGS = 256
 
 
 @dataclass(frozen=True)
@@ -106,10 +116,16 @@ class LocalLFactor:
 
 def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     """Bucket the nilradical of the Levi by total coefficient on simple roots
-    outside theta; levels start at 1 (empty when theta is everything). One
-    pass of `root_values` gives every positive root its level, and the Levi
-    roots are the ones at level 0."""
-    theta = validate_levi(d, theta)
+    outside theta; levels start at 1 (empty when theta is everything). The
+    Levi is validated first; the grading itself is built once per (datum,
+    Levi) and shared, since it is immutable."""
+    return _graded(d, validate_levi(d, theta))
+
+
+@lru_cache(maxsize=MAX_GRADINGS)
+def _graded(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
+    """One pass of `root_values` gives every positive root its level, and
+    the Levi roots are the ones at level 0."""
     levels = root_values(d, off_levi_indicator(d, theta))
     buckets: dict[int, list[int]] = {level: [] for level in sorted(set(levels) - {0})}
     for k, level in enumerate(levels):
@@ -158,14 +174,21 @@ def pole_locations(L: LocalLFactor) -> tuple[Fraction, ...]:
 
 def eigenvalues_by_level(g: GradedNilradical, L: LocalLFactor) -> tuple[tuple[QMonomial, ...], ...]:
     """The factor's eigenvalues split by the grading's levels, each level in
-    (q_exp, angle) order; over one D the pairs sort the same way."""
+    (q_exp, angle) order; over one D the pairs sort the same way. A run of
+    equal sorted pairs shares one QMonomial."""
     if L.roots != g.all_roots:
         raise ValidationError("factor and grading are misaligned")
+    monomial = L._monomial
     pairs = iter(L.pairs)
-    return tuple([
-        tuple([L._monomial(pair) for pair in sorted(islice(pairs, len(roots)))])
-        for _, roots in g.levels
-    ])
+    levels = []
+    for _, roots in g.levels:
+        block, last = [], None
+        for pair in sorted(islice(pairs, len(roots))):
+            if pair != last:
+                last, value = pair, monomial(pair)
+            block.append(value)
+        levels.append(tuple(block))
+    return tuple(levels)
 
 
 @dataclass(frozen=True)

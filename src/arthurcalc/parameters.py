@@ -11,9 +11,11 @@ evaluates the exponent and angle numerators on all positive roots at once
 with `roots.root_values` and reads them off at given root positions.
 `ArthurParameter` reads the integer form once; its centralizer check, like
 the witness search (`unit_is_trivial_on`), tests the angle numerators of
-the few support roots mod D. `evaluate_root` builds one QMonomial, for a
-certificate or an error message. `apply_word_parameter` reflects the
-numerators as integers and builds each QMonomial once, at the end;
+the few support roots mod D, and a refusal names the failing value from
+that numerator. `evaluate_root` builds one QMonomial, for a certificate.
+`langlands_parameter` derives its integer form from the tempered part's
+instead of recomputing it. `apply_word_parameter` reflects the numerators
+as integers and builds each QMonomial once, at the end;
 `recover_arthur_data` dominantizes the exponent numerators and reflects
 only the angle numerators.
 """
@@ -193,12 +195,13 @@ class ArthurParameter:
             )
         validate_sl2_data(self.tempered_part.datum, self.sl2)
         for root in self.sl2.support:
-            # the exponents are zero, so D dividing the angle numerator means 1
-            if sum(map(mul, root, angles)) % D:
-                value = evaluate_root(root, self.tempered_part)
+            # the exponents are zero, so the evaluation is zeta(n / D) with
+            # n the angle numerator mod D, and it is 1 iff n is 0
+            n = sum(map(mul, root, angles)) % D
+            if n:
                 raise ValidationError(
                     f"centralizer condition fails at {format_root(root)}: "
-                    f"evaluation {value} is not 1",
+                    f"evaluation {QMonomial(angle=Fraction(n, D))} is not 1",
                     field="parameter",
                 )
 
@@ -218,12 +221,23 @@ _HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
 def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
     """Evaluate the sl2 factor at the half-weight torus element: coordinate i
     picks up q^(d_i/2) where d_i is the diagram value. The tempered part has
-    zero exponents, so coordinate i is q^(d_i/2) with the unit's angle."""
+    zero exponents, so coordinate i is q^(d_i/2) with the unit's angle.
+
+    The integer form is the tempered part's, with the diagram added: over D
+    when every diagram value is even, over lcm(D, 2) when one is odd, which
+    is the lcm of all the coordinates' denominators either way."""
+    diagram = psi.sl2.diagram
     coords = tuple([
         QMonomial(_HALF_WEIGHTS[d], t.angle)
-        for t, d in zip(psi.tempered_part.coords, psi.sl2.diagram)
+        for t, d in zip(psi.tempered_part.coords, diagram)
     ])
-    return UnramifiedParameter(psi.datum, coords)
+    p = UnramifiedParameter(psi.datum, coords)
+    D, _, angles = psi.tempered_part.integer_form
+    if 1 in diagram and D % 2:
+        D, angles = 2 * D, tuple([2 * a for a in angles])
+    # fill the cached `integer_form`; d * D is even for d in 0/1/2 over this D
+    p.__dict__["integer_form"] = D, tuple([d * D // 2 for d in diagram]), angles
+    return p
 
 
 def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> UnramifiedParameter:

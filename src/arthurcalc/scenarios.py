@@ -303,13 +303,12 @@ def _write(value, newline: str, memo: dict) -> str:
     indentation of the line that `value` starts on. `memo` maps
     id(rational) to (rational, text), (id(record), newline) to (record,
     text) and (root, newline) to (root, text); holding each object keeps
-    its id from being reused while the memo lives."""
+    its id from being reused while the memo lives. An array of rationals,
+    or of records of one class, reads its items' memo hits in place."""
     cls = type(value)
     if cls is Fraction:
         seen = memo.get(id(value))
-        if seen is None:
-            seen = memo[id(value)] = value, f'"{format_fraction(value)}"'
-        return seen[1]
+        return _fraction_text(value, memo) if seen is None else seen[1]
     leaf = _LEAF_TEXT.get(cls)
     if leaf is not None:
         return leaf(value)
@@ -326,11 +325,21 @@ def _write(value, newline: str, memo: dict) -> str:
                 text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
                 seen = memo[key] = value, text
             return seen[1]
-        leaf = _LEAF_TEXT.get(kind)
+        leaf, get = _LEAF_TEXT.get(kind), memo.get
         if leaf is not None:
             texts = map(leaf, value)
+        elif kind is Fraction:
+            texts = [
+                _fraction_text(item, memo) if (seen := get(id(item))) is None else seen[1]
+                for item in value
+            ]
         elif (keys := _sorted_keys(kind)) is not None:
-            texts = [_record_text(item, keys, inner, memo) for item in value]
+            texts = [
+                _record_text(item, keys, inner, memo)
+                if (seen := get((id(item), inner))) is None
+                else seen[1]
+                for item in value
+            ]
         else:
             texts = [_write(item, inner, memo) for item in value]
         return "[" + inner + ("," + inner).join(texts) + newline + "]"
@@ -345,18 +354,25 @@ def _write(value, newline: str, memo: dict) -> str:
     keys = _sorted_keys(cls)
     if keys is None:
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    return _record_text(value, keys, newline, memo)
+    seen = memo.get((id(value), newline))
+    return _record_text(value, keys, newline, memo) if seen is None else seen[1]
+
+
+def _fraction_text(x: Fraction, memo: dict) -> str:
+    """The quoted text of a rational that `memo` does not hold yet."""
+    text = f'"{format_fraction(x)}"'
+    memo[id(x)] = x, text
+    return text
 
 
 def _record_text(record, keys, newline: str, memo: dict) -> str:
-    """The text of a dataclass instance whose sorted keys are `keys`."""
-    seen = memo.get((id(record), newline))
-    if seen is None:
-        inner = newline + "  "
-        texts = [key + _write(getattr(record, name), inner, memo) for name, key in keys]
-        text = "{" + inner + ("," + inner).join(texts) + newline + "}" if texts else "{}"
-        seen = memo[id(record), newline] = record, text
-    return seen[1]
+    """The text of a dataclass instance whose sorted keys are `keys`, for a
+    (record, newline) that `memo` does not hold yet."""
+    inner = newline + "  "
+    texts = [key + _write(getattr(record, name), inner, memo) for name, key in keys]
+    text = "{" + inner + ("," + inner).join(texts) + newline + "}" if texts else "{}"
+    memo[id(record), newline] = record, text
+    return text
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ The writer formats a record that recurs once per indentation, a rational
 once per object and a tuple of ints once per value and indentation, and
 joins an array of one leaf type or of records of one class in one go, so
 the synthetic values repeat one instance at one depth and at another, and
-the leaf arrays mix `bool`, `int` and `Fraction`. Two count gates pin the
-per-call memos of the writer and of the reader on a large report.
+the leaf arrays mix `bool`, `int` and `Fraction`; the fixed cases repeat
+one `Fraction` object in an array and one record at two indentations. Two
+count gates pin the per-call memos of the writer and of the reader on a
+large report.
 """
 
 import gc
@@ -126,9 +128,20 @@ def test_writer_matches_the_reference_on_nested_values(value):
     assert canonical_json(value) == reference_canonical_json(value)
 
 
+HALF = Fraction(1, 2)  # one object, repeated where the cases below say so
+MONOMIAL = QMonomial(HALF, Fraction(1, 3))
+
+
 @pytest.mark.parametrize(
     "value",
     [
+        [HALF, HALF, Fraction(1, 2), HALF],
+        (HALF, [HALF, (HALF,)], {"a": HALF}),
+        [MONOMIAL, MONOMIAL, QMonomial(HALF, Fraction(1, 3))],
+        ([MONOMIAL, MONOMIAL], [[MONOMIAL], MONOMIAL], MONOMIAL, {"m": [MONOMIAL]}),
+        ([MONOMIAL, Empty(), MONOMIAL], [Empty(), Empty()], [MONOMIAL, HALF]),
+        [(1, 2), [(1, 2)], (1, 2), ((1, 2),)],
+        ([1, 2, 3], (1, 2, 3), [False], (True, True), [0, 0]),
         [True, False, True],
         (True, 1, False, 0),
         [0, True],
@@ -142,6 +155,8 @@ def test_writer_matches_the_reference_on_nested_values(value):
         {"a": (), "b": [False, 1], "c": ((1, 2), (True, False))},
     ],
     ids=[
+        "shared-fraction", "shared-fraction-nested", "shared-record",
+        "record-two-indents", "records-mixed", "root-two-indents", "int-bool-arrays",
         "bools", "bool-int", "int-bool", "int-fraction", "fractions", "nones", "strs",
         "empty-tuple", "empty-list", "nested-small", "in-dict",
     ],

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import (
     apply_word_vector,
@@ -34,8 +36,10 @@ from arthurcalc.parameters import (
 from arthurcalc.roots import (
     CartanSpec,
     build_root_datum,
+    diagram_pairing,
     dominantize,
     dual_datum,
+    over_common_denominator,
     root_positions,
 )
 from arthurcalc.sweeps import (
@@ -390,6 +394,45 @@ def test_langlands_parameter_is_the_product_with_half_the_diagram(family, rank):
                 qmonomial_mul(t, QMonomial(Fraction(h, 2))) for t, h in zip(units.coords, sl2.diagram)
             )
     assert accepted > len(orbits)  # units other than the trivial one pass too
+
+
+LANGLANDS_SPECS = [CartanSpec(f, n) for f, n in [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]]
+
+
+@st.composite
+def arthur_parameters(draw):
+    """Expert sl2 data with any diagram in 0/1/2, odd entries included, and
+    unit angles over denominators 1-12, one of them solved for so that the
+    angles vanish on a support root; the support also takes every other
+    root pairing to 2 on which they vanish."""
+    d = build_root_datum(draw(st.sampled_from(LANGLANDS_SPECS)))
+    diagram = tuple(draw(st.lists(st.sampled_from((0, 1, 2)), min_size=d.rank, max_size=d.rank)))
+    angles = [
+        draw(st.builds(lambda m, n: Fraction(n % m, m), st.integers(1, 12), st.integers(0, 11)))
+        for _ in range(d.rank)
+    ]
+    support = ()
+    if any(diagram):
+        pairing_two = [r for r in d.positive_roots if diagram_pairing(r, diagram) == 2]
+        assume(pairing_two)
+        root = draw(st.sampled_from(pairing_two))
+        j = min((k for k, c in enumerate(root) if c), key=lambda k: root[k])
+        rest = sum(c * a for k, (c, a) in enumerate(zip(root, angles)) if k != j)
+        angles[j] = (draw(st.integers(0, root[j] - 1)) - rest) / root[j] % 1
+        support = tuple([r for r in pairing_two if sum(map(mul, r, angles)).denominator == 1])
+    phi = UnramifiedParameter(d, tuple([QMonomial(angle=a) for a in angles]))
+    return make_arthur_parameter(phi, SL2Data(diagram, support))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arthur_parameters())
+def test_langlands_integer_form_is_the_least_common_denominator_form(psi):
+    p = langlands_parameter(psi)
+    D, exponents, angles = p.integer_form
+    values = [t.q_exp for t in p.coords] + [t.angle for t in p.coords]
+    assert (D, exponents + angles) == over_common_denominator(values)
+    assert D == lcm(*(x.denominator for x in values))  # no smaller D will do
+    assert p.integer_form == UnramifiedParameter(p.datum, p.coords).integer_form
 
 
 def test_exponents_are_half_the_diagram():

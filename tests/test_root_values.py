@@ -6,9 +6,11 @@ addition each. It is compared with the dot products of `oracle` on every
 type the package accepts, A1-A24, B2-B24, C2-C24, D3-D24 and G2 and their
 duals; the grading (the nilradical, so the Levi split too) and the
 eigenvalue pairs built on it are compared at ranks 7-24, past the rank-6
-lattice tests.
+lattice tests. Every Levi of five small types checks that the shared,
+cached grading equals a fresh one, and that bad Levi indices are refused.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import dot_eigenvalues, dot_grading, dot_root_values, trivial_parameter
 
+from arthurcalc import lfactors
 from arthurcalc.classifier import standard_module_datum
 from arthurcalc.errors import ValidationError
 from arthurcalc.lfactors import GradedNilradical, grade_nilradical, l_factor
@@ -33,6 +36,7 @@ from arthurcalc.roots import (
     dual_datum,
     root_positions,
     root_values,
+    validate_levi,
 )
 
 SPECS = (
@@ -139,3 +143,49 @@ def test_standard_module_gradings_above_rank_six(family, rank, parts):
     )
     principal = parts[0] >= sum(parts) - 1  # (n + 1), (2n + 1), (2n) or (2n - 1, 1)
     assert bool(sm.levi) is not principal
+
+
+SMALL = [CartanSpec("A", 3), CartanSpec("B", 3), CartanSpec("C", 3), CartanSpec("D", 4), CartanSpec("G", 2)]
+
+
+@pytest.mark.parametrize("spec", SMALL, ids=str)
+def test_cached_gradings_equal_fresh_ones(spec):
+    # every Levi of the datum and its dual: the shared grading equals one
+    # built afresh and the dot-product reference, and is shared on reuse
+    for d in both_data(spec):
+        for bits in range(2**d.rank):
+            theta = frozenset(i for i in range(d.rank) if bits >> i & 1)
+            g = grade_nilradical(d, theta)
+            fresh = lfactors._graded.__wrapped__(d, theta)
+            assert fresh is not g
+            assert (g.levels, g.all_roots, g.positions) == (
+                fresh.levels, fresh.all_roots, fresh.positions
+            )
+            assert g.levels == dot_grading(d, theta)
+            assert g.positions == tuple(root_positions(d, g.all_roots))
+            assert grade_nilradical(d, set(theta)) is g
+
+
+# a bad Levi index on a datum of the given rank, and the refusal it gets
+BAD_INDICES = {
+    "negative": lambda rank: (-1, "Levi index -1 outside"),
+    "rank": lambda rank: (rank, f"Levi index {rank} outside"),
+    "bool": lambda rank: (True, "Levi index True is not an integer"),
+    "float": lambda rank: (0.0, "Levi index 0.0 is not an integer"),
+    "str": lambda rank: ("0", "Levi index '0' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("spec", SMALL, ids=str)
+@pytest.mark.parametrize("kind", BAD_INDICES)
+def test_gradings_refuse_bad_levi_indices(spec, kind):
+    d = build_root_datum(spec)
+    bad, message = BAD_INDICES[kind](d.rank)
+    grade_nilradical(d, frozenset())  # a cached grading changes nothing
+    for levi in ({bad}, {bad, 1}):
+        with pytest.raises(ValidationError, match=re.escape(message)) as refused:
+            grade_nilradical(d, levi)
+        with pytest.raises(ValidationError) as reference:
+            validate_levi(d, levi)
+        assert str(refused.value) == str(reference.value)
+        assert refused.value.field == "levi"

@@ -84,13 +84,38 @@ def test_run_scenario_derives_each_fact_once(path, monkeypatch):
         "apply_word_parameter": 0,
         "local_coefficient_ratio": 1,
         "grade_nilradical": 1,
-        # every positive root evaluated in one pass each: the grading
-        # levels, and the denominator's exponent and angle numerators
-        "root_values": 3,
+        # every positive root evaluated in one pass each: the denominator's
+        # exponent and angle numerators; the grading levels are the warm
+        # run's, kept per (datum, Levi)
+        "root_values": 2,
         "l_factor": 1,  # the denominator; the numerator inverts its eigenvalues
         "character_exponents": 1,  # the report's twist
         "integer_inverse": 0,  # each datum keeps its inverse Cartan matrix
     }
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem
+)
+def test_second_run_grades_nothing_new(path):
+    scenario = parse_scenario_text(path.read_text())
+    first = run_scenario(scenario)
+    misses = lfactors._graded.cache_info().misses
+    assert run_scenario(scenario) == first
+    assert lfactors._graded.cache_info().misses == misses
+
+
+def test_grading_cache_stays_within_its_bound():
+    # every Levi of A9 is twice the bound: the cache keeps the most recent
+    d = build_root_datum(CartanSpec("A", 9))
+    assert 2**d.rank >= 2 * lfactors.MAX_GRADINGS
+    sizes = set()
+    for bits in range(2**d.rank):
+        theta = frozenset(i for i in range(d.rank) if bits >> i & 1)
+        lfactors.grade_nilradical(d, theta)
+        sizes.add(lfactors._graded.cache_info().currsize)
+    assert max(sizes) == lfactors.MAX_GRADINGS
+    assert lfactors._graded.cache_info().maxsize == lfactors.MAX_GRADINGS
 
 
 @pytest.mark.parametrize(
