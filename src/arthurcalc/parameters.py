@@ -9,15 +9,18 @@ Evaluation on roots and the Weyl action both work over the parameter's
 integer form: every coordinate over one denominator D. `eigenvalue_pairs`
 evaluates the exponent and angle numerators on all positive roots at once
 with `roots.root_values` and reads them off at given root positions.
-`ArthurParameter` reads the integer form once; its centralizer check, like
-the witness search (`unit_is_trivial_on`), tests the angle numerators of
-the few support roots mod D, and a refusal names the failing value from
-that numerator. `evaluate_root` builds one QMonomial, for a certificate.
-`langlands_parameter` derives its integer form from the tempered part's
-instead of recomputing it. `apply_word_parameter` reflects the numerators
-as integers and builds each QMonomial once, at the end;
-`recover_arthur_data` dominantizes the exponent numerators and reflects
-only the angle numerators.
+`ArthurParameter` reads the integer form once; its centralizer check,
+`centralizer_failure`, like the witness search (`unit_is_trivial_on`),
+tests the angle numerators of the few support roots mod D and builds
+nothing, so the sweep skips a failing point without a message, and a
+refusal names the failing value from that numerator. `evaluate_root`
+builds one QMonomial, for a certificate. `langlands_parameter` derives its
+integer form from the tempered part's instead of recomputing it, and
+builds one QMonomial per distinct (diagram value, angle object), so a
+report writes each shared coordinate once. `apply_word_parameter`
+reflects the numerators as integers and builds each QMonomial once, at the
+end; `recover_arthur_data` dominantizes the exponent numerators and
+reflects only the angle numerators.
 """
 
 from __future__ import annotations
@@ -185,7 +188,7 @@ class ArthurParameter:
             raise ValidationError(
                 f"expected an UnramifiedParameter, got {self.tempered_part!r}", field="parameter"
             )
-        D, exponents, angles = self.tempered_part.integer_form
+        D, exponents, _ = self.tempered_part.integer_form
         if any(exponents):
             bad = next(i for i, n in enumerate(exponents) if n)
             raise ValidationError(
@@ -194,20 +197,35 @@ class ArthurParameter:
                 field="parameter",
             )
         validate_sl2_data(self.tempered_part.datum, self.sl2)
-        for root in self.sl2.support:
-            # the exponents are zero, so the evaluation is zeta(n / D) with
-            # n the angle numerator mod D, and it is 1 iff n is 0
-            n = sum(map(mul, root, angles)) % D
-            if n:
-                raise ValidationError(
-                    f"centralizer condition fails at {format_root(root)}: "
-                    f"evaluation {QMonomial(angle=Fraction(n, D))} is not 1",
-                    field="parameter",
-                )
+        failure = centralizer_failure(self.tempered_part, self.sl2)
+        if failure is not None:
+            # the exponents are zero, so the evaluation is zeta(n / D), n != 0
+            root, n = failure
+            raise ValidationError(
+                f"centralizer condition fails at {format_root(root)}: "
+                f"evaluation zeta({Fraction(n, D)}) is not 1",
+                field="parameter",
+            )
 
     @property
     def datum(self) -> RootDatum:
         return self.tempered_part.datum
+
+
+def centralizer_failure(phi: UnramifiedParameter, sl2: SL2Data) -> tuple[Root, int] | None:
+    """The first support root of `sl2` on which the unit part of `phi` is
+    not 1, with its angle numerator n mod D (the unit part there is
+    zeta(n / D)), or None if the unit part centralizes the sl2 image. For
+    sl2 data valid on phi's datum; it tests angle numerators mod D, as
+    `unit_is_trivial_on` does, and builds nothing, so a caller that only
+    skips a failing point (`sweeps.iter_dichotomy_parameters`) pays for no
+    message."""
+    D, _, angles = phi.integer_form
+    for root in sl2.support:
+        n = sum(map(mul, root, angles)) % D
+        if n:
+            return root, n
+    return None
 
 
 def make_arthur_parameter(phi: UnramifiedParameter, rho: SL2Data) -> ArthurParameter:
@@ -225,13 +243,22 @@ def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
 
     The integer form is the tempered part's, with the diagram added: over D
     when every diagram value is even, over lcm(D, 2) when one is odd, which
-    is the lcm of all the coordinates' denominators either way."""
+    is the lcm of all the coordinates' denominators either way.
+
+    Coordinates with one diagram value and one angle object share one
+    QMonomial, so a report writes each once. The key is the angle's id, not
+    its value: no Fraction is hashed, and every angle stays alive in psi
+    for the whole call."""
     diagram = psi.sl2.diagram
-    coords = tuple([
-        QMonomial(_HALF_WEIGHTS[d], t.angle)
-        for t, d in zip(psi.tempered_part.coords, diagram)
-    ])
-    p = UnramifiedParameter(psi.datum, coords)
+    shared = {}
+    coords = []
+    for t, d in zip(psi.tempered_part.coords, diagram):
+        key = d, id(t.angle)
+        c = shared.get(key)
+        if c is None:
+            c = shared[key] = QMonomial(_HALF_WEIGHTS[d], t.angle)
+        coords.append(c)
+    p = UnramifiedParameter(psi.datum, tuple(coords))
     D, _, angles = psi.tempered_part.integer_form
     if 1 in diagram and D % 2:
         D, angles = 2 * D, tuple([2 * a for a in angles])

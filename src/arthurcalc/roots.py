@@ -107,6 +107,10 @@ def cartan_matrix(spec: CartanSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+def _transpose(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(zip(*matrix))
+
+
 def root_sort_key(root: Root) -> tuple:
     """Canonical enumeration order: height ascending, then coefficients
     descending lexicographically (so alpha_1 precedes alpha_2)."""
@@ -154,14 +158,30 @@ class RootDatum:
     For dual data of B/C the index labels stay aligned with the original
     group's simple roots (the transpose convention), which is again the
     Bourbaki order of the swapped family.
+
+    The matrix must be the spec's `cartan_matrix` or its transpose, as a
+    tuple of tuples of ints; any other matrix is refused, since one that is
+    not of finite type has infinitely many positive roots.
     """
 
     spec: CartanSpec
     cartan: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.cartan) != self.spec.rank:
-            raise ValidationError("Cartan matrix size does not match rank")
+        if not isinstance(self.spec, CartanSpec):
+            raise ValidationError(f"expected a CartanSpec, got {self.spec!r}", field="spec")
+        matrix = cartan_matrix(self.spec)
+        cartan = self.cartan
+        # exact tuples of exact ints first, so == below is integer equality
+        if not (
+            type(cartan) is tuple
+            and all(type(row) is tuple and _INT_ONLY.issuperset(map(type, row)) for row in cartan)
+            and cartan in (matrix, _transpose(matrix))
+        ):
+            raise ValidationError(
+                f"expected the Cartan matrix of {self.spec} or its transpose, got {cartan!r}",
+                field="cartan",
+            )
 
     @property
     def rank(self) -> int:
@@ -202,7 +222,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
     """Transpose the Cartan matrix; B and C trade places, A/D/G are self-dual.
     For A-D that is the dual spec's own matrix, so its cached datum (and one
     root enumeration) is shared; G2's transpose swaps long and short labels."""
-    transposed = tuple(tuple(d.cartan[j][i] for j in range(d.rank)) for i in range(d.rank))
+    transposed = _transpose(d.cartan)
     spec = CartanSpec(_DUAL_FAMILY[d.spec.family], d.spec.rank)
     shared = build_root_datum(spec)
     return shared if shared.cartan == transposed else RootDatum(spec, transposed)

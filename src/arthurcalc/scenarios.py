@@ -11,8 +11,10 @@ so reports can be compared byte for byte; parsing an emitted report
 reproduces the Report object exactly. Every report carries enough data to
 re-verify its verdict with the L-factor layer alone. One direct writer,
 `canonical_json`, produces those bytes from the records themselves, and
-one decoder per annotation reads them back. Each keeps a memo for one call
-only, so a value that recurs in a report is formatted or parsed once.
+one decoder per annotation reads them back. Each keeps a memo for one call,
+so a value that recurs in a report is formatted or parsed once; the
+writer also keeps the texts of tuples of ints (roots), which are immutable,
+across calls, at most `MAX_ROOT_TEXTS` of them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .nilpotent import (
     validate_sl2_data,
 )
 from .parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
-from .roots import CartanSpec, Root, build_root_datum, dual_datum, format_root
+from .roots import MAX_RANK, CartanSpec, Root, build_root_datum, dual_datum, format_root
 
 # Assumption flags a place family may declare. The first ties a cuspidal
 # family to Arthur parameters at its unramified places; the second upgrades
@@ -280,6 +282,19 @@ _LEAF_TEXT = {
 }
 
 
+# Texts of tuples of ints (roots, diagrams, `levels`) live across calls,
+# keyed by (tuple, newline): such a tuple is immutable and compared by value,
+# so its text at one indentation never changes, and only tuples whose items
+# are all exactly int get here, so (True, 1) never meets (1, 1). At most
+# MAX_ROOT_TEXTS are kept, each of at most MAX_RANK items and _MAX_ROOT_TEXT
+# characters (its key then holds at most as many digits and spaces), so the
+# cache holds about 3 MB at most on any input; a full cache is emptied. The
+# roots of 30 reports at dual rank 12-22 take 448 entries, about 0.2 MB.
+MAX_ROOT_TEXTS = 1024
+_MAX_ROOT_TEXT = 1024
+_root_texts: dict[tuple[tuple[int, ...], str], str] = {}
+
+
 def canonical_json(value) -> str:
     """Canonical JSON of `value`, written directly: sorted keys, a two-space
     indent, ASCII escapes and a final newline, as `json.dumps` writes the
@@ -289,22 +304,25 @@ def canonical_json(value) -> str:
     leaves are exactly `Fraction` and the types in `_LEAF_TEXT`. Any other
     type raises TypeError, as `json.dumps` does.
 
-    One memo lives for this call, and each text in it is reused wherever
-    its value recurs: each rational is formatted once per object, each
-    dataclass instance (a report shares one QMonomial per distinct
-    eigenvalue) once per indentation, and each tuple of ints (a root) once
-    per value and indentation. An array whose items all have one leaf type,
-    or are all records of one class, is written with one join."""
+    Each text is reused wherever its value recurs. A memo that lives for
+    this call formats each rational once per object and each dataclass
+    instance (a report shares one QMonomial per distinct eigenvalue) once
+    per indentation; nothing mutable is kept after the call. Each tuple of
+    ints (a root) is written once per value and indentation, from
+    `_root_texts`, which lives across calls. An array whose items all have
+    one leaf type, or are all records of one class, is written with one
+    join, and in an array of rationals or of records an item that is the
+    previous item reuses its text."""
     return _write(value, "\n", {}) + "\n"
 
 
 def _write(value, newline: str, memo: dict) -> str:
     """The text of `value`; `newline` is a line break followed by the
     indentation of the line that `value` starts on. `memo` maps
-    id(rational) to (rational, text), (id(record), newline) to (record,
-    text) and (root, newline) to (root, text); holding each object keeps
-    its id from being reused while the memo lives. An array of rationals,
-    or of records of one class, reads its items' memo hits in place."""
+    id(rational) to (rational, text) and (id(record), newline) to (record,
+    text); holding each object keeps its id from being reused while the
+    memo lives. An array of rationals, or of records of one class, reads
+    its items' memo hits in place, and a run of one object once."""
     cls = type(value)
     if cls is Fraction:
         seen = memo.get(id(value))
@@ -320,26 +338,31 @@ def _write(value, newline: str, memo: dict) -> str:
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind is int and cls is tuple:
             key = value, newline
-            seen = memo.get(key)
-            if seen is None:
+            text = _root_texts.get(key)
+            if text is None:
                 text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-                seen = memo[key] = value, text
-            return seen[1]
+                if len(value) <= MAX_RANK and len(text) <= _MAX_ROOT_TEXT:
+                    if len(_root_texts) >= MAX_ROOT_TEXTS:
+                        _root_texts.clear()
+                    _root_texts[key] = text
+            return text
         leaf, get = _LEAF_TEXT.get(kind), memo.get
         if leaf is not None:
             texts = map(leaf, value)
         elif kind is Fraction:
-            texts = [
-                _fraction_text(item, memo) if (seen := get(id(item))) is None else seen[1]
-                for item in value
-            ]
+            texts, last = [], None
+            for item in value:
+                if item is not last:  # a run of one object is written once
+                    last, seen = item, get(id(item))
+                    text = _fraction_text(item, memo) if seen is None else seen[1]
+                texts.append(text)
         elif (keys := _sorted_keys(kind)) is not None:
-            texts = [
-                _record_text(item, keys, inner, memo)
-                if (seen := get((id(item), inner))) is None
-                else seen[1]
-                for item in value
-            ]
+            texts, last = [], None
+            for item in value:
+                if item is not last:
+                    last, seen = item, get((id(item), inner))
+                    text = _record_text(item, keys, inner, memo) if seen is None else seen[1]
+                texts.append(text)
         else:
             texts = [_write(item, inner, memo) for item in value]
         return "[" + inner + ("," + inner).join(texts) + newline + "]"

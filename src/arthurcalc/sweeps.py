@@ -14,12 +14,12 @@ import itertools
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ValidationError
 from .nilpotent import PAIRED_PARITY, partition_total, sl2_from_partition
 from .parameters import (
     ArthurParameter,
     QMonomial,
     UnramifiedParameter,
+    centralizer_failure,
     make_arthur_parameter,
 )
 from .roots import CartanSpec, RootDatum, build_root_datum
@@ -78,14 +78,11 @@ def iter_dichotomy_parameters(spec: CartanSpec) -> Iterator[ArthurParameter]:
     """Every (partition, unit tuple) combination over the mu_4 grid whose
     unit part centralizes the sl2 component, partition by partition in
     `valid_partitions` order; the rest are silently skipped, since they are
-    not Arthur parameters at all."""
+    not Arthur parameters at all, and build no error message."""
     datum = build_root_datum(spec)
     for parts in valid_partitions(spec.family, spec.rank):
         sl2 = sl2_from_partition(spec.family, spec.rank, parts)
         for grid_point in unit_grid(spec.rank):
             phi = unit_parameter(datum, grid_point)
-            try:
-                psi = make_arthur_parameter(phi, sl2)
-            except ValidationError:
-                continue
-            yield psi
+            if centralizer_failure(phi, sl2) is None:
+                yield make_arthur_parameter(phi, sl2)

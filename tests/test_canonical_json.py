@@ -15,7 +15,9 @@ count gates pin the per-call memos of the writer and of the reader on a
 large report.
 """
 
+import functools
 import gc
+import itertools
 import json
 import re
 import weakref
@@ -28,12 +30,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import reference_canonical_json
 from test_fuzz import hostile_cases, library_scenarios
+from test_parameters import arthur_parameters
 
 from arthurcalc import cli, scenarios
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import is_very_even, weighted_diagram
-from arthurcalc.parameters import QMonomial
-from arthurcalc.roots import CartanSpec
+from arthurcalc.parameters import (
+    QMonomial,
+    UnramifiedParameter,
+    langlands_parameter,
+    make_arthur_parameter,
+)
+from arthurcalc.roots import MAX_RANK, CartanSpec
 from arthurcalc.scenarios import (
     MAX_NUMERAL_DIGITS,
     Scenario,
@@ -199,6 +207,111 @@ PRINCIPAL = {
 def test_writer_matches_the_reference_on_principal_reports(dual):
     report = principal_report(*PRINCIPAL[dual])
     assert emit_report_machine(report) == reference_canonical_json(report)
+
+
+# rank-24 principal orbits: dual type -> (group, rank, partition on the dual)
+PRINCIPAL_24 = {
+    "A24": ("A", 24, (25,)),
+    "B24": ("C", 24, (49,)),
+    "C24": ("B", 24, (48,)),
+    "D24": ("D", 24, (47, 1)),
+}
+
+
+@pytest.mark.parametrize("dual", PRINCIPAL_24)
+def test_root_texts_written_cold_and_warm_agree(dual):
+    report = principal_report(*PRINCIPAL_24[dual])
+    scenarios._root_texts.clear()
+    cold = emit_report_machine(report)
+    assert scenarios._root_texts  # the roots were kept for the next call
+    warm = emit_report_machine(report)
+    assert cold == warm == reference_canonical_json(report)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([(1, 1), (True, 1), (1, True)])))
+def test_root_texts_keep_bool_apart_from_int(order):
+    # (True, 1) == (1, 1) and both hash alike, so a bool tuple must never
+    # reach the cache that the all-int tuple fills
+    for wrap in (lambda v: v, lambda v: [v]):
+        for value in order:
+            assert canonical_json(wrap(value)) == reference_canonical_json(wrap(value))
+
+
+def test_root_texts_stay_within_their_bound():
+    bound = scenarios.MAX_ROOT_TEXTS
+    for start in range(0, 3 * bound, 100):
+        value = [(i, -i) for i in range(start, start + 100)]
+        assert canonical_json(value) == reference_canonical_json(value)
+        assert len(scenarios._root_texts) <= bound
+    # a long tuple, a huge entry or a deep indentation is written but not kept
+    too_long = tuple(range(MAX_RANK + 1))
+    huge = (10**2000, 1)
+    deep = functools.reduce(lambda value, _: [value], range(200), (5, 6))
+    scenarios._root_texts.clear()
+    for value in (too_long, huge, deep):
+        assert canonical_json(value) == reference_canonical_json(value)
+    assert not scenarios._root_texts
+
+
+EQUAL_HALF = Fraction(1, 2)  # equal to HALF but another object
+EQUAL_MONOMIAL = QMonomial(HALF, Fraction(1, 3))  # equal to MONOMIAL, another object
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [HALF, HALF, EQUAL_HALF, EQUAL_HALF, HALF, Fraction(1, 3), HALF],
+        [EQUAL_HALF, HALF, EQUAL_HALF, HALF],
+        [MONOMIAL, MONOMIAL, EQUAL_MONOMIAL, MONOMIAL, QMonomial(HALF, HALF), MONOMIAL],
+        ([MONOMIAL, MONOMIAL], [EQUAL_MONOMIAL, EQUAL_MONOMIAL], [[MONOMIAL, EQUAL_MONOMIAL]]),
+        [Record(HALF, [HALF, HALF], EQUAL_HALF)] * 2 + [Record(EQUAL_HALF, [HALF], HALF)],
+        # equal records whose texts differ: a run is one object, not one value
+        [Record(1, 0, HALF), Record(1, 0, HALF), Record(True, False, HALF), Record(1, 0, HALF)],
+    ],
+    ids=[
+        "fraction-runs", "fraction-alternating", "record-runs", "record-runs-nested",
+        "runs-in-records", "equal-records-other-texts",
+    ],
+)
+def test_runs_of_shared_objects_match_the_reference(value):
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([HALF, EQUAL_HALF, Fraction(-1, 2), Fraction(0)]), max_size=12),
+    st.lists(st.sampled_from([MONOMIAL, EQUAL_MONOMIAL, QMonomial(), QMonomial(1)]), max_size=12),
+)
+def test_arrays_mixing_shared_and_equal_objects_match_the_reference(rationals, monomials):
+    value = (rationals, monomials, Record(rationals, monomials, [monomials, rationals]))
+    assert canonical_json(value) == reference_canonical_json(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arthur_parameters())
+def test_langlands_coordinates_equal_the_unshared_construction(psi):
+    # the same parameter once with one angle object per coordinate and once
+    # with one object per distinct angle, so coordinates can be shared
+    d = psi.datum
+    one_per_value = {}
+    shared_angles = tuple(one_per_value.setdefault(t.angle, t.angle) for t in psi.tempered_part.coords)
+    shared_psi = make_arthur_parameter(
+        UnramifiedParameter(d, tuple(QMonomial(angle=a) for a in shared_angles)), psi.sl2
+    )
+    for arthur in (psi, shared_psi):
+        p = langlands_parameter(arthur)
+        unshared = tuple(
+            QMonomial(Fraction(v, 2), t.angle)
+            for t, v in zip(arthur.tempered_part.coords, arthur.sl2.diagram)
+        )
+        assert p.coords == unshared
+        assert [(t.q_exp, t.angle) for t in p.coords] == [(t.q_exp, t.angle) for t in unshared]
+        assert p.integer_form == UnramifiedParameter(d, unshared).integer_form
+    # one QMonomial per distinct (diagram value, angle object)
+    p = langlands_parameter(shared_psi)
+    firsts = {}
+    for t, v, a in zip(p.coords, shared_psi.sl2.diagram, shared_angles):
+        assert firsts.setdefault((v, id(a)), t) is t
 
 
 def test_writer_formats_each_shared_rational_once(monkeypatch):

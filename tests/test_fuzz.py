@@ -5,17 +5,20 @@ Each file case starts from a shipped scenario, family or golden report,
 replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
 pipeline. Each library case calls `Scenario(...)`, `QMonomial(...)`,
-`UnramifiedParameter(...)`, `StandardModuleDatum(...)`,
+`RootDatum(...)`, `UnramifiedParameter(...)`, `StandardModuleDatum(...)`,
 `make_arthur_parameter(...)`, `dominantize(...)`, `character_exponents(...)`
 or `evaluation_exponents(...)` with values drawn from fixed pools of Python
 values. An accepted scenario must read back from its own machine report; an
-accepted monomial must hold its values exactly; an accepted parameter or
+accepted monomial must hold its values exactly; an accepted root datum must
+hold its spec's Cartan matrix or the transpose, and a refused one must be
+refused in well under a second; an accepted parameter or
 record must go through the parameter layer and the classifier; an accepted
 vector must come out as exact Fractions that the oracle confirms.
 """
 
 import copy
 import json
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +42,9 @@ from arthurcalc.parameters import (
 )
 from arthurcalc.roots import (
     CartanSpec,
+    RootDatum,
     build_root_datum,
+    cartan_matrix,
     character_exponents,
     dominantize,
     dual_datum,
@@ -270,6 +275,54 @@ def test_hostile_library_parameters_raise_only_validation_errors(case):
         classify_packet(make_arthur_parameter(units, SL2Data(diagram, ())))
     except ValidationError:
         pass
+
+
+# Each root-datum case hands `RootDatum` a spec and a matrix from the pools.
+# A matrix that is not of finite type used to build, and its
+# `positive_roots` never finished: the affine A1 matrix on A2 still ran at a
+# 5 s timeout. Only a spec's Cartan matrix or its transpose is accepted.
+CARTAN_SPECS = [CartanSpec(f, r) for f, r in [("A", 1), ("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]]
+CARTAN_MATRICES = [
+    ((2, -2), (-2, 2)),  # affine A1: not of finite type
+    ((2, -3), (-3, 2)),  # hyperbolic
+    ((2, -1), (-4, 2)),  # affine A2 twisted: not of finite type
+    ((2, -1, 0), (-1, 2, -1), (0, -3, 2)),  # not of finite type
+    ((2, -1), (0, 2)),  # asymmetric zero pattern
+    ((2, -1, 0), (-1, 2, -1), (0, 0, 2)),  # asymmetric zero pattern
+    ((1, -1), (-1, 1)),  # wrong diagonal
+    ((2, -1), (-1, 3)),  # wrong diagonal
+    ((0,),),  # wrong diagonal
+    ((2, 0), (0, 2)),  # of finite type, but not the spec's
+    ((2, -1), (-1, 2), (0, 0)),  # wrong size
+    ((2.0, -1), (-1, 2.0)),  # float entries
+    ((2, -1.0), (-1, 2)),
+    ((2, False), (False, 2)),  # bool entries
+    ((2, -1), ("x", 2)),
+    ((2, None), (-1, 2)),
+    [[2, -1], [-1, 2]],  # lists, not tuples
+    ((2, -1), [-1, 2]),
+    ("ab", "cd"),
+    *PYTHON_VALUES,
+    *(matrix for spec in CARTAN_SPECS for matrix in (cartan_matrix(spec), tuple(zip(*cartan_matrix(spec))))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CARTAN_SPECS + PYTHON_VALUES), st.sampled_from(CARTAN_MATRICES))
+@example(CartanSpec("A", 2), ((2, -2), (-2, 2)))
+@example(CartanSpec("G", 2), ((2, -3), (-1, 2)))
+@example(CartanSpec("B", 3), cartan_matrix(CartanSpec("C", 3)))
+def test_hostile_root_data_raise_only_validation_errors(spec, matrix):
+    start = time.perf_counter()
+    try:
+        d = RootDatum(spec, matrix)
+    except ValidationError as error:
+        assert error.field in ("spec", "cartan")
+        assert time.perf_counter() - start < 1
+        return
+    # checked before anything enumerates roots, so a wrong matrix fails here
+    assert d.cartan in (cartan_matrix(spec), tuple(zip(*cartan_matrix(spec))))
+    assert len(d.positive_roots) == len(build_root_datum(spec).positive_roots)
 
 
 # Each record case hands `StandardModuleDatum` and `make_arthur_parameter` a

@@ -20,11 +20,13 @@ from oracle import (
 
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import SL2Data, sl2_from_partition
+from arthurcalc import parameters
 from arthurcalc.lfactors import GradedNilradical, l_factor
 from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
+    centralizer_failure,
     defining_levi,
     eigenvalue_pairs,
     evaluate_root,
@@ -339,6 +341,31 @@ def test_centralizer_failure_names_the_root_and_its_value(family, angles, parts,
         make_arthur_parameter(phi, sl2_from_partition(family, len(angles), parts))
     assert info.value.field == "parameter"
     assert info.value.raw_message == message
+
+
+@pytest.mark.parametrize("spec", DICHOTOMY_SPECS, ids=str)
+def test_sweep_skips_rejected_points_without_a_message(spec, monkeypatch):
+    # the sweep keeps exactly the points that `make_arthur_parameter` accepts,
+    # and a rejected point builds no message, root name or error
+    datum = build_root_datum(spec)
+    expected = []
+    for parts in valid_partitions(spec.family, spec.rank):
+        sl2 = sl2_from_partition(spec.family, spec.rank, parts)
+        for grid_point in unit_grid(spec.rank):
+            phi = unit_parameter(datum, grid_point)
+            try:
+                expected.append(make_arthur_parameter(phi, sl2))
+            except ValidationError as error:
+                assert error.raw_message.startswith("centralizer condition fails at ")
+                assert centralizer_failure(phi, sl2) is not None
+    assert len(expected) < len(valid_partitions(spec.family, spec.rank)) * 4**spec.rank
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a skipped point built a message")
+
+    monkeypatch.setattr(parameters, "format_root", refuse)
+    monkeypatch.setattr(parameters, "ValidationError", refuse)
+    assert list(iter_dichotomy_parameters(spec)) == expected
 
 
 def test_centralizer_accepts_central_units():
