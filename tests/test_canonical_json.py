@@ -12,7 +12,11 @@ the synthetic values repeat one instance at one depth and at another, and
 the leaf arrays mix `bool`, `int` and `Fraction`; the fixed cases repeat
 one `Fraction` object in an array and one record at two indentations. Two
 count gates pin the per-call memos of the writer and of the reader on a
-large report.
+large report. The texts of tuples of ints live across calls, so rank-24
+principal reports are written cold and warm, `(1, 1)` and `(True, 1)` are
+written in separate calls, and the cache is held to its bound; a run of
+one object in an array is written once, so arrays mix shared objects with
+equal but distinct ones.
 """
 
 import functools
