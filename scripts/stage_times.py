@@ -15,9 +15,11 @@ the files, in ms. Output goes to stdout only. A file that fails in any
 stage is named on stderr, and the exit code is 1.
 
 The medians of one process move 5-10% with the host's load, more than
-many changes move a stage. Compare stages within one run; to compare two
-trees, alternate many runs of each, or time both trees in one process,
-interleaved file by file.
+many changes move a stage. Compare stages within one run. To compare two
+trees, alternate many separate runs of each, or alternate separate
+`bench/run.py` runs (`bench/steady.py` gives a metric's median and
+quartiles over seeds). Do not time both trees in one process: the copy
+imported first runs about 10% slower.
 """
 
 import argparse

@@ -176,17 +176,13 @@ def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdi
 
 
 def _is_langlands_parameter_of(psi: ArthurParameter, p: UnramifiedParameter) -> bool:
-    """Whether `p` lives on `psi`'s datum, its exponents are half `psi`'s
-    diagram and its unit angles are `psi`'s: one comparison per coordinate,
-    without building `langlands_parameter(psi)`."""
-    coords = p.coords
-    return (
-        p.datum == psi.datum
-        and all(
-            2 * t.q_exp.numerator == d * t.q_exp.denominator
-            for t, d in zip(coords, psi.sl2.diagram)
-        )
-        and [t.angle for t in coords] == [u.angle for u in psi.tempered_part.coords]
+    """Whether `p` is `psi`'s Langlands parameter: the same object, or one
+    on the same datum with the same integer form. Integer forms are
+    canonical (D the exact lcm, angles reduced mod D), so equal forms mean
+    equal coordinates."""
+    langlands = psi.langlands_parameter
+    return p is langlands or (
+        p.datum == langlands.datum and p.integer_form == langlands.integer_form
     )
 
 

@@ -6,21 +6,30 @@ dual-side datum. The residue cardinality q stays a formal symbol: a factor
 a = s, so every verdict below is uniform in q.
 
 Evaluation on roots and the Weyl action both work over the parameter's
-integer form: every coordinate over one denominator D. `eigenvalue_pairs`
-evaluates the exponent and angle numerators on all positive roots at once
-with `roots.root_values` and reads them off at given root positions.
-`ArthurParameter` reads the integer form once; its centralizer check,
+integer form: every coordinate over one denominator D, the exact lcm of
+their denominators, with the angle numerators reduced mod D. A parameter
+the package builds records the form it was built from (`_recorded`), so
+nothing re-derives it from Fractions; only a parameter built by hand
+derives it, on first use. `unit_parameter` is the one construction of a
+unit parameter and reads the form off the angles alone.
+`eigenvalue_pairs` evaluates the exponent and angle numerators on all
+positive roots at once with `roots.root_values` and reads them off at
+given root positions. `ArthurParameter`'s centralizer check,
 `centralizer_failure`, like the witness search (`unit_is_trivial_on`),
 tests the angle numerators of the few support roots mod D and builds
 nothing, so the sweep skips a failing point without a message, and a
 refusal names the failing value from that numerator. `evaluate_root`
-builds one QMonomial, for a certificate. `langlands_parameter` derives its
-integer form from the tempered part's instead of recomputing it, and
-builds one QMonomial per distinct (diagram value, angle object), so a
-report writes each shared coordinate once. `apply_word_parameter`
-reflects the numerators as integers and builds each QMonomial once, at the
-end; `recover_arthur_data` dominantizes the exponent numerators and
-reflects only the angle numerators.
+builds one QMonomial, for a certificate.
+
+The Langlands parameter is a fact of the Arthur parameter, computed once:
+`ArthurParameter.langlands_parameter` is a cached property, which the
+function `langlands_parameter(psi)` returns. Its form is the tempered
+part's with half the diagram added, and it builds one QMonomial per
+distinct (diagram value, angle object), so a report writes each shared
+coordinate once. `apply_word_parameter` reflects the numerators as lists
+of ints and records its image over the same D; `recover_arthur_data`
+dominantizes the exponent numerators, reflects only the angle numerators
+and records the units over D / gcd(D, *angles).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
 from .errors import ValidationError
@@ -111,7 +121,9 @@ class UnramifiedParameter:
     def integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, exponent numerators, angle numerators): every coordinate over
         D, the lcm of all their denominators, so coordinate i is
-        zeta(angles[i] / D) * q^(exponents[i] / D)."""
+        zeta(angles[i] / D) * q^(exponents[i] / D), with 0 <= angles[i] < D.
+        A parameter the package builds records it (`_recorded`); one built
+        by hand derives it here, on first use."""
         n = len(self.coords)
         D, nums = over_common_denominator(
             [t.q_exp for t in self.coords] + [t.angle for t in self.coords]
@@ -123,6 +135,27 @@ class UnramifiedParameter:
         the root's angle numerator."""
         D, _, angles = self.integer_form
         return not sum(map(mul, root, angles)) % D
+
+
+def _recorded(datum: RootDatum, coords, D: int, exponents, angles) -> UnramifiedParameter:
+    """The parameter with its integer form recorded, not re-derived. The
+    caller guarantees that (D, exponents, angles) is the form `integer_form`
+    derives from `coords`: D the exact lcm of the coordinates'
+    denominators, angles reduced mod D. That form is canonical, so two
+    parameters on one datum are equal iff their forms are."""
+    p = UnramifiedParameter(datum, tuple(coords))
+    p.__dict__["integer_form"] = D, tuple(exponents), tuple(angles)
+    return p
+
+
+def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
+    """The unit parameter with the given angles: coordinate i is
+    zeta(angles[i]). An angle that is a Fraction in [0, 1) is kept as the
+    coordinate's own object; the integer form is read off the n angles,
+    with zero exponents."""
+    coords = [QMonomial(angle=a) for a in angles]
+    D, nums = over_common_denominator([t.angle for t in coords])
+    return _recorded(datum, coords, D, (0,) * len(nums), nums)
 
 
 def eigenvalue_pairs(positions, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
@@ -171,6 +204,10 @@ def defining_levi(exponents: RationalVector, d: RootDatum) -> LeviSubset:
     return frozenset(i for i, e in enumerate(exponents) if e == 0)
 
 
+# d / 2 for each diagram value d in 0/1/2
+_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
 @dataclass(frozen=True)
 class ArthurParameter:
     """Pair of a bounded parameter and commuting sl2 data.
@@ -211,6 +248,37 @@ class ArthurParameter:
     def datum(self) -> RootDatum:
         return self.tempered_part.datum
 
+    @cached_property
+    def langlands_parameter(self) -> UnramifiedParameter:
+        """Evaluate the sl2 factor at the half-weight torus element:
+        coordinate i picks up q^(d_i/2) where d_i is the diagram value. The
+        tempered part has zero exponents, so coordinate i is q^(d_i/2) with
+        the unit's angle. Computed once per Arthur parameter.
+
+        The integer form is the tempered part's, with the diagram added:
+        over D when every diagram value is even, over lcm(D, 2) when one is
+        odd, which is the lcm of all the coordinates' denominators either
+        way.
+
+        Coordinates with one diagram value and one angle object share one
+        QMonomial, so a report writes each once. The key is the angle's id,
+        not its value: no Fraction is hashed, and every angle stays alive
+        in the tempered part."""
+        diagram = self.sl2.diagram
+        shared = {}
+        coords = []
+        for t, d in zip(self.tempered_part.coords, diagram):
+            key = d, id(t.angle)
+            c = shared.get(key)
+            if c is None:
+                c = shared[key] = QMonomial(_HALF_WEIGHTS[d], t.angle)
+            coords.append(c)
+        D, _, angles = self.tempered_part.integer_form
+        if 1 in diagram and D % 2:
+            D, angles = 2 * D, [2 * a for a in angles]
+        # d * D is even for d in 0/1/2 over this D
+        return _recorded(self.datum, coords, D, [d * D // 2 for d in diagram], angles)
+
 
 def centralizer_failure(phi: UnramifiedParameter, sl2: SL2Data) -> tuple[Root, int] | None:
     """The first support root of `sl2` on which the unit part of `phi` is
@@ -232,54 +300,31 @@ def make_arthur_parameter(phi: UnramifiedParameter, rho: SL2Data) -> ArthurParam
     return ArthurParameter(phi, rho)
 
 
-# d / 2 for each diagram value d in 0/1/2
-_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-
 def langlands_parameter(psi: ArthurParameter) -> UnramifiedParameter:
-    """Evaluate the sl2 factor at the half-weight torus element: coordinate i
-    picks up q^(d_i/2) where d_i is the diagram value. The tempered part has
-    zero exponents, so coordinate i is q^(d_i/2) with the unit's angle.
-
-    The integer form is the tempered part's, with the diagram added: over D
-    when every diagram value is even, over lcm(D, 2) when one is odd, which
-    is the lcm of all the coordinates' denominators either way.
-
-    Coordinates with one diagram value and one angle object share one
-    QMonomial, so a report writes each once. The key is the angle's id, not
-    its value: no Fraction is hashed, and every angle stays alive in psi
-    for the whole call."""
-    diagram = psi.sl2.diagram
-    shared = {}
-    coords = []
-    for t, d in zip(psi.tempered_part.coords, diagram):
-        key = d, id(t.angle)
-        c = shared.get(key)
-        if c is None:
-            c = shared[key] = QMonomial(_HALF_WEIGHTS[d], t.angle)
-        coords.append(c)
-    p = UnramifiedParameter(psi.datum, tuple(coords))
-    D, _, angles = psi.tempered_part.integer_form
-    if 1 in diagram and D % 2:
-        D, angles = 2 * D, tuple([2 * a for a in angles])
-    # fill the cached `integer_form`; d * D is even for d in 0/1/2 over this D
-    p.__dict__["integer_form"] = D, tuple([d * D // 2 for d in diagram]), angles
-    return p
+    """The Langlands parameter of `psi`: `psi.langlands_parameter`, built on
+    the first call and shared by every later one."""
+    return psi.langlands_parameter
 
 
 def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> UnramifiedParameter:
     """Weyl action on torus eigen-data: s_i sends t_j to t_j * t_i^(-cartan[j][i]),
     so `roots._reflect` reflects the exponent and the angle numerators of
-    the integer form alike, over the unchanged denominator D; each QMonomial
-    is built once at the end, with its angle reduced mod 1."""
-    validate_word(p.datum, word)
-    cartan = p.datum.cartan
+    the integer form alike, as lists of ints. The image is recorded over
+    the unchanged D: a word acts by an integer matrix with an integer
+    inverse, so the lcm of the denominators does not move. Each QMonomial
+    is built at the end, from one Fraction per distinct numerator."""
+    d = p.datum
+    validate_word(d, word)
+    columns = d.reflection_columns
     D, exponents, angles = p.integer_form
+    exponents, angles = list(exponents), list(angles)
     for i in word:
-        exponents = _reflect(cartan, i, exponents)
-        angles = _reflect(cartan, i, angles)
-    coords = [QMonomial(Fraction(e, D), Fraction(a % D, D)) for e, a in zip(exponents, angles)]
-    return UnramifiedParameter(p.datum, tuple(coords))
+        _reflect(columns, i, exponents)
+        _reflect(columns, i, angles)
+    angles = [a % D for a in angles]
+    fractions = {n: Fraction(n, D) for n in {*exponents, *angles}}
+    coords = [QMonomial(fractions[e], fractions[a]) for e, a in zip(exponents, angles)]
+    return _recorded(d, coords, D, exponents, angles)
 
 
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
@@ -308,7 +353,15 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
                 field="parameter",
             )
         diagram.append(d)
+    columns = p.datum.reflection_columns
+    angles = list(angles)
     for i in word:
-        angles = _reflect(p.datum.cartan, i, angles)
-    units = tuple([QMonomial(angle=Fraction(a % D, D)) for a in angles])
-    return UnramifiedParameter(p.datum, units), tuple(diagram)
+        _reflect(columns, i, angles)
+    # the units over D / g, g = gcd(D, *angles): the exact lcm of the
+    # reduced angles' denominators (1 when every angle is 0)
+    angles = [a % D for a in angles]
+    g = gcd(D, *angles)
+    D, angles = D // g, [a // g for a in angles]
+    fractions = {n: Fraction(n, D) for n in set(angles)}
+    units = [QMonomial(angle=fractions[a]) for a in angles]
+    return _recorded(p.datum, units, D, (0,) * len(angles), angles), tuple(diagram)

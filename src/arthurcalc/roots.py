@@ -182,6 +182,17 @@ class RootDatum:
                 f"expected the Cartan matrix of {self.spec} or its transpose, got {cartan!r}",
                 field="cartan",
             )
+        # the dataclass hash of (spec, cartan), taken once: a hash walks the
+        # whole matrix, and every per-datum cache key hashes the datum
+        object.__setattr__(self, "_hash", hash((self.spec, cartan)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so a copy or an unpickled datum takes its
+        # hash again: str hashes differ between processes
+        return RootDatum, (self.spec, self.cartan)
 
     @property
     def rank(self) -> int:
@@ -205,6 +216,16 @@ class RootDatum:
     def root_index(self) -> dict[Root, int]:
         """Position of each positive root in `positive_roots`."""
         return self._enumeration[2]
+
+    @cached_property
+    def reflection_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Entry i lists (j, cartan[j][i]) for the nonzero entries of Cartan
+        column i, (i, 2) included: the coordinates that s_i moves."""
+        n = self.rank
+        return tuple(
+            tuple([(j, self.cartan[j][i]) for j in range(n) if self.cartan[j][i]])
+            for i in range(n)
+        )
 
     @cached_property
     def cartan_inverse(self) -> IntegerInverse:
@@ -277,11 +298,13 @@ def validate_word(d: RootDatum, word) -> None:
     )
 
 
-def _reflect(cartan, i: int, vector: RationalVector) -> RationalVector:
-    """Simple reflection s_i of a vector of simple-root evaluations:
-    v'_j = v_j - cartan[j][i] * v_i."""
+def _reflect(columns, i: int, vector: list) -> None:
+    """Simple reflection s_i, in place, of a list of simple-root
+    evaluations: v_j -= cartan[j][i] * v_i over the nonzero entries of
+    column i, as `RootDatum.reflection_columns` lists them."""
     vi = vector[i]
-    return tuple(v - cartan[j][i] * vi for j, v in enumerate(vector))
+    for j, c in columns[i]:
+        vector[j] -= c * vi
 
 
 def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
@@ -294,17 +317,18 @@ def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, t
     strictly reduces the number of positive roots evaluating negatively, so
     length <= number of positive roots.
     """
-    D, current = _over_common_denominator_checked(d, vector, "vector")
+    D, nums = _over_common_denominator_checked(d, vector, "vector")
+    current = list(nums)
+    columns = d.reflection_columns
     word: list[int] = []
     bound = len(d.positive_roots)
     while True:
-        negative = [i for i, v in enumerate(current) if v < 0]
-        if not negative:
+        i = next((i for i, v in enumerate(current) if v < 0), None)
+        if i is None:
             return tuple([Fraction(v, D) for v in current]), tuple(word)
         if len(word) > bound:
             raise InvariantViolation("dominantization exceeded the positive-root bound")
-        i = negative[0]
-        current = _reflect(d.cartan, i, current)
+        _reflect(columns, i, current)
         word.append(i)
 
 
@@ -390,14 +414,19 @@ def _rational(value, field: str):
 
 def _over_common_denominator_checked(d: RootDatum, vector, field: str) -> tuple[int, tuple[int, ...]]:
     """`over_common_denominator` of a tuple or list of rank rationals, each
-    held to `_rational`; anything else is refused on the field."""
+    held to `_rational`; anything else is refused on the field. A vector of
+    ints comes back as it is, over 1."""
     if not isinstance(vector, (tuple, list)):
         raise ValidationError(f"expected a tuple of rationals, got {vector!r}", field=field)
     if len(vector) != d.rank:
         raise ValidationError(f"expected {d.rank} rationals, got {len(vector)}", field=field)
-    if not _RATIONAL_TYPES.issuperset(map(type, vector)):
+    types = set(map(type, vector))
+    if not _RATIONAL_TYPES.issuperset(types):
         for v in vector:
             _rational(v, field)
+    if _INT_ONLY.issuperset(types):
+        # a vector of ints is its own numerators over D = 1
+        return 1, tuple(vector)
     return over_common_denominator(vector)
 
 

@@ -38,7 +38,7 @@ from .nilpotent import (
     validate_partition,
     validate_sl2_data,
 )
-from .parameters import QMonomial, UnramifiedParameter, make_arthur_parameter
+from .parameters import QMonomial, make_arthur_parameter, unit_parameter
 from .roots import MAX_RANK, CartanSpec, Root, build_root_datum, dual_datum, format_root
 
 # Assumption flags a place family may declare. The first ties a cuspidal
@@ -645,8 +645,8 @@ def run_scenario(s: Scenario) -> Report:
     InvariantViolation rather than shading the verdict."""
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
-    # the scenario holds its angles reduced to [0, 1), which QMonomial keeps
-    phi = UnramifiedParameter(dual, tuple([QMonomial(angle=a) for a in s.satake_angles]))
+    # the scenario holds its angles reduced to [0, 1), which unit_parameter keeps
+    phi = unit_parameter(dual, s.satake_angles)
     psi = make_arthur_parameter(phi, sl2)
     sm = standard_module_datum(psi, s.generic_assumption)
     verdict = packet_verdict(psi, sm)

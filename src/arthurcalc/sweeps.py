@@ -17,12 +17,11 @@ from typing import Iterator
 from .nilpotent import PAIRED_PARITY, partition_total, sl2_from_partition
 from .parameters import (
     ArthurParameter,
-    QMonomial,
-    UnramifiedParameter,
     centralizer_failure,
     make_arthur_parameter,
+    unit_parameter,
 )
-from .roots import CartanSpec, RootDatum, build_root_datum
+from .roots import CartanSpec, build_root_datum
 
 # Fourth roots of unity, as angles in [0, 1).
 MU4_ANGLES: tuple[Fraction, ...] = (
@@ -68,10 +67,6 @@ def valid_partitions(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 def unit_grid(rank: int, angles: tuple[Fraction, ...] = MU4_ANGLES) -> Iterator[tuple[Fraction, ...]]:
     """Cartesian grid of unit angles, one per simple root of the datum."""
     yield from itertools.product(angles, repeat=rank)
-
-
-def unit_parameter(datum: RootDatum, angles: tuple[Fraction, ...]) -> UnramifiedParameter:
-    return UnramifiedParameter(datum, tuple([QMonomial(angle=a) for a in angles]))
 
 
 def iter_dichotomy_parameters(spec: CartanSpec) -> Iterator[ArthurParameter]:

@@ -427,12 +427,12 @@ LANGLANDS_SPECS = [CartanSpec(f, n) for f, n in [("A", 2), ("B", 3), ("C", 3), (
 
 
 @st.composite
-def arthur_parameters(draw):
+def arthur_parameters(draw, specs=LANGLANDS_SPECS):
     """Expert sl2 data with any diagram in 0/1/2, odd entries included, and
     unit angles over denominators 1-12, one of them solved for so that the
     angles vanish on a support root; the support also takes every other
-    root pairing to 2 on which they vanish."""
-    d = build_root_datum(draw(st.sampled_from(LANGLANDS_SPECS)))
+    root pairing to 2 on which they vanish. The datum is one of `specs`."""
+    d = build_root_datum(draw(st.sampled_from(specs)))
     diagram = tuple(draw(st.lists(st.sampled_from((0, 1, 2)), min_size=d.rank, max_size=d.rank)))
     angles = [
         draw(st.builds(lambda m, n: Fraction(n % m, m), st.integers(1, 12), st.integers(0, 11)))
@@ -445,7 +445,8 @@ def arthur_parameters(draw):
         root = draw(st.sampled_from(pairing_two))
         j = min((k for k, c in enumerate(root) if c), key=lambda k: root[k])
         rest = sum(c * a for k, (c, a) in enumerate(zip(root, angles)) if k != j)
-        angles[j] = (draw(st.integers(0, root[j] - 1)) - rest) / root[j] % 1
+        # a Fraction even at rank 1, where rest is the int 0
+        angles[j] = Fraction(draw(st.integers(0, root[j] - 1)) - rest, root[j]) % 1
         support = tuple([r for r in pairing_two if sum(map(mul, r, angles)).denominator == 1])
     phi = UnramifiedParameter(d, tuple([QMonomial(angle=a) for a in angles]))
     return make_arthur_parameter(phi, SL2Data(diagram, support))

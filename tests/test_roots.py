@@ -1,5 +1,7 @@
 """Root data, Weyl combinatorics, and the exponent-coordinate change."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from arthurcalc.lfactors import grade_nilradical
 from arthurcalc.roots import (
     MAX_RANK,
     CartanSpec,
+    RootDatum,
     _reflect,
     build_root_datum,
     cartan_matrix,
@@ -202,6 +205,32 @@ def test_classical_dual_is_the_dual_specs_datum():
             assert dual is build_root_datum(CartanSpec(dual_family, rank))
 
 
+@pytest.mark.parametrize("spec", [*SMALL_SPECS, CartanSpec("A", 22), CartanSpec("D", 24)], ids=str)
+def test_a_hand_built_datum_hashes_like_the_built_one(spec):
+    # the hash is taken once, from (spec, cartan), as the dataclass hash
+    # would be; equal data built apart hash equal and share cache entries
+    built = build_root_datum(spec)
+    matrix = cartan_matrix(spec)
+    for cartan in (matrix, tuple(zip(*matrix))):
+        by_hand = RootDatum(CartanSpec(spec.family, spec.rank), tuple(map(tuple, cartan)))
+        assert hash(by_hand) == hash((by_hand.spec, by_hand.cartan))
+        if by_hand.cartan == built.cartan:
+            assert by_hand == built and hash(by_hand) == hash(built)
+            assert {built: "built"}[by_hand] == "built"
+            assert dual_datum(by_hand) is dual_datum(built)
+        else:
+            assert by_hand != built
+
+
+def test_a_pickled_datum_takes_its_hash_again():
+    # the hash is not carried along: a string hash differs between processes
+    d = build_root_datum(CartanSpec("B", 3))
+    stale = RootDatum(d.spec, d.cartan)
+    object.__setattr__(stale, "_hash", hash(d) + 1)
+    for copied in (pickle.loads(pickle.dumps(stale)), copy.deepcopy(stale)):
+        assert copied == d and hash(copied) == hash(d)
+
+
 # -- pairings ------------------------------------------------------------------
 
 
@@ -214,13 +243,20 @@ def test_diagram_pairing_is_coefficient_dot():
 # -- Weyl action on vectors ------------------------------------------------------
 
 
+def reflect(d, i, v):
+    """s_i of the vector as a tuple, through `_reflect` on a list copy."""
+    w = list(v)
+    _reflect(d.reflection_columns, i, w)
+    return tuple(w)
+
+
 @given(st.sampled_from(SMALL_SPECS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_reflection_is_an_involution_on_vectors(spec, data):
     d = build_root_datum(spec)
     v = data.draw(frac_vectors(d.rank))
     i = data.draw(st.integers(min_value=0, max_value=d.rank - 1))
-    assert _reflect(d.cartan, i, _reflect(d.cartan, i, v)) == tuple(Fraction(x) for x in v)
+    assert reflect(d, i, reflect(d, i, v)) == tuple(Fraction(x) for x in v)
 
 
 @given(st.sampled_from(SMALL_SPECS), st.data())
@@ -230,7 +266,7 @@ def test_reflection_negates_exactly_the_simple_evaluation(spec, data):
     d = build_root_datum(spec)
     v = data.draw(frac_vectors(d.rank))
     i = data.draw(st.integers(min_value=0, max_value=d.rank - 1))
-    assert _reflect(d.cartan, i, v)[i] == -Fraction(v[i])
+    assert reflect(d, i, v)[i] == -Fraction(v[i])
 
 
 def _weyl_orbit(d, v):
@@ -241,7 +277,7 @@ def _weyl_orbit(d, v):
         nxt = []
         for u in frontier:
             for i in range(d.rank):
-                w = _reflect(d.cartan, i, u)
+                w = reflect(d, i, u)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -22,14 +22,20 @@ from arthurcalc.classifier import (
     packet_verdict,
     standard_module_datum,
 )
+from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import sl2_from_partition
 from arthurcalc.parameters import (
+    ArthurParameter,
     QMonomial,
     UnramifiedParameter,
+    apply_word_parameter,
+    langlands_parameter,
     make_arthur_parameter,
+    recover_arthur_data,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum
 from arthurcalc.scenarios import parse_scenario_text, run_scenario
+from arthurcalc.sweeps import DICHOTOMY_SPECS, unit_grid, unit_parameter, valid_partitions
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -47,10 +53,10 @@ COUNTED = {
 }
 
 
-def count_calls(monkeypatch):
-    counts = dict.fromkeys(COUNTED, 0)
+def count_calls(monkeypatch, counted_functions=COUNTED):
+    counts = dict.fromkeys(counted_functions, 0)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "arthurcalc"]
-    for name, fn in COUNTED.items():
+    for name, fn in counted_functions.items():
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
             counts[_name] += 1
@@ -175,3 +181,75 @@ def test_one_standard_module_builds_one_coefficient_ratio(monkeypatch):
         counts["l_factor"],
         counts["character_exponents"],
     ) == (1, 1, 1, 1)
+
+
+def sweep_item(d, angles, sl2, word):
+    """One sweep-recover item: build the Arthur parameter, classify it,
+    conjugate its Langlands parameter by the word and recover the Arthur
+    data."""
+    psi = make_arthur_parameter(unit_parameter(d, angles), sl2)
+    verdict = classify_packet(psi)
+    moved = apply_word_parameter(langlands_parameter(psi), word)
+    return psi, verdict, recover_arthur_data(moved)
+
+
+@pytest.mark.parametrize(
+    "spec, parts, angles",
+    [
+        (CartanSpec("C", 3), (2, 2, 1, 1), (Fraction(0), Fraction(1, 4), Fraction(1, 2))),
+        (CartanSpec("A", 3), (2, 1, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))),
+        (CartanSpec("D", 4), (1,) * 8, (Fraction(3, 4),) * 4),
+    ],
+    ids=str,
+)
+def test_a_sweep_item_derives_the_integer_form_once(spec, parts, angles, monkeypatch):
+    """Only the unit parameter derives its integer form from Fractions; the
+    Langlands parameter, its Weyl image and the recovered units record
+    theirs, and the Langlands parameter is built once for the classifier
+    and the word alike."""
+    d = build_root_datum(spec)
+    sl2 = sl2_from_partition(spec.family, spec.rank, parts)
+    word = tuple(k % d.rank for k in range(3 * d.rank))
+    sweep_item(d, angles, sl2, word)  # fills the per-datum caches
+    counts = count_calls(monkeypatch, {"over_common_denominator": roots.over_common_denominator})
+    builds = []
+    build = ArthurParameter.__dict__["langlands_parameter"]
+    monkeypatch.setattr(build, "func", lambda psi, _func=build.func: builds.append(psi) or _func(psi))
+    psi, verdict, (units, diagram) = sweep_item(d, angles, sl2, word)
+    assert counts == {"over_common_denominator": 1}
+    assert builds == [psi]
+    assert verdict.kind is (VerdictKind.TEMPERED if sl2.is_trivial else VerdictKind.NON_TEMPERED)
+    assert diagram == sl2.diagram
+    assert all(t.q_exp == 0 for t in units.coords)
+
+
+@pytest.mark.parametrize("spec", DICHOTOMY_SPECS, ids=str)
+def test_a_rejected_sweep_point_keeps_its_message(spec):
+    """A point whose units do not centralize the sl2 image is refused with
+    the same text as when its parameter derives its integer form."""
+    d = build_root_datum(spec)
+    rejected = 0
+    for parts in valid_partitions(spec.family, spec.rank):
+        sl2 = sl2_from_partition(spec.family, spec.rank, parts)
+        for angles in unit_grid(spec.rank):
+            by_hand = UnramifiedParameter(d, tuple(QMonomial(angle=a) for a in angles))
+            messages = []
+            for phi in (unit_parameter(d, angles), by_hand):
+                try:
+                    make_arthur_parameter(phi, sl2)
+                except ValidationError as error:
+                    messages.append((type(error), error.field, str(error)))
+            assert len(messages) in (0, 2) and len(set(messages)) <= 1
+            rejected += len(messages) // 2
+    assert rejected
+
+
+def test_a_rejected_sweep_point_message():
+    d = build_root_datum(CartanSpec("C", 2))
+    sl2 = sl2_from_partition("C", 2, (2, 2))
+    with pytest.raises(ValidationError) as info:
+        make_arthur_parameter(unit_parameter(d, (Fraction(0), Fraction(1, 4))), sl2)
+    assert info.value.field == "parameter"
+    assert str(info.value) == (
+        "parameter: centralizer condition fails at a2: evaluation zeta(1/4) is not 1"
+    )

@@ -6,24 +6,37 @@ denominator, and `recover_arthur_data` dominantizes the exponent
 numerators. The oracle replays compare with `==`, and `Fraction(1) == 1`,
 so these tests also pin what an integer loop could get wrong unseen: every
 coordinate out is a `Fraction` in lowest terms, every angle lies in [0, 1),
-and the diagram is made of `int`s. The gate at the end checks that the
-word loop itself sees only `int`s.
+and the diagram is made of `int`s. The gate checks that the word loop
+itself sees only `int`s.
+
+A parameter the package builds records its integer form instead of
+deriving it; the last tests hold every recorded form to the one
+`integer_form` derives from the coordinates, and the coordinates to the
+construction from Fractions.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import apply_word_vector
+from test_parameters import arthur_parameters
 
 from arthurcalc import parameters, roots
+from arthurcalc.nilpotent import sl2_from_partition
 from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
+    langlands_parameter,
+    make_arthur_parameter,
     recover_arthur_data,
+    unit_parameter,
 )
 from arthurcalc.roots import CartanSpec, build_root_datum, dominantize, dual_datum
+from arthurcalc.sweeps import DICHOTOMY_SPECS
 
 F = Fraction
 
@@ -145,12 +158,106 @@ def test_the_word_loop_sees_only_integers(monkeypatch, name):
     seen = []
     reflect = roots._reflect
 
-    def recording(cartan, i, vector):
-        seen.append(vector)
-        return reflect(cartan, i, vector)
+    def recording(columns, i, vector):
+        # a snapshot: the reflection works on the list in place
+        seen.append(list(vector))
+        return reflect(columns, i, vector)
 
     for module in (roots, parameters):
         monkeypatch.setattr(module, "_reflect", recording)
     GATE_CALLS[name]()
     assert seen, "the call reflected nothing"
     assert all(type(v) is int for vector in seen for v in vector), seen
+
+
+# -- recorded integer forms ------------------------------------------------------
+
+RECORDED_SPECS = [*DICHOTOMY_SPECS, CartanSpec("G", 2)]
+# angles over denominators 1-12
+ANGLES = st.builds(lambda m, n: Fraction(n % m, m), st.integers(1, 12), st.integers(0, 11))
+
+
+def assert_recorded(p):
+    """`p` holds a recorded integer form, and it is the form derived from
+    its coordinates."""
+    assert "integer_form" in vars(p)
+    assert p.integer_form == UnramifiedParameter(p.datum, p.coords).integer_form
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RECORDED_SPECS), st.data())
+def test_unit_parameters_record_the_derived_form(spec, data):
+    d = build_root_datum(spec)
+    zero = (Fraction(0),) * d.rank
+    angles = data.draw(st.one_of(st.just(zero), st.tuples(*[ANGLES] * d.rank)))
+    p = unit_parameter(d, angles)
+    assert_recorded(p)
+    assert p.coords == tuple(QMonomial(angle=a) for a in angles)
+    assert all(t.angle is a for t, a in zip(p.coords, angles))
+    if angles == zero:
+        assert p.integer_form == (1, (0,) * d.rank, (0,) * d.rank)
+
+
+def assert_the_word_loop_records(psi, word):
+    """The Langlands parameter, its image under the word and the recovered
+    units all record the derived form, with the coordinates of the
+    construction from Fractions (replayed by the oracle)."""
+    d = psi.datum
+    half = tuple(Fraction(v, 2) for v in psi.sl2.diagram)
+    angles = tuple(t.angle for t in psi.tempered_part.coords)
+    p = langlands_parameter(psi)
+    assert_recorded(p)
+    assert p.coords == tuple(QMonomial(e, a) for e, a in zip(half, angles))
+    moved = apply_word_parameter(p, word)
+    assert_recorded(moved)
+    assert moved.integer_form[0] == p.integer_form[0]
+    exps, moved_angles = apply_word_vector(d, word, half), apply_word_vector(d, word, angles)
+    assert moved.coords == tuple(QMonomial(e, a % 1) for e, a in zip(exps, moved_angles))
+    units, diagram = recover_arthur_data(moved)
+    assert_recorded(units)
+    assert diagram == psi.sl2.diagram
+    _, back = dominantize(d, exps)
+    unit_angles = apply_word_vector(d, back, moved_angles)
+    assert units.coords == tuple(QMonomial(angle=a % 1) for a in unit_angles)
+    return p, units
+
+
+@settings(max_examples=300, deadline=None)
+@given(arthur_parameters(RECORDED_SPECS), st.data())
+def test_the_word_loop_records_the_derived_forms(drawn, data):
+    # the drawn tempered part is built by hand, so it derives its form;
+    # the same angles through unit_parameter record theirs
+    d = drawn.datum
+    angles = tuple(t.angle for t in drawn.tempered_part.coords)
+    rebuilt = make_arthur_parameter(unit_parameter(d, angles), drawn.sl2)
+    drawn_word = tuple(data.draw(st.lists(st.integers(0, d.rank - 1), max_size=3 * d.rank)))
+    for word in (*words(d), drawn_word):
+        for psi in (drawn, rebuilt):
+            assert_the_word_loop_records(psi, word)
+
+
+# (spec, partition, unit angles, D of the units, D of the Langlands
+# parameter): an odd diagram value doubles an odd D; zero units are over 1
+ODD_CASES = [
+    (CartanSpec("A", 2), (2, 1), (Fraction(1, 3), Fraction(2, 3)), 3, 6),
+    (CartanSpec("B", 2), (2, 2, 1), (Fraction(1, 3), Fraction(1, 3)), 3, 6),
+    (CartanSpec("A", 3), (2, 1, 1), (Fraction(1, 5), Fraction(3, 5), Fraction(1, 5)), 5, 10),
+    (CartanSpec("A", 3), (2, 1, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)), 4, 4),
+    (CartanSpec("A", 1), (2,), (Fraction(0),), 1, 1),
+    (CartanSpec("A", 2), (2, 1), (Fraction(0), Fraction(0)), 1, 2),
+    (CartanSpec("C", 2), (1, 1, 1, 1), (Fraction(0), Fraction(0)), 1, 1),
+]
+
+
+@pytest.mark.parametrize(("spec", "parts", "angles", "unit_D", "langlands_D"), ODD_CASES)
+def test_odd_diagram_values_and_zero_units(spec, parts, angles, unit_D, langlands_D):
+    d = build_root_datum(spec)
+    psi = make_arthur_parameter(
+        unit_parameter(d, angles), sl2_from_partition(spec.family, spec.rank, parts)
+    )
+    assert psi.tempered_part.integer_form[0] == unit_D
+    for word in words(d):
+        p, units = assert_the_word_loop_records(psi, word)
+        assert p.integer_form[0] == langlands_D
+        # the units come back over the units' own D
+        assert units.integer_form[0] == unit_D
