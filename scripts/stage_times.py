@@ -14,6 +14,12 @@ is its median over the rounds; the table gives the median of those over
 the files, in ms. Output goes to stdout only. A file that fails in any
 stage is named on stderr, and the exit code is 1.
 
+The warm caches hide the one-time cost of a root datum, which a cold
+`arthurcalc check` process pays once. The last row, `datum`, shows it:
+each distinct dual datum of the files is enumerated (its positive roots,
+links and index) once per round from a fresh `RootDatum(spec, cartan)`,
+and the row gives the median over the data of each datum's median.
+
 The medians of one process move 5-10% with the host's load, more than
 many changes move a stage. Compare stages within one run. To compare two
 trees, alternate many separate runs of each, or alternate separate
@@ -31,6 +37,7 @@ from pathlib import Path
 from time import perf_counter_ns
 
 from arthurcalc import cli
+from arthurcalc.roots import RootDatum, build_root_datum, dual_datum
 from arthurcalc.scenarios import (
     emit_report_machine,
     parse_report_text,
@@ -39,7 +46,7 @@ from arthurcalc.scenarios import (
 )
 
 STAGES = (parse_scenario_text, run_scenario, emit_report_machine, parse_report_text)
-NAMES = [stage.__name__ for stage in STAGES] + ["check"]
+NAMES = [stage.__name__ for stage in STAGES] + ["check", "datum"]
 
 
 def check(path: Path) -> str:
@@ -65,6 +72,14 @@ def run_stages(path: Path, text: str) -> list[int]:
     check(path)
     times.append(perf_counter_ns() - start)
     return times
+
+
+def enumerate_datum(datum: RootDatum) -> int:
+    """Nanoseconds to enumerate a fresh copy of the datum."""
+    fresh = RootDatum(datum.spec, datum.cartan)
+    start = perf_counter_ns()
+    fresh.positive_roots  # the first read runs the enumeration
+    return perf_counter_ns() - start
 
 
 def main() -> int:
@@ -97,11 +112,19 @@ def main() -> int:
         ]
         for path, text in texts.items()
     ]
+    columns = [statistics.median(column) for column in zip(*per_file)]
+    groups = {parse_scenario_text(text).group for text in texts.values()}
+    data = {dual_datum(build_root_datum(group)) for group in groups}
+    columns.append(
+        statistics.median(
+            statistics.median(enumerate_datum(datum) for _ in range(args.rounds)) for datum in data
+        )
+    )
     print(f"{len(texts)} scenarios, {args.rounds} timed rounds each")
     print("| stage | median ms |")
     print("| --- | --- |")
-    for name, column in zip(NAMES, zip(*per_file)):
-        print(f"| `{name}` | {statistics.median(column) / 1e6:.3f} |")
+    for name, value in zip(NAMES, columns):
+        print(f"| `{name}` | {value / 1e6:.3f} |")
     return 0
 
 

@@ -51,7 +51,6 @@ from .roots import (
     diagram_pairing,
     format_root,
     off_levi_indicator,
-    root_sort_key,
 )
 
 
@@ -206,25 +205,27 @@ def genericity_verdict(sm: StandardModuleDatum) -> Genericity:
 def witness_root(psi: ArthurParameter, levi: LeviSubset) -> Root:
     """Minimal support root (canonical enumeration order) that certifies
     non-temperedness: diagram pairing 2, trivial unit evaluation, outside the
-    Levi. Each condition is re-checked on integers rather than assumed; no
-    L-factor is read, so the full product stays an independent check."""
+    Levi. The support is walked in `root_index` order, which is
+    `root_sort_key` order on positive roots, and the first root that passes
+    is returned. Each condition is re-checked on integers rather than
+    assumed; no L-factor is read, so the full product stays an independent
+    check."""
     if psi.sl2.is_trivial:
         raise ValidationError("tempered parameter has no witness")
     diagram, units = psi.sl2.diagram, psi.tempered_part
     outside = off_levi_indicator(units.datum, levi)
-    candidates = [
-        root
-        for root in psi.sl2.support
-        if diagram_pairing(root, diagram) == 2
-        and units.unit_is_trivial_on(root)
-        and any(map(mul, root, outside))
-    ]
-    if not candidates:
-        raise InvariantViolation(
-            "no support root qualifies as a witness; the centralizer and "
-            "pairing conditions should guarantee one"
-        )
-    return min(candidates, key=root_sort_key)
+    # validated support roots are positive roots of the datum
+    for root in sorted(psi.sl2.support, key=units.datum.root_index.__getitem__):
+        if (
+            diagram_pairing(root, diagram) == 2
+            and units.unit_is_trivial_on(root)
+            and any(map(mul, root, outside))
+        ):
+            return root
+    raise InvariantViolation(
+        "no support root qualifies as a witness; the centralizer and "
+        "pairing conditions should guarantee one"
+    )
 
 
 def classify_packet(psi: ArthurParameter) -> PacketVerdict:

@@ -11,7 +11,8 @@ their denominators, with the angle numerators reduced mod D. A parameter
 the package builds records the form it was built from (`_recorded`), so
 nothing re-derives it from Fractions; only a parameter built by hand
 derives it, on first use. `unit_parameter` is the one construction of a
-unit parameter and reads the form off the angles alone.
+unit parameter: it reads the form off the angles alone and builds one
+QMonomial per distinct angle object.
 `eigenvalue_pairs` evaluates the exponent and angle numerators on all
 positive roots at once with `roots.root_values` and reads them off at
 given root positions. `ArthurParameter`'s centralizer check,
@@ -152,8 +153,19 @@ def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
     """The unit parameter with the given angles: coordinate i is
     zeta(angles[i]). An angle that is a Fraction in [0, 1) is kept as the
     coordinate's own object; the integer form is read off the n angles,
-    with zero exponents."""
-    coords = [QMonomial(angle=a) for a in angles]
+    with zero exponents.
+
+    Coordinates with one angle object share one QMonomial, keyed by the
+    angle's id as in `ArthurParameter.langlands_parameter`; the angles are
+    held in a tuple for the whole call, so no id is reused."""
+    angles = tuple(angles)
+    shared = {}
+    coords = []
+    for a in angles:
+        c = shared.get(id(a))
+        if c is None:
+            c = shared[id(a)] = QMonomial(angle=a)
+        coords.append(c)
     D, nums = over_common_denominator([t.angle for t in coords])
     return _recorded(datum, coords, D, (0,) * len(nums), nums)
 

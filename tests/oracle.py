@@ -10,9 +10,11 @@ raises. It shares no code with the layers it checks:
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
 - simple roots, simple reflections of a root, the Weyl orbit of a set of
-  roots (the reference for the positive roots), Weyl words replayed on a
-  vector of simple-root evaluations, and Gaussian elimination over
-  Fraction, which also gives the exact inverse of an integer matrix;
+  roots (the reference for the positive roots), the earlier height-by-height
+  enumeration with every pairing and string depth recomputed (the
+  reference for the enumeration's order, links and index), Weyl words
+  replayed on a vector of simple-root evaluations, and Gaussian elimination
+  over Fraction, which also gives the exact inverse of an integer matrix;
 - one dot product per root for a vector's value on every positive root,
   the Levi/nilradical split, the grading levels and the eigenvalues on
   roots (what `roots.root_values` gets by the height recurrence);
@@ -199,6 +201,47 @@ def weyl_orbit(d: RootDatum, roots) -> set[tuple[int, ...]]:
         frontier = list(grown - orbit)
         orbit |= grown
     return orbit
+
+
+def _reference_sort_key(root: tuple[int, ...]) -> tuple:
+    """Height ascending, then coefficients descending lexicographically."""
+    return (sum(root), tuple([-c for c in root]))
+
+
+def _pairing(cartan: Matrix, root: tuple[int, ...], j: int) -> int:
+    return sum(root[i] * cartan[i][j] for i in range(len(root)))
+
+
+def reference_positive_roots(cartan: Matrix):
+    """The earlier enumeration, kept as the reference for
+    `RootDatum.positive_roots`, `root_links` and `root_index`: closure under
+    root strings, one height at a time, with every coroot pairing summed
+    afresh and every string depth probed by building the lower roots.
+    Returns the positive roots in canonical order, their links (parent
+    position, i), each recorded as parent + alpha_i is first added (None for
+    a simple root), and the root-to-position map."""
+    n = len(cartan)
+    roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    links: list[tuple[int, int] | None] = [None] * n
+    index = {root: k for k, root in enumerate(roots)}
+    start = 0
+    while start < len(roots):
+        grown: dict[tuple[int, ...], tuple[int, int]] = {}
+        for parent in range(start, len(roots)):
+            beta = roots[parent]
+            for i in range(n):
+                # q = p - <beta, alpha_i^vee> with p the depth of the string
+                depth = 0
+                while depth < beta[i] and (*beta[:i], beta[i] - depth - 1, *beta[i + 1 :]) in index:
+                    depth += 1
+                if depth - _pairing(cartan, beta, i) > 0:
+                    grown.setdefault((*beta[:i], beta[i] + 1, *beta[i + 1 :]), (parent, i))
+        start = len(roots)
+        for root in sorted(grown, key=_reference_sort_key):
+            index[root] = len(roots)
+            roots.append(root)
+            links.append(grown[root])
+    return tuple(roots), tuple(links), index
 
 
 def apply_word_vector(d: RootDatum, word: tuple[int, ...], vector) -> tuple:

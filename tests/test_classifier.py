@@ -5,7 +5,10 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import decompose_parameter, qmonomial_pow, reflect_root, trivial_parameter
+from test_parameters import arthur_parameters
 
 from arthurcalc import classifier
 from arthurcalc.classifier import (
@@ -39,6 +42,7 @@ from arthurcalc.roots import (
     dominantize,
     dual_datum,
     evaluation_exponents,
+    root_sort_key,
 )
 from arthurcalc.scenarios import parse_scenario_text
 from arthurcalc.sweeps import DICHOTOMY_SPECS, iter_dichotomy_parameters
@@ -158,6 +162,45 @@ def test_witness_lies_outside_the_levi():
     psi = unit_psi("B", 2, (3, 1, 1))
     w = witness_root(psi, standard_module_datum(psi).levi)
     assert w == (1, 1)
+
+
+def reference_witness(psi, levi):
+    """The least qualifying support root by `root_sort_key`, over every
+    candidate, or None if none qualifies."""
+    units = psi.tempered_part
+    candidates = [
+        root
+        for root in psi.sl2.support
+        if diagram_pairing(root, psi.sl2.diagram) == 2
+        and units.unit_is_trivial_on(root)
+        and any(c for i, c in enumerate(root) if i not in levi)
+    ]
+    return min(candidates, key=root_sort_key) if candidates else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(arthur_parameters(), st.data())
+def test_witness_is_the_least_qualifying_support_root(drawn, data):
+    """The support in any order, and the standard module's Levi or any
+    other: the first root walked in enumeration order is the minimum over
+    all candidates, and a support without one raises InvariantViolation."""
+    if drawn.sl2.is_trivial:
+        return
+    d = drawn.datum
+    support = data.draw(st.permutations(drawn.sl2.support))
+    psi = make_arthur_parameter(drawn.tempered_part, SL2Data(drawn.sl2.diagram, tuple(support)))
+    levi = data.draw(
+        st.one_of(
+            st.just(standard_module_datum(psi).levi),
+            st.frozensets(st.integers(0, d.rank - 1)),
+        )
+    )
+    expected = reference_witness(psi, levi)
+    if expected is None:
+        with pytest.raises(InvariantViolation, match="no support root qualifies"):
+            witness_root(psi, levi)
+    else:
+        assert witness_root(psi, levi) == expected
 
 
 # -- verdicts --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracle import (
     apply_word_vector,
     integer_inverse_fractions,
+    reference_positive_roots,
     reflect_root,
     simple_roots,
     solve_linear_fractions,
@@ -134,6 +136,32 @@ def test_positive_roots_are_the_positive_part_of_the_weyl_orbit(spec):
     for datum in (d, dual_datum(d)):
         positive = [root for root in weyl_orbit(datum, simple_roots(datum)) if min(root) >= 0]
         assert sorted(positive, key=root_sort_key) == list(datum.positive_roots)
+
+
+# B_n and C_n are each other's duals: one reference run per matrix
+cached_reference = lru_cache(maxsize=None)(reference_positive_roots)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CartanSpec(family, rank)
+        for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+        for rank in range(low, MAX_RANK + 1)
+    ]
+    + [CartanSpec("G", 2)],
+    ids=str,
+)
+def test_enumeration_matches_the_reference_byte_for_byte(spec):
+    """The enumeration that carries pairings and string depths from each
+    root's producers gives the reference's roots, links and index, the
+    index in the same insertion order, on the datum and on its dual."""
+    d = build_root_datum(spec)
+    for datum in {d, dual_datum(d)}:
+        roots, links, index = cached_reference(datum.cartan)
+        assert datum.positive_roots == roots
+        assert datum.root_links == links
+        assert list(datum.root_index.items()) == list(index.items())
 
 
 def test_positive_roots_frozen_small():

@@ -83,10 +83,17 @@ def test_stage_times_on_the_shipped_scenarios():
     count = len(list((ROOT / "scenarios").glob("*.json")))
     assert lines[0] == f"{count} scenarios, 1 timed rounds each"
     stages = [
-        "parse_scenario_text", "run_scenario", "emit_report_machine", "parse_report_text", "check",
+        "parse_scenario_text",
+        "run_scenario",
+        "emit_report_machine",
+        "parse_report_text",
+        "check",
+        "datum",
     ]
     assert [line.split("`")[1] for line in lines[3:]] == stages
     assert all(float(line.split("|")[2]) >= 0 for line in lines[3:])
+    # the datum row times a fresh enumeration, which the warm caches never skip
+    assert float(lines[-1].split("|")[2]) > 0
 
 
 def test_stage_times_names_each_failing_file(tmp_path):

@@ -184,16 +184,28 @@ def assert_recorded(p):
     assert p.integer_form == UnramifiedParameter(p.datum, p.coords).integer_form
 
 
+# angle objects as a scenario may hand them in: reduced Fractions, ints and
+# Fractions outside [0, 1)
+ANY_ANGLES = st.one_of(ANGLES, st.integers(-3, 3), ANGLES.map(lambda a: a + 2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(RECORDED_SPECS), st.data())
 def test_unit_parameters_record_the_derived_form(spec, data):
     d = build_root_datum(spec)
     zero = (Fraction(0),) * d.rank
-    angles = data.draw(st.one_of(st.just(zero), st.tuples(*[ANGLES] * d.rank)))
+    # coordinates drawn from up to rank angle objects, so some share one
+    pool = data.draw(st.lists(ANY_ANGLES, min_size=1, max_size=d.rank))
+    shared = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=d.rank, max_size=d.rank)))
+    angles = data.draw(st.sampled_from([zero, shared]))
     p = unit_parameter(d, angles)
     assert_recorded(p)
     assert p.coords == tuple(QMonomial(angle=a) for a in angles)
-    assert all(t.angle is a for t, a in zip(p.coords, angles))
+    # a Fraction in [0, 1) is the coordinate's own object
+    assert all(t.angle is a for t, a in zip(p.coords, angles) if type(a) is Fraction and a < 1)
+    # one QMonomial per angle object
+    for s, a in zip(p.coords, angles):
+        assert all((s is t) == (a is b) for t, b in zip(p.coords, angles))
     if angles == zero:
         assert p.integer_form == (1, (0,) * d.rank, (0,) * d.rank)
 
