@@ -199,9 +199,18 @@ class CoefficientRatio:
     irreducible iff the denominator inverse has no zero at s = 1."""
 
     grading: GradedNilradical
-    numerator: LocalLFactor
     denominator: LocalLFactor
     witnesses: tuple[int, ...]  # denominator indices vanishing at s = 1
+
+    @property
+    def numerator(self) -> LocalLFactor:
+        """The numerator factor, built on read: the denominator's
+        eigenvalues inverted, with exponents below 0, so its inverse cannot
+        vanish at s = 0."""
+        denominator = self.denominator
+        return LocalLFactor(
+            "r", denominator.roots, denominator.D, _reciprocals(denominator.pairs, denominator.D)
+        )
 
     @property
     def vanishes(self) -> bool:
@@ -220,9 +229,8 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
     """Classify the coefficient ratio on a standard-module parameter.
 
     Requires the exponent part of p to be strictly positive on every
-    nilradical root and refuses it otherwise. The numerator's eigenvalues
-    are the reciprocals, with exponents below 0, so its inverse cannot
-    vanish at s = 0.
+    nilradical root and refuses it otherwise. Only the denominator is
+    built; the numerator's eigenvalues are its reciprocals, built on read.
     """
     g = grade_nilradical(d, theta)
     # the denominator's eigenvalues carry the exponent part on each root
@@ -234,8 +242,5 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
                 f"(root {root} gives {denominator._fraction(qn)})",
                 field="parameter",
             )
-    # the numerator's eigenvalues are the reciprocals of the same evaluations
-    D = denominator.D
-    numerator = LocalLFactor("r", denominator.roots, D, _reciprocals(denominator.pairs, D))
     _, witnesses = inverse_vanishes_at(denominator, 1)
-    return CoefficientRatio(g, numerator, denominator, witnesses)
+    return CoefficientRatio(g, denominator, witnesses)

@@ -25,7 +25,6 @@ from .roots import (
     build_root_datum,
     diagram_pairing,
     format_root,
-    root_sort_key,
 )
 
 _PARTITION_FAMILIES = ("A", "B", "C", "D")
@@ -246,9 +245,13 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
                 x[ps] -= ss
                 support.add(_from_epsilon(family, x))
 
-    data = SL2Data(diagram, tuple(sorted(support, key=root_sort_key)))
+    d = build_root_datum(CartanSpec(family, rank))
+    # positive roots in root_index order, which is root_sort_key order; a
+    # root outside the index sorts last and fails the validation below
+    index = d.root_index
+    data = SL2Data(diagram, tuple(sorted(support, key=lambda root: index.get(root, len(index)))))
     try:
-        validate_sl2_data(build_root_datum(CartanSpec(family, rank)), data)
+        validate_sl2_data(d, data)
     except ValidationError as err:
         # the package built this data, so a failed check is a bug, not bad input
         raise InvariantViolation(f"partition {ordered} gives invalid sl2 data: {err}")
@@ -257,6 +260,7 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
 
 def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
     """Structural checks for expert-supplied data; collects every violation.
+    The support is a set: a repeated root is refused, named once.
 
     Deliberately does not certify genuine orbit membership: expert mode is
     documented as unvalidated-orbit mode. Data that passes with tuple fields
@@ -278,6 +282,7 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
         )
     else:
         typed = _INT_ONLY.issuperset(map(type, data.diagram))
+        seen, repeated = set(), set()
         for i, v in enumerate(data.diagram):
             if type(v) is not int:
                 problems.append(f"diagram entry {v!r} at position {i + 1} is not an integer")
@@ -297,6 +302,13 @@ def validate_sl2_data(d: RootDatum, data: SL2Data) -> None:
             if root not in d.root_index:
                 problems.append(f"support root {format_root(root)} is not a positive root")
                 continue
+            if root in seen:
+                # a support is a set of roots: each repeated one is named once
+                if root not in repeated:
+                    repeated.add(root)
+                    problems.append(f"support root {format_root(root)} is repeated")
+                continue
+            seen.add(root)
             if not typed:
                 continue  # a pairing with a diagram refused above means nothing
             pairing = diagram_pairing(root, data.diagram)

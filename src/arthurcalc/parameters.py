@@ -1,20 +1,25 @@
 """Unramified parameters as exact Frobenius eigen-data.
 
-A parameter is stored modulo center as one QMonomial per simple root of the
+A parameter is taken modulo center, one coordinate per simple root of the
 dual-side datum. The residue cardinality q stays a formal symbol: a factor
 1 - zeta * q^(a-s) with real s and real q > 1 vanishes iff zeta = 1 and
 a = s, so every verdict below is uniform in q.
 
-Evaluation on roots and the Weyl action both work over the parameter's
-integer form: every coordinate over one denominator D, the exact lcm of
-their denominators, with the angle numerators reduced mod D. A parameter
-the package builds records the form it was built from (`_recorded`), so
-nothing re-derives it from Fractions; only a parameter built by hand
-derives it, on first use. `unit_parameter` is the one construction of a
-unit parameter: it reads the form off the angles alone and builds one
-QMonomial per distinct angle object.
-`eigenvalue_pairs` evaluates the exponent and angle numerators on all
-positive roots at once with `roots.root_values` and reads them off at
+A parameter is its integer form: every coordinate over one denominator D,
+the exact lcm of their denominators, with the angle numerators reduced
+mod D. The form is canonical, so equality and hash go by (datum, form).
+The coordinates as QMonomials (`coords`) are a view. A parameter built by
+hand holds the coordinates it is given and derives its form on first use.
+One the package builds (`_recorded`: the unit parameter, the Langlands
+parameter, a Weyl image and recovered units) holds only its form and
+builds its coordinates on first read, with the sharing a report's writer
+relies on. So no evaluation, Weyl walk or verdict builds a QMonomial or
+a Fraction for a coordinate.
+
+`unit_parameter` is the one construction of a unit parameter: it reads
+the form off the angles alone; its view builds one QMonomial per angle
+object. `eigenvalue_pairs` evaluates the exponent and angle numerators on
+all positive roots at once with `roots.root_values` and reads them off at
 given root positions. `ArthurParameter`'s centralizer check,
 `centralizer_failure`, like the witness search (`unit_is_trivial_on`),
 tests the angle numerators of the few support roots mod D and builds
@@ -25,17 +30,19 @@ builds one QMonomial, for a certificate.
 The Langlands parameter is a fact of the Arthur parameter, computed once:
 `ArthurParameter.langlands_parameter` is a cached property, which the
 function `langlands_parameter(psi)` returns. Its form is the tempered
-part's with half the diagram added, and it builds one QMonomial per
-distinct (diagram value, angle object), so a report writes each shared
-coordinate once. `apply_word_parameter` reflects the numerators as lists
-of ints and records its image over the same D; `recover_arthur_data`
-dominantizes the exponent numerators, reflects only the angle numerators
-and records the units over D / gcd(D, *angles).
+part's with half the diagram added; its view builds one QMonomial per
+distinct (diagram value, angle object) over the tempered part's
+coordinates, so a report writes each shared coordinate once.
+`apply_word_parameter` reflects the numerators as lists of ints and
+records its image over the same D; `recover_arthur_data` dominantizes the
+exponent numerators, reflects only the angle numerators and records the
+units over D / gcd(D, *angles). Their views build one Fraction per
+distinct numerator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -95,35 +102,40 @@ class QMonomial:
         return "*".join(pieces) if pieces else "1"
 
 
-@dataclass(frozen=True)
+# d / 2 for each diagram value d in 0/1/2
+_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
 class UnramifiedParameter:
     """Satake eigen-data: coordinate i is the i-th simple-root evaluation of
-    the Frobenius image, taken modulo center."""
+    the Frobenius image, taken modulo center.
 
-    datum: RootDatum
-    coords: tuple[QMonomial, ...]
+    A parameter is its datum and its `integer_form`; `coords`, one
+    QMonomial per simple root, is a view of that form. One built by hand
+    holds the coordinates it is given and derives its form on first use;
+    one the package builds (`_recorded`) holds its form and builds its
+    coordinates on first read. Equality and hash go by (datum,
+    integer_form), which is canonical, so equal forms mean equal
+    coordinates. Instances are immutable."""
 
-    def __post_init__(self):
-        if not isinstance(self.datum, RootDatum):
-            raise ValidationError(f"expected a RootDatum, got {self.datum!r}", field="datum")
-        if not isinstance(self.coords, (tuple, list)):
-            raise ValidationError(
-                f"expected a tuple of QMonomials, got {self.coords!r}", field="coords"
-            )
-        for i, t in enumerate(self.coords):
+    def __init__(self, datum: RootDatum, coords):
+        if not isinstance(datum, RootDatum):
+            raise ValidationError(f"expected a RootDatum, got {datum!r}", field="datum")
+        if not isinstance(coords, (tuple, list)):
+            raise ValidationError(f"expected a tuple of QMonomials, got {coords!r}", field="coords")
+        for i, t in enumerate(coords):
             if not isinstance(t, QMonomial):
                 raise ValidationError(f"expected a QMonomial, got {t!r}", field=f"coords[{i + 1}]")
-        if len(self.coords) != self.datum.rank:
-            raise ValidationError(
-                f"expected {self.datum.rank} coordinates, got {len(self.coords)}"
-            )
+        if len(coords) != datum.rank:
+            raise ValidationError(f"expected {datum.rank} coordinates, got {len(coords)}")
+        self.__dict__.update(datum=datum, coords=coords)
 
     @cached_property
     def integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, exponent numerators, angle numerators): every coordinate over
         D, the lcm of all their denominators, so coordinate i is
         zeta(angles[i] / D) * q^(exponents[i] / D), with 0 <= angles[i] < D.
-        A parameter the package builds records it (`_recorded`); one built
+        A parameter the package builds holds it from the start; one built
         by hand derives it here, on first use."""
         n = len(self.coords)
         D, nums = over_common_denominator(
@@ -131,43 +143,102 @@ class UnramifiedParameter:
         )
         return D, nums[:n], nums[n:]
 
+    @cached_property
+    def coords(self) -> tuple[QMonomial, ...]:
+        """One QMonomial per simple root. A parameter built by hand holds
+        the ones it was given; one the package built builds them here, on
+        first read, by the view its builder recorded, or else from one
+        Fraction per distinct numerator of its integer form."""
+        view = self.__dict__.pop("_view")
+        return view() if view else _coords_over(*self.integer_form)
+
     def unit_is_trivial_on(self, root: Root) -> bool:
         """Whether the unit part of the eigenvalue on the root is 1: D divides
         the root's angle numerator."""
         D, _, angles = self.integer_form
         return not sum(map(mul, root, angles)) % D
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.datum == other.datum and self.integer_form == other.integer_form
 
-def _recorded(datum: RootDatum, coords, D: int, exponents, angles) -> UnramifiedParameter:
-    """The parameter with its integer form recorded, not re-derived. The
-    caller guarantees that (D, exponents, angles) is the form `integer_form`
-    derives from `coords`: D the exact lcm of the coordinates'
-    denominators, angles reduced mod D. That form is canonical, so two
-    parameters on one datum are equal iff their forms are."""
-    p = UnramifiedParameter(datum, tuple(coords))
-    p.__dict__["integer_form"] = D, tuple(exponents), tuple(angles)
+    def __hash__(self):
+        return hash((self.datum, self.integer_form))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(datum={self.datum!r}, coords={self.coords!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a copy or an unpickled parameter is built by hand from its coordinates
+        return self.__class__, (self.datum, self.coords)
+
+
+def _recorded(datum: RootDatum, D: int, exponents, angles, view=None) -> UnramifiedParameter:
+    """The parameter with the integer form (D, exponents, angles), built
+    without coordinates. The caller guarantees that the form is canonical:
+    D the exact lcm of the coordinates' denominators, angles reduced mod D.
+    `view`, if given, builds the coordinates on first read; otherwise they
+    are built from the form (`_coords_over`)."""
+    p = object.__new__(UnramifiedParameter)
+    p.__dict__.update(
+        datum=datum, integer_form=(D, tuple(exponents), tuple(angles)), _view=view
+    )
     return p
+
+
+def _coords_over(D: int, exponents, angles) -> tuple[QMonomial, ...]:
+    """zeta(a / D) * q^(e / D) per coordinate, from one Fraction per
+    distinct numerator."""
+    fractions = {n: Fraction(n, D) for n in {*exponents, *angles}}
+    return tuple([QMonomial(fractions[e], fractions[a]) for e, a in zip(exponents, angles)])
+
+
+def _shared_monomials(pairs) -> tuple[QMonomial, ...]:
+    """QMonomial(e, a) per (e, a) of `pairs`, one per distinct pair of
+    objects: the key is the ids, so no Fraction is hashed. The pairs are
+    held in a list for the call, so no id is reused."""
+    shared = {}
+    coords = []
+    for e, a in pairs:
+        key = id(e), id(a)
+        c = shared.get(key)
+        if c is None:
+            c = shared[key] = QMonomial(e, a)
+        coords.append(c)
+    return tuple(coords)
 
 
 def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
     """The unit parameter with the given angles: coordinate i is
-    zeta(angles[i]). An angle that is a Fraction in [0, 1) is kept as the
-    coordinate's own object; the integer form is read off the n angles,
-    with zero exponents.
+    zeta(angles[i]). Refused with a ValidationError: a datum that is not a
+    RootDatum (field `datum`), a number of angles other than the rank, and
+    an angle that is not an int or a Fraction (field `angle`).
 
-    Coordinates with one angle object share one QMonomial, keyed by the
-    angle's id as in `ArthurParameter.langlands_parameter`; the angles are
-    held in a tuple for the whole call, so no id is reused."""
+    The integer form is read off the angles, with zero exponents: reducing
+    an angle mod 1 keeps its denominator, so D is the lcm of theirs and the
+    numerators are reduced mod D. The coordinates are built on first read,
+    one QMonomial per angle object; an angle that is a Fraction in [0, 1)
+    is its coordinate's own object."""
+    if not isinstance(datum, RootDatum):
+        raise ValidationError(f"expected a RootDatum, got {datum!r}", field="datum")
     angles = tuple(angles)
-    shared = {}
-    coords = []
+    if len(angles) != datum.rank:
+        raise ValidationError(f"expected {datum.rank} coordinates, got {len(angles)}")
     for a in angles:
-        c = shared.get(id(a))
-        if c is None:
-            c = shared[id(a)] = QMonomial(angle=a)
-        coords.append(c)
-    D, nums = over_common_denominator([t.angle for t in coords])
-    return _recorded(datum, coords, D, (0,) * len(nums), nums)
+        if type(a) is not Fraction:
+            _rational(a, "angle")
+    D, nums = over_common_denominator(angles)
+    return _recorded(
+        datum, D, (0,) * len(nums), [n % D for n in nums],
+        lambda: _shared_monomials([(_HALF_WEIGHTS[0], a) for a in angles]),
+    )
 
 
 def eigenvalue_pairs(positions, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
@@ -214,10 +285,6 @@ def defining_levi(exponents: RationalVector, d: RootDatum) -> LeviSubset:
     if any(e < 0 for e in exponents):
         raise ValidationError("exponent vector is not dominant; dominantize first")
     return frozenset(i for i, e in enumerate(exponents) if e == 0)
-
-
-# d / 2 for each diagram value d in 0/1/2
-_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -272,24 +339,20 @@ class ArthurParameter:
         odd, which is the lcm of all the coordinates' denominators either
         way.
 
-        Coordinates with one diagram value and one angle object share one
-        QMonomial, so a report writes each once. The key is the angle's id,
-        not its value: no Fraction is hashed, and every angle stays alive
-        in the tempered part."""
-        diagram = self.sl2.diagram
-        shared = {}
-        coords = []
-        for t, d in zip(self.tempered_part.coords, diagram):
-            key = d, id(t.angle)
-            c = shared.get(key)
-            if c is None:
-                c = shared[key] = QMonomial(_HALF_WEIGHTS[d], t.angle)
-            coords.append(c)
-        D, _, angles = self.tempered_part.integer_form
+        The coordinates are built on first read over the tempered part's:
+        coordinates with one diagram value and one angle object share one
+        QMonomial, so a report writes each once."""
+        tempered, diagram = self.tempered_part, self.sl2.diagram
+        D, _, angles = tempered.integer_form
         if 1 in diagram and D % 2:
             D, angles = 2 * D, [2 * a for a in angles]
         # d * D is even for d in 0/1/2 over this D
-        return _recorded(self.datum, coords, D, [d * D // 2 for d in diagram], angles)
+        return _recorded(
+            self.datum, D, [d * D // 2 for d in diagram], angles,
+            lambda: _shared_monomials(
+                [(_HALF_WEIGHTS[d], t.angle) for t, d in zip(tempered.coords, diagram)]
+            ),
+        )
 
 
 def centralizer_failure(phi: UnramifiedParameter, sl2: SL2Data) -> tuple[Root, int] | None:
@@ -323,8 +386,8 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
     so `roots._reflect` reflects the exponent and the angle numerators of
     the integer form alike, as lists of ints. The image is recorded over
     the unchanged D: a word acts by an integer matrix with an integer
-    inverse, so the lcm of the denominators does not move. Each QMonomial
-    is built at the end, from one Fraction per distinct numerator."""
+    inverse, so the lcm of the denominators does not move. Its
+    coordinates are built on first read."""
     d = p.datum
     validate_word(d, word)
     columns = d.reflection_columns
@@ -333,10 +396,7 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
     for i in word:
         _reflect(columns, i, exponents)
         _reflect(columns, i, angles)
-    angles = [a % D for a in angles]
-    fractions = {n: Fraction(n, D) for n in {*exponents, *angles}}
-    coords = [QMonomial(fractions[e], fractions[a]) for e, a in zip(exponents, angles)]
-    return _recorded(d, coords, D, exponents, angles)
+    return _recorded(d, D, exponents, [a % D for a in angles])
 
 
 def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tuple[int, ...]]:
@@ -373,7 +433,5 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
     # reduced angles' denominators (1 when every angle is 0)
     angles = [a % D for a in angles]
     g = gcd(D, *angles)
-    D, angles = D // g, [a // g for a in angles]
-    fractions = {n: Fraction(n, D) for n in set(angles)}
-    units = [QMonomial(angle=fractions[a]) for a in angles]
-    return _recorded(p.datum, units, D, (0,) * len(angles), angles), tuple(diagram)
+    units = _recorded(p.datum, D // g, (0,) * len(angles), [a // g for a in angles])
+    return units, tuple(diagram)

@@ -179,6 +179,8 @@ REPLACEMENTS = {
         SL2Data((0, 2), ((0, 1),)),
         SL2Data(5, ()), SL2Data((2,), 5), SL2Data(None, None), SL2Data((True,), ((1,),)),
         SL2Data((2,), ((1.0,),)), SL2Data((2,), ([1],)), ((2,), ((1,),)),
+        # a support is a set: repeated and padded roots are refused
+        SL2Data((2, 2), ((1, 0), (0, 1), (1, 0))), SL2Data((2,), ((1,),) * 1000),
     ]),
     "generic_assumption": st.booleans(),
 }

@@ -270,6 +270,36 @@ def test_validate_sl2_data_accepts_expert_g2():
     validate_sl2_data(d, SL2Data((0, 1), ((3, 2),)))
 
 
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        (((1, 0), (0, 1), (1, 0)), "support root a1 is repeated"),
+        # padded 100,000 times: each repeated root is named once
+        (((1, 0), (0, 1)) * 100_000, "support root a1 is repeated; support root a2 is repeated"),
+        # a repeated root with a wrong pairing is named for both, once each
+        (
+            ((1, 0), (1, 1), (1, 1), (1, 1)),
+            "support root a1 + a2 pairs with H to 4, expected 2; support root a1 + a2 is repeated",
+        ),
+    ],
+    ids=["one-repeat", "padded", "wrong-pairing"],
+)
+def test_validate_sl2_data_refuses_a_repeated_support_root(support, message):
+    d = build_root_datum(CartanSpec("G", 2))
+    with pytest.raises(ValidationError) as err:
+        validate_sl2_data(d, SL2Data((2, 2), support))
+    assert err.value.field == "sl2"
+    assert err.value.raw_message == message
+
+
+def test_package_built_support_root_outside_the_datum_is_a_bug(monkeypatch):
+    # the support is sorted by root_index; a root missing from it must reach
+    # the rule check, not fail the sort with a KeyError
+    monkeypatch.setattr(nilpotent, "_from_epsilon", lambda family, x: (-1, 0))
+    with pytest.raises(InvariantViolation, match="support root -a1 is not a positive root"):
+        sl2_from_partition.__wrapped__("A", 2, (3,))  # bypass the cache
+
+
 # -- matrix oracle ---------------------------------------------------------------------
 
 

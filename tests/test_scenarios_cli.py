@@ -642,6 +642,19 @@ def test_cli_global_names_the_place_whose_reading_is_refused(tmp_path, capsys, p
     assert capsys.readouterr().err == message
 
 
+def test_cli_check_refuses_a_padded_expert_support(tmp_path, capsys):
+    """The G2 expert scenario with its support repeated 100,000 times used
+    to exit 0 with a 6 MB report; a support is a set of roots."""
+    payload = json.loads((SRC.parent / "scenarios" / "g2-principal-expert.json").read_text())
+    payload["sl2"]["expert"]["support"] *= 100_000
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["check", str(path), "--format", "machine"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sl2: support root a1 is repeated; support root a2 is repeated\n"
+
+
 def test_cli_batch_rejects_empty_directory(tmp_path, capsys):
     assert cli.main(["batch", str(tmp_path)]) == 1
     assert "no scenario files" in capsys.readouterr().err

@@ -5,6 +5,7 @@ replaced, under every name an arthurcalc module binds it to, by a counting
 wrapper, so a call is seen whichever module makes it.
 """
 
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -193,15 +194,19 @@ def sweep_item(d, angles, sl2, word):
     return psi, verdict, recover_arthur_data(moved)
 
 
-@pytest.mark.parametrize(
-    "spec, parts, angles",
-    [
-        (CartanSpec("C", 3), (2, 2, 1, 1), (Fraction(0), Fraction(1, 4), Fraction(1, 2))),
-        (CartanSpec("A", 3), (2, 1, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))),
-        (CartanSpec("D", 4), (1,) * 8, (Fraction(3, 4),) * 4),
+SWEEP_ITEMS = [
+    (CartanSpec("C", 3), (2, 2, 1, 1), (Fraction(0), Fraction(1, 4), Fraction(1, 2))),
+    (CartanSpec("A", 3), (2, 1, 1), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))),
+    (CartanSpec("D", 4), (1,) * 8, (Fraction(3, 4),) * 4),
+    # the principal orbit of each swept type, with trivial units
+    *[
+        (spec, valid_partitions(spec.family, spec.rank)[0], (Fraction(0),) * spec.rank)
+        for spec in DICHOTOMY_SPECS
     ],
-    ids=str,
-)
+]
+
+
+@pytest.mark.parametrize("spec, parts, angles", SWEEP_ITEMS, ids=str)
 def test_a_sweep_item_derives_the_integer_form_once(spec, parts, angles, monkeypatch):
     """Only the unit parameter derives its integer form from Fractions; the
     Langlands parameter, its Weyl image and the recovered units record
@@ -221,6 +226,28 @@ def test_a_sweep_item_derives_the_integer_form_once(spec, parts, angles, monkeyp
     assert verdict.kind is (VerdictKind.TEMPERED if sl2.is_trivial else VerdictKind.NON_TEMPERED)
     assert diagram == sl2.diagram
     assert all(t.q_exp == 0 for t in units.coords)
+
+
+@pytest.mark.parametrize("spec, parts, angles", SWEEP_ITEMS, ids=str)
+def test_a_sweep_item_builds_no_coordinates(spec, parts, angles, monkeypatch):
+    """Every parameter of an accepted sweep item is its integer form: the
+    only QMonomial built is the certificate's, in `evaluate_root`, and the
+    coordinates are built when they are read."""
+    d = build_root_datum(spec)
+    sl2 = sl2_from_partition(spec.family, spec.rank, parts)
+    word = tuple(k % d.rank for k in range(3 * d.rank))
+    sweep_item(d, angles, sl2, word)  # fills the per-datum caches
+    built = []
+    check = QMonomial.__post_init__
+    monkeypatch.setattr(QMonomial, "__post_init__", lambda t: built.append(t) or check(t))
+    counts = count_calls(monkeypatch, {"evaluate_root": parameters.evaluate_root})
+    psi, verdict, (units, diagram) = sweep_item(d, angles, sl2, word)
+    certificates = [] if sl2.is_trivial else [verdict.certificate.eigenvalue]
+    assert len(built) == len(certificates) and all(map(operator.is_, built, certificates))
+    assert counts == {"evaluate_root": len(certificates)}
+    # reading the coordinates builds them, once
+    assert units.coords is units.coords
+    assert len(built) == len(certificates) + len(set(map(id, units.coords)))
 
 
 @pytest.mark.parametrize("spec", DICHOTOMY_SPECS, ids=str)

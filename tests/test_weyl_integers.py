@@ -15,6 +15,9 @@ deriving it; the last tests hold every recorded form to the one
 construction from Fractions.
 """
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -246,6 +249,54 @@ def test_the_word_loop_records_the_derived_forms(drawn, data):
     for word in (*words(d), drawn_word):
         for psi in (drawn, rebuilt):
             assert_the_word_loop_records(psi, word)
+
+
+def assert_a_view_of_its_form(p):
+    """A package-built parameter is its datum and integer form: it equals,
+    hashes and prints like the parameter built by hand from its coordinates,
+    which it builds on first read, and it refuses assignment as that one
+    does."""
+    assert "coords" not in vars(p)
+    digest = hash(p)
+    # copied before its coordinates are read
+    copies = [copy.deepcopy(p), pickle.loads(pickle.dumps(p))]
+    by_hand = UnramifiedParameter(p.datum, p.coords)
+    assert p.coords is p.coords
+    assert p == by_hand and by_hand == p and not p != by_hand
+    assert digest == hash(p) == hash(by_hand)
+    assert repr(p) == repr(by_hand) == (
+        f"UnramifiedParameter(datum={p.datum!r}, coords={p.coords!r})"
+    )
+    for copied in copies:
+        assert copied == p and copied.coords == p.coords
+    for q in (p, by_hand):
+        for name in ("datum", "coords", "integer_form", "other"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(q, name, None)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(q, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arthur_parameters(RECORDED_SPECS), st.data())
+def test_package_built_parameters_equal_their_coordinates_by_hand(drawn, data):
+    d = drawn.datum
+    angles = tuple(t.angle for t in drawn.tempered_part.coords)
+    units = unit_parameter(d, angles)
+    psi = make_arthur_parameter(units, drawn.sl2)
+    word = tuple(data.draw(st.lists(st.integers(0, d.rank - 1), max_size=3 * d.rank)))
+    p = langlands_parameter(psi)
+    moved = apply_word_parameter(p, word)
+    recovered, _ = recover_arthur_data(moved)
+    built = [units, p, moved, recovered]
+    for q in built:
+        assert_a_view_of_its_form(q)
+    # equal exactly when the forms are: a word that moves the form moves
+    # the parameter
+    for q in built:
+        for r in built:
+            assert (q == r) is (q.integer_form == r.integer_form)
+    assert (units == drawn.tempered_part) and hash(units) == hash(drawn.tempered_part)
 
 
 # (spec, partition, unit angles, D of the units, D of the Langlands
