@@ -14,9 +14,10 @@ Representation: a factor keeps its eigenvalues as integer pairs over one
 denominator D, the lcm of the parameter's denominators. The pair (qn, an)
 with 0 <= an < D is zeta(an / D) * q^(qn / D); the reciprocal is
 (-qn, -an mod D). Vanishing, poles and the per-level order are decided on
-the integers: over one D, pairs sort exactly like (q_exp, angle). QMonomials
-and Fractions are built only for a report or on request, each distinct
-value once per factor.
+the integers: over one D, pairs sort exactly like (q_exp, angle). The
+eigenvalues as QMonomials are built only for a report or on request, by
+`parameters.monomials_over`; `eigenvalues_by_level` and `pole_locations`
+pick their values out of that one tuple.
 
 The grading levels and the pairs come from `roots.root_values`, which
 evaluates an integer vector on every positive root with one addition per
@@ -35,9 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
-from itertools import islice
-from typing import Callable
+from functools import cached_property, lru_cache
 
 from .errors import ValidationError
 from .roots import (
@@ -49,7 +48,7 @@ from .roots import (
     root_values,
     validate_levi,
 )
-from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs
+from .parameters import QMonomial, UnramifiedParameter, eigenvalue_pairs, monomials_over
 
 ORIENTATIONS = ("r", "r-tilde")
 
@@ -97,21 +96,10 @@ class LocalLFactor:
             raise ValidationError("roots and eigenvalues are misaligned")
 
     @cached_property
-    def _fraction(self) -> Callable[[int], Fraction]:
-        """k -> Fraction(k, D), each distinct k built once per factor."""
-        D = self.D
-        return cache(lambda k: Fraction(k, D))
-
-    @cached_property
-    def _monomial(self) -> Callable[[tuple[int, int]], QMonomial]:
-        """Pair -> QMonomial, each distinct pair built once per factor."""
-        fraction = self._fraction
-        return cache(lambda pair: QMonomial(fraction(pair[0]), fraction(pair[1])))
-
-    @cached_property
     def eigenvalues(self) -> tuple[QMonomial, ...]:
-        """The pairs as QMonomials, built on first use."""
-        return tuple([self._monomial(pair) for pair in self.pairs])
+        """The pairs as QMonomials, built on first use, one per distinct
+        pair."""
+        return monomials_over(self.D, self.pairs)
 
 
 def grade_nilradical(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
@@ -169,25 +157,24 @@ def inverse_vanishes_at(L: LocalLFactor, s) -> tuple[bool, tuple[int, ...]]:
 def pole_locations(L: LocalLFactor) -> tuple[Fraction, ...]:
     """Real poles of L: the exponents of eigenvalues with trivial unit part,
     sorted with multiplicity."""
-    return tuple([L._fraction(qn) for qn in sorted([qn for qn, an in L.pairs if an == 0])])
+    pairs, eigenvalues = L.pairs, L.eigenvalues
+    real = sorted([i for i, (_, an) in enumerate(pairs) if an == 0], key=pairs.__getitem__)
+    return tuple([eigenvalues[i].q_exp for i in real])
 
 
 def eigenvalues_by_level(g: GradedNilradical, L: LocalLFactor) -> tuple[tuple[QMonomial, ...], ...]:
     """The factor's eigenvalues split by the grading's levels, each level in
-    (q_exp, angle) order; over one D the pairs sort the same way. A run of
-    equal sorted pairs shares one QMonomial."""
+    (q_exp, angle) order; over one D the pairs sort the same way. Each
+    value is picked out of `L.eigenvalues` by its sorted position."""
     if L.roots != g.all_roots:
         raise ValidationError("factor and grading are misaligned")
-    monomial = L._monomial
-    pairs = iter(L.pairs)
-    levels = []
+    pairs, eigenvalues = L.pairs, L.eigenvalues
+    levels, start = [], 0
     for _, roots in g.levels:
-        block, last = [], None
-        for pair in sorted(islice(pairs, len(roots))):
-            if pair != last:
-                last, value = pair, monomial(pair)
-            block.append(value)
-        levels.append(tuple(block))
+        stop = start + len(roots)
+        block = sorted(range(start, stop), key=pairs.__getitem__)
+        levels.append(tuple([eigenvalues[i] for i in block]))
+        start = stop
     return tuple(levels)
 
 
@@ -239,7 +226,7 @@ def local_coefficient_ratio(d: RootDatum, theta: LeviSubset, p: UnramifiedParame
         if qn <= 0:
             raise ValidationError(
                 "exponent part is not strictly positive on the nilradical "
-                f"(root {root} gives {denominator._fraction(qn)})",
+                f"(root {root} gives {Fraction(qn, denominator.D)})",
                 field="parameter",
             )
     _, witnesses = inverse_vanishes_at(denominator, 1)

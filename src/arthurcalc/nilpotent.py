@@ -32,6 +32,12 @@ _PARTITION_FAMILIES = ("A", "B", "C", "D")
 # Parts of this parity come in pairs (even multiplicity); type A has none.
 PAIRED_PARITY = {"B": 0, "C": 1, "D": 0}
 
+# Largest number of partitions whose diagram and sl2 data are kept, the
+# least recently used dropped first. It is above the 2,062 partitions of
+# `orbits C 16`; an entry of rank 24 holds about 6 KB, so the caches stay
+# under 25 MB.
+MAX_PARTITIONS = 4096
+
 
 @dataclass(frozen=True)
 class SL2Data:
@@ -111,7 +117,7 @@ def _diagram_from_sorted(family: str, rank: int, sorted_weights: tuple[int, ...]
     return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_PARTITIONS)
 def weighted_diagram(family: str, rank: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     ordered = validate_partition(family, rank, parts)
     if family == "A":
@@ -214,7 +220,7 @@ def _from_epsilon(family: str, x: list[int]) -> Root:
     return tuple(sums[: len(sums) - len(halves)] + [half for half, _ in halves])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_PARTITIONS)
 def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
     """Canonical (diagram, support) for the orbit labelled by the partition.
 

@@ -8,36 +8,37 @@ a = s, so every verdict below is uniform in q.
 A parameter is its integer form: every coordinate over one denominator D,
 the exact lcm of their denominators, with the angle numerators reduced
 mod D. The form is canonical, so equality and hash go by (datum, form).
-The coordinates as QMonomials (`coords`) are a view. A parameter built by
-hand holds the coordinates it is given and derives its form on first use.
-One the package builds (`_recorded`: the unit parameter, the Langlands
-parameter, a Weyl image and recovered units) holds only its form and
-builds its coordinates on first read, with the sharing a report's writer
-relies on. So no evaluation, Weyl walk or verdict builds a QMonomial or
-a Fraction for a coordinate.
+A parameter built by hand keeps the coordinates it is given and computes
+its form when it is built. One the package builds (`_recorded`: the unit
+parameter, the Langlands parameter, a Weyl image and recovered units)
+holds only its form, and its coordinates (`coords`) are built on first
+read. So no evaluation, Weyl walk or verdict builds a QMonomial or a
+Fraction for a coordinate.
+
+`monomials_over(D, pairs)` is the one way integer pairs become values:
+the coordinates of a package-built parameter and the eigenvalues of an
+L-factor (`lfactors.LocalLFactor.eigenvalues`) both come from it, with
+one Fraction per distinct numerator and one QMonomial per distinct pair.
+The other QMonomials are the certificate's (`evaluate_root`) and a
+hand-built parameter's (`recompose_parameter`).
 
 `unit_parameter` is the one construction of a unit parameter: it reads
-the form off the angles alone; its view builds one QMonomial per angle
-object. `eigenvalue_pairs` evaluates the exponent and angle numerators on
-all positive roots at once with `roots.root_values` and reads them off at
-given root positions. `ArthurParameter`'s centralizer check,
-`centralizer_failure`, like the witness search (`unit_is_trivial_on`),
-tests the angle numerators of the few support roots mod D and builds
-nothing, so the sweep skips a failing point without a message, and a
-refusal names the failing value from that numerator. `evaluate_root`
-builds one QMonomial, for a certificate.
+the form off the angles alone. `eigenvalue_pairs` evaluates the exponent
+and angle numerators on all positive roots at once with
+`roots.root_values` and reads them off at given root positions.
+`ArthurParameter`'s centralizer check, `centralizer_failure`, like the
+witness search (`unit_is_trivial_on`), tests the angle numerators of the
+few support roots mod D and builds nothing, so the sweep skips a failing
+point without a message, and a refusal names the failing value from that
+numerator. `evaluate_root` builds one QMonomial, for a certificate.
 
 The Langlands parameter is a fact of the Arthur parameter, computed once:
 `ArthurParameter.langlands_parameter` is a cached property, which the
 function `langlands_parameter(psi)` returns. Its form is the tempered
-part's with half the diagram added; its view builds one QMonomial per
-distinct (diagram value, angle object) over the tempered part's
-coordinates, so a report writes each shared coordinate once.
-`apply_word_parameter` reflects the numerators as lists of ints and
-records its image over the same D; `recover_arthur_data` dominantizes the
-exponent numerators, reflects only the angle numerators and records the
-units over D / gcd(D, *angles). Their views build one Fraction per
-distinct numerator.
+part's with half the diagram added. `apply_word_parameter` reflects the
+numerators as lists of ints and records its image over the same D;
+`recover_arthur_data` dominantizes the exponent numerators, reflects only
+the angle numerators and records the units over D / gcd(D, *angles).
 """
 
 from __future__ import annotations
@@ -102,19 +103,37 @@ class QMonomial:
         return "*".join(pieces) if pieces else "1"
 
 
-# d / 2 for each diagram value d in 0/1/2
-_HALF_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1))
+def monomials_over(D: int, pairs) -> tuple[QMonomial, ...]:
+    """QMonomial(e / D, a / D) for each integer pair (e, a) of `pairs`,
+    with 0 <= a < D: one Fraction per distinct numerator and one QMonomial
+    per distinct pair, so equal values are one object."""
+    fractions: dict[int, Fraction] = {}
+    monomials: dict[tuple[int, int], QMonomial] = {}
+    values = []
+    for pair in pairs:
+        value = monomials.get(pair)
+        if value is None:
+            for n in pair:
+                if n not in fractions:
+                    fractions[n] = Fraction(n, D)
+            e, a = pair
+            value = monomials[pair] = QMonomial(fractions[e], fractions[a])
+        values.append(value)
+    return tuple(values)
 
 
 class UnramifiedParameter:
     """Satake eigen-data: coordinate i is the i-th simple-root evaluation of
     the Frobenius image, taken modulo center.
 
-    A parameter is its datum and its `integer_form`; `coords`, one
-    QMonomial per simple root, is a view of that form. One built by hand
-    holds the coordinates it is given and derives its form on first use;
-    one the package builds (`_recorded`) holds its form and builds its
-    coordinates on first read. Equality and hash go by (datum,
+    A parameter is its datum and its `integer_form`, (D, exponent
+    numerators, angle numerators): every coordinate over D, the lcm of all
+    their denominators, so coordinate i is
+    zeta(angles[i] / D) * q^(exponents[i] / D), with 0 <= angles[i] < D.
+    `coords`, one QMonomial per simple root, is a view of that form. One
+    built by hand keeps the coordinates it is given and computes its form
+    here; one the package builds (`_recorded`) holds its form and builds
+    its coordinates on first read. Equality and hash go by (datum,
     integer_form), which is canonical, so equal forms mean equal
     coordinates. Instances are immutable."""
 
@@ -128,29 +147,17 @@ class UnramifiedParameter:
                 raise ValidationError(f"expected a QMonomial, got {t!r}", field=f"coords[{i + 1}]")
         if len(coords) != datum.rank:
             raise ValidationError(f"expected {datum.rank} coordinates, got {len(coords)}")
-        self.__dict__.update(datum=datum, coords=coords)
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(D, exponent numerators, angle numerators): every coordinate over
-        D, the lcm of all their denominators, so coordinate i is
-        zeta(angles[i] / D) * q^(exponents[i] / D), with 0 <= angles[i] < D.
-        A parameter the package builds holds it from the start; one built
-        by hand derives it here, on first use."""
-        n = len(self.coords)
-        D, nums = over_common_denominator(
-            [t.q_exp for t in self.coords] + [t.angle for t in self.coords]
-        )
-        return D, nums[:n], nums[n:]
+        n = len(coords)
+        D, nums = over_common_denominator([t.q_exp for t in coords] + [t.angle for t in coords])
+        self.__dict__.update(datum=datum, coords=coords, integer_form=(D, nums[:n], nums[n:]))
 
     @cached_property
     def coords(self) -> tuple[QMonomial, ...]:
         """One QMonomial per simple root. A parameter built by hand holds
         the ones it was given; one the package built builds them here, on
-        first read, by the view its builder recorded, or else from one
-        Fraction per distinct numerator of its integer form."""
-        view = self.__dict__.pop("_view")
-        return view() if view else _coords_over(*self.integer_form)
+        first read, from its integer form by `monomials_over`."""
+        D, exponents, angles = self.integer_form
+        return monomials_over(D, zip(exponents, angles))
 
     def unit_is_trivial_on(self, root: Root) -> bool:
         """Whether the unit part of the eigenvalue on the root is 1: D divides
@@ -180,39 +187,13 @@ class UnramifiedParameter:
         return self.__class__, (self.datum, self.coords)
 
 
-def _recorded(datum: RootDatum, D: int, exponents, angles, view=None) -> UnramifiedParameter:
+def _recorded(datum: RootDatum, D: int, exponents, angles) -> UnramifiedParameter:
     """The parameter with the integer form (D, exponents, angles), built
     without coordinates. The caller guarantees that the form is canonical:
-    D the exact lcm of the coordinates' denominators, angles reduced mod D.
-    `view`, if given, builds the coordinates on first read; otherwise they
-    are built from the form (`_coords_over`)."""
+    D the exact lcm of the coordinates' denominators, angles reduced mod D."""
     p = object.__new__(UnramifiedParameter)
-    p.__dict__.update(
-        datum=datum, integer_form=(D, tuple(exponents), tuple(angles)), _view=view
-    )
+    p.__dict__.update(datum=datum, integer_form=(D, tuple(exponents), tuple(angles)))
     return p
-
-
-def _coords_over(D: int, exponents, angles) -> tuple[QMonomial, ...]:
-    """zeta(a / D) * q^(e / D) per coordinate, from one Fraction per
-    distinct numerator."""
-    fractions = {n: Fraction(n, D) for n in {*exponents, *angles}}
-    return tuple([QMonomial(fractions[e], fractions[a]) for e, a in zip(exponents, angles)])
-
-
-def _shared_monomials(pairs) -> tuple[QMonomial, ...]:
-    """QMonomial(e, a) per (e, a) of `pairs`, one per distinct pair of
-    objects: the key is the ids, so no Fraction is hashed. The pairs are
-    held in a list for the call, so no id is reused."""
-    shared = {}
-    coords = []
-    for e, a in pairs:
-        key = id(e), id(a)
-        c = shared.get(key)
-        if c is None:
-            c = shared[key] = QMonomial(e, a)
-        coords.append(c)
-    return tuple(coords)
 
 
 def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
@@ -223,9 +204,7 @@ def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
 
     The integer form is read off the angles, with zero exponents: reducing
     an angle mod 1 keeps its denominator, so D is the lcm of theirs and the
-    numerators are reduced mod D. The coordinates are built on first read,
-    one QMonomial per angle object; an angle that is a Fraction in [0, 1)
-    is its coordinate's own object."""
+    numerators are reduced mod D."""
     if not isinstance(datum, RootDatum):
         raise ValidationError(f"expected a RootDatum, got {datum!r}", field="datum")
     angles = tuple(angles)
@@ -235,10 +214,7 @@ def unit_parameter(datum: RootDatum, angles) -> UnramifiedParameter:
         if type(a) is not Fraction:
             _rational(a, "angle")
     D, nums = over_common_denominator(angles)
-    return _recorded(
-        datum, D, (0,) * len(nums), [n % D for n in nums],
-        lambda: _shared_monomials([(_HALF_WEIGHTS[0], a) for a in angles]),
-    )
+    return _recorded(datum, D, (0,) * len(nums), [n % D for n in nums])
 
 
 def eigenvalue_pairs(positions, p: UnramifiedParameter) -> tuple[tuple[int, int], ...]:
@@ -337,22 +313,13 @@ class ArthurParameter:
         The integer form is the tempered part's, with the diagram added:
         over D when every diagram value is even, over lcm(D, 2) when one is
         odd, which is the lcm of all the coordinates' denominators either
-        way.
-
-        The coordinates are built on first read over the tempered part's:
-        coordinates with one diagram value and one angle object share one
-        QMonomial, so a report writes each once."""
-        tempered, diagram = self.tempered_part, self.sl2.diagram
-        D, _, angles = tempered.integer_form
+        way."""
+        diagram = self.sl2.diagram
+        D, _, angles = self.tempered_part.integer_form
         if 1 in diagram and D % 2:
             D, angles = 2 * D, [2 * a for a in angles]
         # d * D is even for d in 0/1/2 over this D
-        return _recorded(
-            self.datum, D, [d * D // 2 for d in diagram], angles,
-            lambda: _shared_monomials(
-                [(_HALF_WEIGHTS[d], t.angle) for t, d in zip(tempered.coords, diagram)]
-            ),
-        )
+        return _recorded(self.datum, D, [d * D // 2 for d in diagram], angles)
 
 
 def centralizer_failure(phi: UnramifiedParameter, sl2: SL2Data) -> tuple[Root, int] | None:
@@ -386,8 +353,7 @@ def apply_word_parameter(p: UnramifiedParameter, word: tuple[int, ...]) -> Unram
     so `roots._reflect` reflects the exponent and the angle numerators of
     the integer form alike, as lists of ints. The image is recorded over
     the unchanged D: a word acts by an integer matrix with an integer
-    inverse, so the lcm of the denominators does not move. Its
-    coordinates are built on first read."""
+    inverse, so the lcm of the denominators does not move."""
     d = p.datum
     validate_word(d, word)
     columns = d.reflection_columns

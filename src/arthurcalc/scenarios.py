@@ -444,11 +444,15 @@ class Scenario:
                 raise ValidationError(
                     f"expected a rational, got {a!r}", field=f"satake_angles[{i + 1}]"
                 )
-        # one already a Fraction in [0, 1) is kept as given, as QMonomial keeps it
-        angles = tuple([
-            a if type(a) is Fraction and 0 <= a.numerator < a.denominator else Fraction(a) % 1
-            for a in self.satake_angles
-        ])
+        # an angle already a Fraction in [0, 1) is kept as given, and equal
+        # angles share one object, so a report writes each value once
+        shared: dict[Fraction, Fraction] = {}
+        reduced = []
+        for a in self.satake_angles:
+            if type(a) is not Fraction or not 0 <= a.numerator < a.denominator:
+                a = Fraction(a) % 1
+            reduced.append(shared.setdefault(a, a))
+        angles = tuple(reduced)
         if len(angles) != dual.rank:
             raise ValidationError(
                 f"expected {dual.rank} angles, got {len(angles)}",
@@ -645,7 +649,6 @@ def run_scenario(s: Scenario) -> Report:
     InvariantViolation rather than shading the verdict."""
     dual = dual_datum(build_root_datum(s.group))
     sl2 = s.resolved_sl2()
-    # the scenario holds its angles reduced to [0, 1), which unit_parameter keeps
     phi = unit_parameter(dual, s.satake_angles)
     psi = make_arthur_parameter(phi, sl2)
     sm = standard_module_datum(psi, s.generic_assumption)

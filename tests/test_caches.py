@@ -18,10 +18,6 @@ FACTORIES = {"cache", "lru_cache"}
 
 ALLOWED = {
     "cli._build_parser": "takes no arguments: one parser per process",
-    "lfactors.LocalLFactor._fraction": "one per factor, keyed on that factor's own numerators",
-    "lfactors.LocalLFactor._monomial": "one per factor, keyed on that factor's own pairs",
-    "nilpotent.weighted_diagram": "known unbounded: keyed on any valid partition (ROADMAP item 10)",
-    "nilpotent.sl2_from_partition": "known unbounded: keyed on any valid partition (ROADMAP item 10)",
     "roots.build_root_datum": "keyed on a CartanSpec: at most 5 families x 24 ranks",
     "roots.dual_datum": "keyed on a RootDatum, whose matrix is its spec's Cartan matrix "
     "or the transpose: at most 2 per CartanSpec",
@@ -115,9 +111,9 @@ def test_every_unbounded_cache_is_allowlisted_with_a_reason():
 def test_the_scan_sees_every_form_of_cache():
     names = dict(package_caches())
     assert names["lfactors._graded"] is True  # @lru_cache(maxsize=MAX_GRADINGS)
+    assert names["nilpotent.sl2_from_partition"] is True  # @lru_cache(maxsize=MAX_PARTITIONS)
     assert names["scenarios._trivial_sl2"] is False  # lru_cache(maxsize=None)(lambda ...)
     assert names["cli._build_parser"] is False  # @functools.cache
-    assert names["lfactors.LocalLFactor._monomial"] is False  # cache(lambda ...) in a method
     source = """
 from functools import cache, lru_cache
 import functools
@@ -139,10 +135,14 @@ def e(x): ...
 
 f = lru_cache(None)(len)
 g: object = lru_cache(maxsize=8)(len)
+
+class H:
+    def h(self):
+        return cache(lambda k: k)
 """
     finder = CacheFinder("m")
     finder.visit(ast.parse(source))
     assert finder.found == [
         ("m.a", True), ("m.b", True), ("m.c", True), ("m.d", False), ("m.e", False),
-        ("m.f", False), ("m.g", True),
+        ("m.f", False), ("m.g", True), ("m.H.h", False),
     ]

@@ -311,7 +311,7 @@ def test_langlands_coordinates_equal_the_unshared_construction(psi):
         assert p.coords == unshared
         assert [(t.q_exp, t.angle) for t in p.coords] == [(t.q_exp, t.angle) for t in unshared]
         assert p.integer_form == UnramifiedParameter(d, unshared).integer_form
-    # one QMonomial per distinct (diagram value, angle object)
+    # one QMonomial per distinct (diagram value, angle)
     p = langlands_parameter(shared_psi)
     firsts = {}
     for t, v, a in zip(p.coords, shared_psi.sl2.diagram, shared_angles):
@@ -320,8 +320,9 @@ def test_langlands_coordinates_equal_the_unshared_construction(psi):
 
 def test_writer_formats_each_shared_rational_once(monkeypatch):
     # an A22 principal report names 938 rationals; its records share one
-    # QMonomial per distinct eigenvalue, and the writer formats each
-    # rational object once, so 71 formattings suffice
+    # QMonomial per distinct eigenvalue, the scenario one object per distinct
+    # angle, and the writer formats each rational object once, so 51
+    # formattings suffice
     report = principal_report(*PRINCIPAL["A22"])
     monitored = weakref.ref(report.eigenvalues_by_level[0][0])
     calls = []
@@ -330,7 +331,7 @@ def test_writer_formats_each_shared_rational_once(monkeypatch):
         scenarios, "format_fraction", lambda x: calls.append(x) or format_fraction(x)
     )
     emit_report_machine(report)
-    assert 0 < len(calls) <= 71
+    assert 0 < len(calls) <= 51
     del report
     assert monitored() is None  # the writer kept no reference
 

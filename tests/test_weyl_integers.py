@@ -10,9 +10,9 @@ and the diagram is made of `int`s. The gate checks that the word loop
 itself sees only `int`s.
 
 A parameter the package builds records its integer form instead of
-deriving it; the last tests hold every recorded form to the one
-`integer_form` derives from the coordinates, and the coordinates to the
-construction from Fractions.
+deriving it; the last tests hold every recorded form to the one a
+parameter built by hand from the coordinates computes, and the
+coordinates to the construction from Fractions.
 """
 
 import copy
@@ -204,11 +204,12 @@ def test_unit_parameters_record_the_derived_form(spec, data):
     p = unit_parameter(d, angles)
     assert_recorded(p)
     assert p.coords == tuple(QMonomial(angle=a) for a in angles)
-    # a Fraction in [0, 1) is the coordinate's own object
-    assert all(t.angle is a for t, a in zip(p.coords, angles) if type(a) is Fraction and a < 1)
-    # one QMonomial per angle object
-    for s, a in zip(p.coords, angles):
-        assert all((s is t) == (a is b) for t, b in zip(p.coords, angles))
+    # one QMonomial per distinct (exponent, angle) value, built from the form
+    D, exponents, numerators = p.integer_form
+    pairs = list(zip(exponents, numerators))
+    for s, pair in zip(p.coords, pairs):
+        assert s == QMonomial(Fraction(pair[0], D), Fraction(pair[1], D))
+        assert all((s is t) == (pair == other) for t, other in zip(p.coords, pairs))
     if angles == zero:
         assert p.integer_form == (1, (0,) * d.rank, (0,) * d.rank)
 
@@ -240,7 +241,7 @@ def assert_the_word_loop_records(psi, word):
 @settings(max_examples=300, deadline=None)
 @given(arthur_parameters(RECORDED_SPECS), st.data())
 def test_the_word_loop_records_the_derived_forms(drawn, data):
-    # the drawn tempered part is built by hand, so it derives its form;
+    # the drawn tempered part is built by hand, so it computes its form;
     # the same angles through unit_parameter record theirs
     d = drawn.datum
     angles = tuple(t.angle for t in drawn.tempered_part.coords)
