@@ -153,7 +153,7 @@ def standard_module_datum(psi: ArthurParameter, generic: bool = True) -> Standar
 def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdict:
     """Temperedness dichotomy with the double-checked certificate; `sm` must
     be the standard module of `psi`'s Langlands parameter."""
-    if not _is_langlands_parameter_of(psi, sm.parameter):
+    if sm.parameter != psi.langlands_parameter:  # the same datum and integer form
         raise ValidationError(
             "not the standard module of the Arthur parameter's Langlands parameter",
             field="sm",
@@ -172,17 +172,6 @@ def packet_verdict(psi: ArthurParameter, sm: StandardModuleDatum) -> PacketVerdi
         )
     certificate = Certificate(eigenvalue, Fraction(1))
     return PacketVerdict(VerdictKind.NON_TEMPERED, witness, certificate, sm.levi)
-
-
-def _is_langlands_parameter_of(psi: ArthurParameter, p: UnramifiedParameter) -> bool:
-    """Whether `p` is `psi`'s Langlands parameter: the same object, or one
-    on the same datum with the same integer form. Integer forms are
-    canonical (D the exact lcm, angles reduced mod D), so equal forms mean
-    equal coordinates."""
-    langlands = psi.langlands_parameter
-    return p is langlands or (
-        p.datum == langlands.datum and p.integer_form == langlands.integer_form
-    )
 
 
 def irreducibility_verdict(sm: StandardModuleDatum) -> CoefficientRatio:

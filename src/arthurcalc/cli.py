@@ -18,6 +18,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from stat import S_ISREG
 
 from .errors import InvariantViolation, ValidationError
 from .nilpotent import is_very_even, sl2_from_partition, weighted_diagram
@@ -35,9 +36,30 @@ from .scenarios import (
 from .sweeps import valid_partitions
 
 
+# Largest input file, in bytes. The largest legal scenario, an expert one at
+# rank 24 (576 support roots of 24 coefficients, 24 angles of 64-digit
+# numerals), takes about 0.28 MB written one coefficient a line at an indent
+# of 4. A family has no place limit of its own: this bound stands for one.
+MAX_INPUT_BYTES = 4 * 2**20
+
+
 def _read_text(path: Path) -> str:
+    """A regular file's UTF-8 text, newlines read as text mode does. A FIFO
+    or a device is refused before it is opened, so nothing blocks, and at
+    most one byte over MAX_INPUT_BYTES is read."""
     try:
-        return path.read_text(encoding="utf-8")
+        st = path.stat()
+        if not S_ISREG(st.st_mode):
+            raise ValidationError(f"cannot read {path}: not a regular file")
+        with path.open("rb") as f:
+            # a read allocates its whole size, so it is sized by the stat; a
+            # file longer than its stat said is read on, up to the bound
+            data = f.read(min(st.st_size, MAX_INPUT_BYTES) + 1)
+            if len(data) > st.st_size:
+                data += f.read(MAX_INPUT_BYTES + 1 - len(data))
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValidationError(f"cannot read {path}: larger than {MAX_INPUT_BYTES} bytes")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err.strerror or err}")
     except UnicodeDecodeError as err:
@@ -95,14 +117,12 @@ def _cmd_orbits(args) -> int:
         )
     rows = []
     for parts in valid_partitions(spec.family, spec.rank):
-        row = {
-            "partition": list(parts),
-            "diagram": list(weighted_diagram(spec.family, spec.rank, parts)),
-            "very_even": is_very_even(spec.family, parts),
-        }
-        if args.certify:
+        row = {"partition": list(parts), "very_even": is_very_even(spec.family, parts)}
+        if args.certify:  # the sl2 data hold the diagram
             data = sl2_from_partition(spec.family, spec.rank, parts)
-            row["support"] = [list(root) for root in data.support]
+            row.update(diagram=list(data.diagram), support=[list(r) for r in data.support])
+        else:
+            row["diagram"] = list(weighted_diagram(spec.family, spec.rank, parts))
         rows.append(row)
     if args.format == "machine":
         sys.stdout.write(canonical_json(rows))

@@ -32,10 +32,9 @@ _PARTITION_FAMILIES = ("A", "B", "C", "D")
 # Parts of this parity come in pairs (even multiplicity); type A has none.
 PAIRED_PARITY = {"B": 0, "C": 1, "D": 0}
 
-# Largest number of partitions whose diagram and sl2 data are kept, the
-# least recently used dropped first. It is above the 2,062 partitions of
-# `orbits C 16`; an entry of rank 24 holds about 6 KB, so the caches stay
-# under 25 MB.
+# Largest number of partitions whose sl2 data are kept, the least recently
+# used dropped first. It is above the 2,062 partitions of `orbits C 16`; an
+# entry of rank 24 holds about 6 KB, so the cache stays under 25 MB.
 MAX_PARTITIONS = 4096
 
 
@@ -117,7 +116,6 @@ def _diagram_from_sorted(family: str, rank: int, sorted_weights: tuple[int, ...]
     return values
 
 
-@lru_cache(maxsize=MAX_PARTITIONS)
 def weighted_diagram(family: str, rank: int, parts: tuple[int, ...]) -> tuple[int, ...]:
     ordered = validate_partition(family, rank, parts)
     if family == "A":
@@ -220,7 +218,6 @@ def _from_epsilon(family: str, x: list[int]) -> Root:
     return tuple(sums[: len(sums) - len(halves)] + [half for half, _ in halves])
 
 
-@lru_cache(maxsize=MAX_PARTITIONS)
 def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
     """Canonical (diagram, support) for the orbit labelled by the partition.
 
@@ -232,7 +229,17 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     For B/C/D, e preserves the invariant form, so link k of a chain of
     length m and its form-mirror, link m - k, give the same root; links with
     2k > m are skipped. The result must pass `validate_sl2_data`.
+
+    Kept per (family, rank, parts) by `_partition_sl2`; parts that are not
+    a tuple (a list) are validated first, so they reach it as a tuple.
     """
+    if type(parts) is not tuple:
+        parts = validate_partition(family, rank, parts)
+    return _partition_sl2(family, rank, parts)
+
+
+@lru_cache(maxsize=MAX_PARTITIONS)
+def _partition_sl2(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
     ordered = validate_partition(family, rank, parts)
     diagram = weighted_diagram(family, rank, ordered)
     chains, signs = _chains(family, ordered)

@@ -5,22 +5,22 @@ dual-side datum. The residue cardinality q stays a formal symbol: a factor
 1 - zeta * q^(a-s) with real s and real q > 1 vanishes iff zeta = 1 and
 a = s, so every verdict below is uniform in q.
 
-A parameter is its integer form: every coordinate over one denominator D,
-the exact lcm of their denominators, with the angle numerators reduced
-mod D. The form is canonical, so equality and hash go by (datum, form).
-A parameter built by hand keeps the coordinates it is given and computes
-its form when it is built. One the package builds (`_recorded`: the unit
-parameter, the Langlands parameter, a Weyl image and recovered units)
-holds only its form, and its coordinates (`coords`) are built on first
-read. So no evaluation, Weyl walk or verdict builds a QMonomial or a
-Fraction for a coordinate.
+A parameter is one frozen record of its datum and its integer form: every
+coordinate over one denominator D, the exact lcm of their denominators,
+with the angle numerators reduced mod D. The form is canonical, so
+equality and hash go by (datum, form). A parameter built by hand computes
+its form from the coordinates it is given and keeps only the form, as one
+the package builds (`_recorded`: the unit parameter, the Langlands
+parameter, a Weyl image and recovered units) does. Its coordinates
+(`coords`) are built on first read. So no evaluation, Weyl walk or
+verdict builds a QMonomial or a Fraction for a coordinate.
 
 `monomials_over(D, pairs)` is the one way integer pairs become values:
-the coordinates of a package-built parameter and the eigenvalues of an
-L-factor (`lfactors.LocalLFactor.eigenvalues`) both come from it, with
-one Fraction per distinct numerator and one QMonomial per distinct pair.
-The other QMonomials are the certificate's (`evaluate_root`) and a
-hand-built parameter's (`recompose_parameter`).
+the coordinates of every parameter and the eigenvalues of an L-factor
+(`lfactors.LocalLFactor.eigenvalues`) both come from it, with one
+Fraction per distinct numerator and one QMonomial per distinct pair. The
+other QMonomials are the certificate's (`evaluate_root`) and those given
+to the constructor (`recompose_parameter`).
 
 `unit_parameter` is the one construction of a unit parameter: it reads
 the form off the angles alone. `eigenvalue_pairs` evaluates the exponent
@@ -43,7 +43,7 @@ the angle numerators and records the units over D / gcd(D, *angles).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -122,6 +122,7 @@ def monomials_over(D: int, pairs) -> tuple[QMonomial, ...]:
     return tuple(values)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class UnramifiedParameter:
     """Satake eigen-data: coordinate i is the i-th simple-root evaluation of
     the Frobenius image, taken modulo center.
@@ -130,12 +131,15 @@ class UnramifiedParameter:
     numerators, angle numerators): every coordinate over D, the lcm of all
     their denominators, so coordinate i is
     zeta(angles[i] / D) * q^(exponents[i] / D), with 0 <= angles[i] < D.
-    `coords`, one QMonomial per simple root, is a view of that form. One
-    built by hand keeps the coordinates it is given and computes its form
-    here; one the package builds (`_recorded`) holds its form and builds
-    its coordinates on first read. Equality and hash go by (datum,
-    integer_form), which is canonical, so equal forms mean equal
-    coordinates. Instances are immutable."""
+    These two fields are its one state: one built by hand keeps only the
+    form of the coordinates it is given, and one the package builds
+    (`_recorded`) is given its form. `coords`, one QMonomial per simple
+    root, is a view of the form built on first read. The form is
+    canonical, so equal forms mean equal coordinates. A frozen record: a
+    copy or an unpickled parameter is recorded again from its form."""
+
+    datum: RootDatum
+    integer_form: tuple[int, tuple[int, ...], tuple[int, ...]]
 
     def __init__(self, datum: RootDatum, coords):
         if not isinstance(datum, RootDatum):
@@ -149,13 +153,12 @@ class UnramifiedParameter:
             raise ValidationError(f"expected {datum.rank} coordinates, got {len(coords)}")
         n = len(coords)
         D, nums = over_common_denominator([t.q_exp for t in coords] + [t.angle for t in coords])
-        self.__dict__.update(datum=datum, coords=coords, integer_form=(D, nums[:n], nums[n:]))
+        self.__dict__.update(datum=datum, integer_form=(D, nums[:n], nums[n:]))
 
     @cached_property
     def coords(self) -> tuple[QMonomial, ...]:
-        """One QMonomial per simple root. A parameter built by hand holds
-        the ones it was given; one the package built builds them here, on
-        first read, from its integer form by `monomials_over`."""
+        """One QMonomial per simple root, built on first read from the
+        integer form by `monomials_over`."""
         D, exponents, angles = self.integer_form
         return monomials_over(D, zip(exponents, angles))
 
@@ -165,26 +168,11 @@ class UnramifiedParameter:
         D, _, angles = self.integer_form
         return not sum(map(mul, root, angles)) % D
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.datum == other.datum and self.integer_form == other.integer_form
-
-    def __hash__(self):
-        return hash((self.datum, self.integer_form))
-
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(datum={self.datum!r}, coords={self.coords!r})"
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # a copy or an unpickled parameter is built by hand from its coordinates
-        return self.__class__, (self.datum, self.coords)
+        return _recorded, (self.datum, *self.integer_form)
 
 
 def _recorded(datum: RootDatum, D: int, exponents, angles) -> UnramifiedParameter:

@@ -149,11 +149,6 @@ def _join_field(prefix: str, name: str) -> str:
 # the codec: every report shape is derived from its dataclass fields
 
 
-@lru_cache(maxsize=None)
-def _field_names(cls) -> tuple[str, ...] | None:
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
-
-
 def _decode_rational(value, field, scope, memo):
     """A rational, built once per distinct string per decode call. Only str
     values are keys, so `true` never meets the entry for 1, and only
@@ -235,7 +230,7 @@ def _decoder(tp, name: str = ""):
 
 def _object_decoder(cls, name: str):
     hints = get_type_hints(cls, include_extras=True)
-    names = _field_names(cls)
+    names = [f.name for f in fields(cls)]
     members = tuple((key, _decoder(hints[key])) for key in names)
     required = set(names)
 
@@ -401,10 +396,10 @@ def _record_text(record, keys, newline: str, memo: dict) -> str:
 @lru_cache(maxsize=None)
 def _sorted_keys(cls) -> tuple[tuple[str, str], ...] | None:
     """A dataclass's field names in sorted order, each with its JSON key."""
-    names = _field_names(cls)
-    if names is None:
+    if not is_dataclass(cls):
         return None
-    return tuple([(name, encode_basestring_ascii(name) + ": ") for name in sorted(names)])
+    names = sorted(f.name for f in fields(cls))
+    return tuple([(name, encode_basestring_ascii(name) + ": ") for name in names])
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,49 @@
-"""Every cache that lives across calls is bounded, or allowlisted with the
-reason its key domain is what it is.
+"""Every cache that lives across calls has a row in the README cache table,
+and every row of that table names such a cache.
 
 An `ast` scan of `src/arthurcalc/*.py` lists each use of `functools.cache`
 and `functools.lru_cache`: as a decorator, or called on a function. An
 `lru_cache` with a `maxsize` other than None is bounded. `cache`, and an
-`lru_cache` whose `maxsize` is None, are unbounded, and each must be named
-in `ALLOWED` with a one-line reason for its key domain. A cache is named by
-its module and the qualified name of the function it wraps, the name it is
+`lru_cache` whose `maxsize` is None, are unbounded. A cache is named by its
+module and the qualified name of the function it wraps, the name it is
 assigned to, or the function that builds it.
+
+The README table is the one list of caches, and its columns give each
+cache's key, its bound (for an unbounded cache, the reason its key domain
+is finite) and why it is kept. A row names its caches in its first cell
+as `module.name`; a name there is a scanned cache, or a module-level dict
+that a function of the package fills (`scenarios._root_texts`).
 """
 
 import ast
+import re
+from importlib import import_module
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "arthurcalc"
-FACTORIES = {"cache", "lru_cache"}
+import pytest
 
-ALLOWED = {
-    "cli._build_parser": "takes no arguments: one parser per process",
-    "roots.build_root_datum": "keyed on a CartanSpec: at most 5 families x 24 ranks",
-    "roots.dual_datum": "keyed on a RootDatum, whose matrix is its spec's Cartan matrix "
-    "or the transpose: at most 2 per CartanSpec",
-    "scenarios._trivial_sl2": "keyed on a dual CartanSpec: at most 5 families x 24 ranks",
-    "scenarios._field_names": "keyed on a class",
-    "scenarios._decoder": "keyed on an annotation of the package's records and its label",
-    "scenarios._sorted_keys": "keyed on a class",
-}
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "arthurcalc"
+README = ROOT / "README.md"
+FACTORIES = {"cache", "lru_cache"}
+HEADER = "| cache | key | bound | kept because |"
+
+
+def cache_table(readme: str) -> dict[str, list[str]]:
+    """The README cache table: each name in a row's first cell, with the
+    row's cells."""
+    lines = readme.splitlines()
+    start = lines.index(HEADER) + 2  # past the header and its rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        names = [name for name in re.findall(r"`([^`]+)`", cells[0]) if "." in name]
+        assert names, f"a row that names no cache: {line}"
+        for name in names:
+            table[name] = cells
+    return table
 
 
 def is_factory(node: ast.AST) -> bool:
@@ -100,18 +118,32 @@ def package_caches() -> list[tuple[str, bool]]:
 
 
 def test_every_unbounded_cache_is_allowlisted_with_a_reason():
-    caches = package_caches()
-    unbounded = sorted({name for name, ok in caches if not ok})
-    assert [name for name in unbounded if name not in ALLOWED] == []
-    # no stale entry: each allowlisted name is an unbounded cache today
-    assert sorted(ALLOWED) == unbounded
-    assert all(reason.strip() and "\n" not in reason for reason in ALLOWED.values())
+    # the allowlist is the README table, which lists every cache, bounded or not
+    table = cache_table(README.read_text())
+    caches = dict(package_caches())
+    assert [name for name in caches if name not in table] == []
+    for name, cells in table.items():
+        assert len(cells) == 4 and all(cells), f"a row without its key, bound or reason: {name}"
+        if name not in caches:  # a dict the scan cannot see
+            module, attr = name.split(".")
+            assert type(getattr(import_module(f"arthurcalc.{module}"), attr, None)) is dict, name
+        else:
+            # an unbounded cache states why its key domain is finite; a
+            # bounded one names its size instead
+            assert cells[2].startswith("finite: ") == (not caches[name]), name
+
+
+def test_a_row_that_names_no_cache_fails():
+    rule = HEADER + "\n|---|---|---|---|\n"
+    readme = README.read_text().replace(rule, rule + "| `len` | x | y | z |\n")
+    with pytest.raises(AssertionError, match="names no cache"):
+        cache_table(readme)
 
 
 def test_the_scan_sees_every_form_of_cache():
     names = dict(package_caches())
     assert names["lfactors._graded"] is True  # @lru_cache(maxsize=MAX_GRADINGS)
-    assert names["nilpotent.sl2_from_partition"] is True  # @lru_cache(maxsize=MAX_PARTITIONS)
+    assert names["nilpotent._partition_sl2"] is True  # @lru_cache(maxsize=MAX_PARTITIONS)
     assert names["scenarios._trivial_sl2"] is False  # lru_cache(maxsize=None)(lambda ...)
     assert names["cli._build_parser"] is False  # @functools.cache
     source = """

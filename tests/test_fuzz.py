@@ -6,8 +6,9 @@ replaces or deletes one to three of its JSON leaves with a value from a fixed
 hostile pool, and feeds the text to the parser and, if it is accepted, to the
 pipeline. Each library case calls `Scenario(...)`, `QMonomial(...)`,
 `RootDatum(...)`, `UnramifiedParameter(...)`, `StandardModuleDatum(...)`,
-`make_arthur_parameter(...)`, `dominantize(...)`, `character_exponents(...)`
-or `evaluation_exponents(...)` with values drawn from fixed pools of Python
+`make_arthur_parameter(...)`, `dominantize(...)`, `character_exponents(...)`,
+`evaluation_exponents(...)`, `weighted_diagram(...)` or
+`sl2_from_partition(...)` with values drawn from fixed pools of Python
 values. An accepted scenario must read back from its own machine report; an
 accepted monomial must hold its values exactly; an accepted root datum must
 hold its spec's Cartan matrix or the transpose, and a refused one must be
@@ -30,7 +31,7 @@ from oracle import apply_word_vector, trivial_parameter
 
 from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
-from arthurcalc.nilpotent import SL2Data
+from arthurcalc.nilpotent import SL2Data, sl2_from_partition, weighted_diagram
 from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
@@ -399,6 +400,31 @@ def test_hostile_library_vectors_raise_only_validation_errors(function, case):
         assert all(type(v) is Fraction for v in result)
         inverse = evaluation_exponents if function is character_exponents else character_exponents
         assert inverse(d, result) == exact
+
+
+# Each partition case hands a partition function a family, a rank and a
+# partition as a list or a tuple, or a value from the pools: a list used to
+# raise TypeError from the cache key of either function.
+PARTITIONS = [(4,), [4], (3, 1), [1, 3], [2, 2], [1, 1, 1, 1], [2, 1, 1], [5], [0], ["2"], [True]]
+
+
+@pytest.mark.parametrize(
+    "function", [weighted_diagram, sl2_from_partition], ids=["weighted_diagram", "sl2_from_partition"]
+)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["A", "B", "C", "D", "G"]),
+    st.integers(0, 4),
+    st.sampled_from(PARTITIONS + PYTHON_VALUES),
+)
+@example("A", 3, [4])
+@example("C", 2, [2, 1, 1])
+def test_hostile_library_partitions_raise_only_validation_errors(function, family, rank, parts):
+    try:
+        result = function(family, rank, parts)
+    except ValidationError:
+        return
+    assert result == function(family, rank, tuple(sorted(parts, reverse=True)))
 
 
 @pytest.mark.parametrize(

@@ -216,7 +216,7 @@ def test_package_built_sl2_data_failing_the_rule_check_is_a_bug(monkeypatch):
     # every chain link of A2 [3] then gives a1 + a2, which pairs to 4 with (2, 2)
     monkeypatch.setattr(nilpotent, "_from_epsilon", lambda family, x: (1, 1))
     with pytest.raises(InvariantViolation, match="pairs with H to 4, expected 2"):
-        sl2_from_partition.__wrapped__("A", 2, (3,))  # bypass the cache
+        nilpotent._partition_sl2.__wrapped__("A", 2, (3,))  # bypass the cache
 
 
 def test_trivial_partition_gives_trivial_sl2():
@@ -297,7 +297,7 @@ def test_package_built_support_root_outside_the_datum_is_a_bug(monkeypatch):
     # the rule check, not fail the sort with a KeyError
     monkeypatch.setattr(nilpotent, "_from_epsilon", lambda family, x: (-1, 0))
     with pytest.raises(InvariantViolation, match="support root -a1 is not a positive root"):
-        sl2_from_partition.__wrapped__("A", 2, (3,))  # bypass the cache
+        nilpotent._partition_sl2.__wrapped__("A", 2, (3,))  # bypass the cache
 
 
 # -- matrix oracle ---------------------------------------------------------------------

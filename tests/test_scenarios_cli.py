@@ -751,6 +751,69 @@ def test_cli_hostile_files_are_validation_errors(tmp_path, verb, name):
     assert done.stderr.count("error:") == 1
 
 
+# Inputs that are not a small regular file: a FIFO with no writer (an open
+# blocks), an endless device, and a sparse file one byte over the bound. Each
+# is named z.json, so `batch` meets it in its directory; a regression fails on
+# the timeout rather than hanging the suite.
+def fifo(path):
+    os.mkfifo(path)
+
+
+def zero_device(path):
+    path.symlink_to("/dev/zero")
+
+
+def oversized(path):
+    with open(path, "wb") as f:
+        f.truncate(cli.MAX_INPUT_BYTES + 1)
+
+
+UNREADABLE = {
+    "fifo": (fifo, "not a regular file"),
+    "dev-zero": (zero_device, "not a regular file"),
+    "oversized": (oversized, f"larger than {cli.MAX_INPUT_BYTES} bytes"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("verb", ["check", "batch", "global"])
+def test_cli_refuses_what_is_not_a_bounded_regular_file(tmp_path, verb, kind):
+    make, message = UNREADABLE[kind]
+    path = tmp_path / "z.json"
+    make(path)
+    target = tmp_path if verb == "batch" else path
+    done = subprocess.run(
+        [sys.executable, "-m", "arthurcalc", verb, str(target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert message in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+def test_a_file_longer_than_its_stat_size_is_read_whole():
+    # a /proc file is a regular file whose stat size is 0
+    status = Path("/proc/self/status")
+    if not status.is_file():
+        pytest.skip("no /proc file here")
+    text = cli._read_text(status)
+    assert text.startswith("Name:") and text.count("\n") > 1
+
+
+def test_cli_reads_newlines_as_text_mode_does(tmp_path, capsys):
+    # the JSON error names a character offset, which a kept "\r" would move
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n "label":\r\n}\r')
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_text(path.read_text())
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def test_a_huge_integer_literal_is_a_validation_error():
     for parse in (parse_scenario_text, parse_report_text):
         with pytest.raises(ValidationError, match="^not valid JSON: Exceeds the limit"):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from oracle import trivial_parameter
 
-from arthurcalc import lfactors, parameters, roots
+from arthurcalc import lfactors, nilpotent, parameters, roots
 from arthurcalc.classifier import (
     Genericity,
     VerdictKind,
@@ -130,7 +130,7 @@ def test_grading_cache_stays_within_its_bound():
 )
 def test_cold_run_enumerates_the_dual_roots_once(group, parts, monkeypatch):
     """The scenario's dual datum and the sl2 support share one datum."""
-    for cached in (roots.build_root_datum, roots.dual_datum, sl2_from_partition):
+    for cached in (roots.build_root_datum, roots.dual_datum, nilpotent._partition_sl2):
         cached.cache_clear()
     calls = []
 

@@ -253,10 +253,10 @@ def test_the_word_loop_records_the_derived_forms(drawn, data):
 
 
 def assert_a_view_of_its_form(p):
-    """A package-built parameter is its datum and integer form: it equals,
-    hashes and prints like the parameter built by hand from its coordinates,
-    which it builds on first read, and it refuses assignment as that one
-    does."""
+    """A parameter, built by the package or by hand, is its datum and
+    integer form alone: it holds no coordinates until they are read, and
+    it equals, hashes and prints like the parameter built by hand from
+    them, and refuses assignment as that one does."""
     assert "coords" not in vars(p)
     digest = hash(p)
     # copied before its coordinates are read
@@ -281,6 +281,8 @@ def assert_a_view_of_its_form(p):
 @settings(max_examples=200, deadline=None)
 @given(arthur_parameters(RECORDED_SPECS), st.data())
 def test_package_built_parameters_equal_their_coordinates_by_hand(drawn, data):
+    # the drawn tempered part is built by hand, and keeps only its form too
+    assert_a_view_of_its_form(drawn.tempered_part)
     d = drawn.datum
     angles = tuple(t.angle for t in drawn.tempered_part.coords)
     units = unit_parameter(d, angles)
