@@ -230,12 +230,17 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     length m and its form-mirror, link m - k, give the same root; links with
     2k > m are skipped. The result must pass `validate_sl2_data`.
 
-    Kept per (family, rank, parts) by `_partition_sl2`; parts that are not
-    a tuple (a list) are validated first, so they reach it as a tuple.
+    Kept per (family, rank, parts) by `_partition_sl2`. Parts that are not a
+    tuple (a list) are validated first, so they reach it as a tuple; an
+    argument that is no cache key is refused by that same validation.
     """
     if type(parts) is not tuple:
         parts = validate_partition(family, rank, parts)
-    return _partition_sl2(family, rank, parts)
+    try:
+        return _partition_sl2(family, rank, parts)
+    except TypeError:  # an unhashable family, rank or part is no key
+        validate_partition(family, rank, parts)
+        raise
 
 
 @lru_cache(maxsize=MAX_PARTITIONS)

@@ -12,7 +12,7 @@ reproduces the Report object exactly. Every report carries enough data to
 re-verify its verdict with the L-factor layer alone. One direct writer,
 `canonical_json`, produces those bytes from the records themselves, and
 one decoder per annotation reads them back. Each keeps a memo for one call,
-so a value that recurs in a report is formatted or parsed once; the
+so a rational is formatted or parsed once per value in a report; the
 writer also keeps the texts of tuples of ints (roots), which are immutable,
 across calls, at most `MAX_ROOT_TEXTS` of them.
 """
@@ -39,7 +39,7 @@ from .nilpotent import (
     validate_sl2_data,
 )
 from .parameters import QMonomial, make_arthur_parameter, unit_parameter
-from .roots import MAX_RANK, CartanSpec, Root, build_root_datum, dual_datum, format_root
+from .roots import MAX_RANK, CartanSpec, Root, _rational, build_root_datum, dual_datum, format_root
 
 # Assumption flags a place family may declare. The first ties a cuspidal
 # family to Arthur parameters at its unramified places; the second upgrades
@@ -49,8 +49,6 @@ PROPAGATION_FLAG = "temperedness-propagation"
 ASSUMPTION_FLAGS = (MEMBERSHIP_FLAG, PROPAGATION_FLAG)
 
 SL2_KINDS = ("trivial", "partition", "expert")
-# one trivial sl2 object per dual spec, so its datum checks it once
-_trivial_sl2 = lru_cache(maxsize=None)(lambda dual: SL2Data((0,) * dual.rank, ()))
 
 TEMPERED_NOTE = (
     "tempered parameter; the standard module is irreducible and the packet "
@@ -300,7 +298,7 @@ def canonical_json(value) -> str:
     type raises TypeError, as `json.dumps` does.
 
     Each text is reused wherever its value recurs. A memo that lives for
-    this call formats each rational once per object and each dataclass
+    this call formats each rational once per value and each dataclass
     instance (a report shares one QMonomial per distinct eigenvalue) once
     per indentation; nothing mutable is kept after the call. Each tuple of
     ints (a root) is written once per value and indentation, from
@@ -313,15 +311,15 @@ def canonical_json(value) -> str:
 
 def _write(value, newline: str, memo: dict) -> str:
     """The text of `value`; `newline` is a line break followed by the
-    indentation of the line that `value` starts on. `memo` maps
-    id(rational) to (rational, text) and (id(record), newline) to (record,
-    text); holding each object keeps its id from being reused while the
-    memo lives. An array of rationals, or of records of one class, reads
-    its items' memo hits in place, and a run of one object once."""
+    indentation of the line that `value` starts on. `memo` maps a
+    rational's (numerator, denominator) to its text, so equal rationals
+    share one text, and (id(record), newline) to (record, text); holding
+    each record keeps its id from being reused while the memo lives. An
+    array of rationals, or of records of one class, reads its items' memo
+    hits in place, and a run of one object once."""
     cls = type(value)
     if cls is Fraction:
-        seen = memo.get(id(value))
-        return _fraction_text(value, memo) if seen is None else seen[1]
+        return memo.get(value.as_integer_ratio()) or _fraction_text(value, memo)
     leaf = _LEAF_TEXT.get(cls)
     if leaf is not None:
         return leaf(value)
@@ -348,8 +346,7 @@ def _write(value, newline: str, memo: dict) -> str:
             texts, last = [], None
             for item in value:
                 if item is not last:  # a run of one object is written once
-                    last, seen = item, get(id(item))
-                    text = _fraction_text(item, memo) if seen is None else seen[1]
+                    last, text = item, get(item.as_integer_ratio()) or _fraction_text(item, memo)
                 texts.append(text)
         elif (keys := _sorted_keys(kind)) is not None:
             texts, last = [], None
@@ -377,10 +374,8 @@ def _write(value, newline: str, memo: dict) -> str:
 
 
 def _fraction_text(x: Fraction, memo: dict) -> str:
-    """The quoted text of a rational that `memo` does not hold yet."""
-    text = f'"{format_fraction(x)}"'
-    memo[id(x)] = x, text
-    return text
+    """The quoted text of a rational whose value `memo` does not hold yet."""
+    return memo.setdefault(x.as_integer_ratio(), f'"{format_fraction(x)}"')
 
 
 def _record_text(record, keys, newline: str, memo: dict) -> str:
@@ -434,20 +429,12 @@ class Scenario:
                 f"expected a list of rationals, got {self.satake_angles!r}",
                 field="satake_angles",
             )
-        for i, a in enumerate(self.satake_angles):
-            if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
-                raise ValidationError(
-                    f"expected a rational, got {a!r}", field=f"satake_angles[{i + 1}]"
-                )
-        # an angle already a Fraction in [0, 1) is kept as given, and equal
-        # angles share one object, so a report writes each value once
-        shared: dict[Fraction, Fraction] = {}
-        reduced = []
-        for a in self.satake_angles:
-            if type(a) is not Fraction or not 0 <= a.numerator < a.denominator:
-                a = Fraction(a) % 1
-            reduced.append(shared.setdefault(a, a))
-        angles = tuple(reduced)
+        # an angle already a Fraction in [0, 1) is kept as given
+        angles = tuple([
+            a if type(a) is Fraction and 0 <= a.numerator < a.denominator
+            else Fraction(_rational(a, f"satake_angles[{i + 1}]")) % 1
+            for i, a in enumerate(self.satake_angles)
+        ])
         if len(angles) != dual.rank:
             raise ValidationError(
                 f"expected {dual.rank} angles, got {len(angles)}",
@@ -490,7 +477,7 @@ class Scenario:
     def resolved_sl2(self) -> SL2Data:
         dual = dual_datum(build_root_datum(self.group)).spec
         if self.sl2_kind == "trivial":
-            return _trivial_sl2(dual)
+            return SL2Data((0,) * dual.rank, ())
         if self.sl2_kind == "partition":
             return sl2_from_partition(dual.family, dual.rank, self.partition)
         return self.expert_data

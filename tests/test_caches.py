@@ -144,7 +144,6 @@ def test_the_scan_sees_every_form_of_cache():
     names = dict(package_caches())
     assert names["lfactors._graded"] is True  # @lru_cache(maxsize=MAX_GRADINGS)
     assert names["nilpotent._partition_sl2"] is True  # @lru_cache(maxsize=MAX_PARTITIONS)
-    assert names["scenarios._trivial_sl2"] is False  # lru_cache(maxsize=None)(lambda ...)
     assert names["cli._build_parser"] is False  # @functools.cache
     source = """
 from functools import cache, lru_cache
@@ -167,6 +166,7 @@ def e(x): ...
 
 f = lru_cache(None)(len)
 g: object = lru_cache(maxsize=8)(len)
+i = lru_cache(maxsize=None)(lambda k: k)
 
 class H:
     def h(self):
@@ -176,5 +176,5 @@ class H:
     finder.visit(ast.parse(source))
     assert finder.found == [
         ("m.a", True), ("m.b", True), ("m.c", True), ("m.d", False), ("m.e", False),
-        ("m.f", False), ("m.g", True), ("m.H.h", False),
+        ("m.f", False), ("m.g", True), ("m.i", False), ("m.H.h", False),
     ]

@@ -6,13 +6,14 @@ and dumps those with `json.dumps(sort_keys=True, indent=2)`. The two must
 agree byte for byte on every report the fuzz pools accept, on synthetic
 nested values, and on the CLI's `batch`, `global` and `orbits` outputs.
 The writer formats a record that recurs once per indentation, a rational
-once per object and a tuple of ints once per value and indentation, and
+once per value and a tuple of ints once per value and indentation, and
 joins an array of one leaf type or of records of one class in one go, so
 the synthetic values repeat one instance at one depth and at another, and
 the leaf arrays mix `bool`, `int` and `Fraction`; the fixed cases repeat
 one `Fraction` object in an array and one record at two indentations. Two
-count gates pin the per-call memos of the writer and of the reader on a
-large report. The texts of tuples of ints live across calls, so rank-24
+count gates pin the per-call memos of the writer and of the reader on
+large reports, and equal rationals held as distinct objects are formatted
+once. The texts of tuples of ints live across calls, so rank-24
 principal reports are written cold and warm, `(1, 1)` and `(True, 1)` are
 written in separate calls, and the cache is held to its bound; a run of
 one object in an array is written once, so arrays mix shared objects with
@@ -318,22 +319,43 @@ def test_langlands_coordinates_equal_the_unshared_construction(psi):
         assert firsts.setdefault((v, id(a)), t) is t
 
 
-def test_writer_formats_each_shared_rational_once(monkeypatch):
-    # an A22 principal report names 938 rationals; its records share one
-    # QMonomial per distinct eigenvalue, the scenario one object per distinct
-    # angle, and the writer formats each rational object once, so 51
-    # formattings suffice
-    report = principal_report(*PRINCIPAL["A22"])
-    monitored = weakref.ref(report.eigenvalues_by_level[0][0])
+def counted_formattings(monkeypatch) -> list:
+    """The rationals `format_fraction` formats from now on, one per call."""
     calls = []
     format_fraction = scenarios.format_fraction
     monkeypatch.setattr(
         scenarios, "format_fraction", lambda x: calls.append(x) or format_fraction(x)
     )
-    emit_report_machine(report)
-    assert 0 < len(calls) <= 51
+    return calls
+
+
+@pytest.mark.parametrize("dual", PRINCIPAL)
+def test_writer_formats_each_shared_rational_once(dual, monkeypatch):
+    # a principal report names hundreds of rationals (938 at A22) but few
+    # distinct ones (32 at A22); the writer formats each value once
+    report = principal_report(*PRINCIPAL[dual])
+    monitored = weakref.ref(report.eigenvalues_by_level[0][0])
+    calls = counted_formattings(monkeypatch)
+    text = emit_report_machine(report)
+    distinct = set(re.findall(r'"(-?[0-9]+/[0-9]+)"', text))
+    assert len(calls) == len(distinct) == {"A22": 32, "B12": 34, "C12": 35, "D13": 34}[dual]
     del report
     assert monitored() is None  # the writer kept no reference
+
+
+@pytest.mark.parametrize(
+    "value, distinct",
+    [
+        ([Fraction(1, 2), Fraction(2, 4)], 1),
+        (([Fraction(1, 2)], [Fraction(2, 4)]), 1),
+        ((Fraction(1, 2), [Fraction(1, 2), Fraction(-1, 2)], QMonomial(Fraction(1, 2))), 3),
+    ],
+    ids=["one-array", "two-arrays", "leaf-array-record"],
+)
+def test_writer_formats_equal_rationals_held_apart_once(value, distinct, monkeypatch):
+    calls = counted_formattings(monkeypatch)
+    assert canonical_json(value) == reference_canonical_json(value)
+    assert len(calls) == distinct
 
 
 def test_reader_parses_each_distinct_rational_string_once(monkeypatch):

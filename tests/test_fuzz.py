@@ -403,9 +403,12 @@ def test_hostile_library_vectors_raise_only_validation_errors(function, case):
 
 
 # Each partition case hands a partition function a family, a rank and a
-# partition as a list or a tuple, or a value from the pools: a list used to
-# raise TypeError from the cache key of either function.
-PARTITIONS = [(4,), [4], (3, 1), [1, 3], [2, 2], [1, 1, 1, 1], [2, 1, 1], [5], [0], ["2"], [True]]
+# partition as a list or a tuple, or a value from the pools: a list, or an
+# unhashable family, rank or part, used to raise TypeError from the cache
+# key of either function.
+PARTITIONS = [
+    (4,), [4], (3, 1), [1, 3], [2, 2], [1, 1, 1, 1], [2, 1, 1], [5], [0], ["2"], [True], ([4],),
+]
 
 
 @pytest.mark.parametrize(
@@ -413,12 +416,15 @@ PARTITIONS = [(4,), [4], (3, 1), [1, 3], [2, 2], [1, 1, 1, 1], [2, 1, 1], [5], [
 )
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["A", "B", "C", "D", "G"]),
-    st.integers(0, 4),
+    st.sampled_from(["A", "B", "C", "D", "G"] + PYTHON_VALUES),
+    st.one_of(st.integers(0, 4), st.sampled_from(PYTHON_VALUES)),
     st.sampled_from(PARTITIONS + PYTHON_VALUES),
 )
 @example("A", 3, [4])
 @example("C", 2, [2, 1, 1])
+@example("A", 3, ([4],))
+@example(["A"], 3, (4,))
+@example("A", [3], (4,))
 def test_hostile_library_partitions_raise_only_validation_errors(function, family, rank, parts):
     try:
         result = function(family, rank, parts)
