@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import InvariantViolation, ValidationError
@@ -47,6 +46,7 @@ from .roots import (
     LeviSubset,
     RationalVector,
     Root,
+    cached_attribute,
     character_exponents as character_exponents_of,
     diagram_pairing,
     format_root,
@@ -93,22 +93,22 @@ class StandardModuleDatum:
     def datum(self):
         return self.parameter.datum
 
-    @cached_property
+    @cached_attribute
     def exponents(self) -> RationalVector:
         """The Satake evaluation exponents of the twist."""
         return tuple([t.q_exp for t in self.parameter.coords])
 
-    @cached_property
+    @cached_attribute
     def levi(self) -> LeviSubset:
         """The zero set of the exponents, read off their numerators."""
         return defining_levi(self.parameter.integer_form[1], self.datum)
 
-    @cached_property
+    @cached_attribute
     def character_exponents(self) -> RationalVector:
         """The twist on the simple coroot basis: `exponents = C c`."""
         return character_exponents_of(self.datum, self.exponents)
 
-    @cached_property
+    @cached_attribute
     def coefficient_ratio(self) -> CoefficientRatio:
         return local_coefficient_ratio(self.datum, self.levi, self.parameter)
 

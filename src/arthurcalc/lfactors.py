@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ValidationError
 from .roots import (
     LeviSubset,
     Root,
     RootDatum,
+    cached_attribute,
     off_levi_indicator,
     root_positions,
     root_values,
@@ -65,11 +66,11 @@ class GradedNilradical:
     levi: LeviSubset
     levels: tuple[tuple[int, tuple[Root, ...]], ...]
 
-    @cached_property
+    @cached_attribute
     def all_roots(self) -> tuple[Root, ...]:
         return tuple([root for _, roots in self.levels for root in roots])
 
-    @cached_property
+    @cached_attribute
     def positions(self) -> tuple[int, ...]:
         """Position of each root of `all_roots` in the datum's
         `positive_roots`. `grade_nilradical` fills this in from the positions
@@ -95,7 +96,7 @@ class LocalLFactor:
         if len(self.roots) != len(self.pairs):
             raise ValidationError("roots and eigenvalues are misaligned")
 
-    @cached_property
+    @cached_attribute
     def eigenvalues(self) -> tuple[QMonomial, ...]:
         """The pairs as QMonomials, built on first use, one per distinct
         pair."""

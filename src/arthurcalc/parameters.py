@@ -33,19 +33,19 @@ point without a message, and a refusal names the failing value from that
 numerator. `evaluate_root` builds one QMonomial, for a certificate.
 
 The Langlands parameter is a fact of the Arthur parameter, computed once:
-`ArthurParameter.langlands_parameter` is a cached property, which the
-function `langlands_parameter(psi)` returns. Its form is the tempered
+`ArthurParameter.langlands_parameter` is a `roots.cached_attribute`, which
+the function `langlands_parameter(psi)` returns. Its form is the tempered
 part's with half the diagram added. `apply_word_parameter` reflects the
 numerators as lists of ints and records its image over the same D;
-`recover_arthur_data` dominantizes the exponent numerators, reflects only
-the angle numerators and records the units over D / gcd(D, *angles).
+`recover_arthur_data` walks the exponent numerators without `dominantize`,
+reflects only the angle numerators and records the units over
+D / gcd(D, *angles).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -56,9 +56,10 @@ from .roots import (
     RationalVector,
     Root,
     RootDatum,
+    _dominant_walk,
     _rational,
     _reflect,
-    dominantize,
+    cached_attribute,
     format_root,
     over_common_denominator,
     root_values,
@@ -155,7 +156,7 @@ class UnramifiedParameter:
         D, nums = over_common_denominator([t.q_exp for t in coords] + [t.angle for t in coords])
         self.__dict__.update(datum=datum, integer_form=(D, nums[:n], nums[n:]))
 
-    @cached_property
+    @cached_attribute
     def coords(self) -> tuple[QMonomial, ...]:
         """One QMonomial per simple root, built on first read from the
         integer form by `monomials_over`."""
@@ -279,11 +280,13 @@ class ArthurParameter:
         validate_sl2_data(self.tempered_part.datum, self.sl2)
         failure = centralizer_failure(self.tempered_part, self.sl2)
         if failure is not None:
-            # the exponents are zero, so the evaluation is zeta(n / D), n != 0
+            # the exponents are zero, so the evaluation is zeta(n / D) with
+            # 0 < n < D: reduced by g, its denominator is never 1
             root, n = failure
+            g = gcd(n, D)
             raise ValidationError(
                 f"centralizer condition fails at {format_root(root)}: "
-                f"evaluation zeta({Fraction(n, D)}) is not 1",
+                f"evaluation zeta({n // g}/{D // g}) is not 1",
                 field="parameter",
             )
 
@@ -291,7 +294,7 @@ class ArthurParameter:
     def datum(self) -> RootDatum:
         return self.tempered_part.datum
 
-    @cached_property
+    @cached_attribute
     def langlands_parameter(self) -> UnramifiedParameter:
         """Evaluate the sl2 factor at the half-weight torus element:
         coordinate i picks up q^(d_i/2) where d_i is the diagram value. The
@@ -357,9 +360,9 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
     """Invert the Arthur evaluation: dominantize the exponents, double them
     into a diagram candidate, and return the unit part of the parameter
     conjugated by the same word. The checks read the integer form over D:
-    an exponent n / D is half-integral iff D divides 2n, and `dominantize`
-    walks the numerators, so its dominant vector is integral and doubles to
-    the diagram times D. Rejects parameters that are not of Arthur shape."""
+    an exponent n / D is half-integral iff D divides 2n, and the diagram
+    entry of a dominant numerator n over the same D is 2 * n // D. Rejects
+    parameters that are not of Arthur shape."""
     D, exponents, angles = p.integer_form
     for i, n in enumerate(exponents):
         if 2 * n % D:
@@ -368,10 +371,10 @@ def recover_arthur_data(p: UnramifiedParameter) -> tuple[UnramifiedParameter, tu
                 "not of Arthur type",
                 field="parameter",
             )
-    dominant, word = dominantize(p.datum, exponents)
+    dominant, word = _dominant_walk(p.datum, exponents)
     diagram = []
     for i, n in enumerate(dominant):
-        d = 2 * n.numerator // D
+        d = 2 * n // D
         if d not in (0, 1, 2):
             raise ValidationError(
                 f"doubled dominant exponent {d} at coordinate {i + 1} is outside "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import add, mul
@@ -44,6 +44,23 @@ _RATIONAL_TYPES = frozenset({int, Fraction})
 # cold process, 100-180 ms, of which the interpreter's own start is about
 # 55 ms; and `orbits C 24 --format machine` about 1 s.
 MAX_RANK = 24
+
+
+class cached_attribute:
+    """A property computed on first read and stored in the instance's
+    `__dict__` under its name, where later reads find it; frozen dataclasses
+    included. It takes no lock, so two threads may compute the same
+    immutable value twice: CPython 3.12 dropped `functools.cached_property`'s
+    lock for that reason."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -212,26 +229,26 @@ class RootDatum:
     def rank(self) -> int:
         return self.spec.rank
 
-    @cached_property
+    @cached_attribute
     def _enumeration(self):
         return _generate_positive_roots(self.cartan)
 
-    @cached_property
+    @cached_attribute
     def positive_roots(self) -> tuple[Root, ...]:
         return self._enumeration[0]
 
-    @cached_property
+    @cached_attribute
     def root_links(self) -> tuple[tuple[int, int] | None, ...]:
         """Entry k is (parent, i) with parent < k and positive_roots[k] =
         positive_roots[parent] + alpha_i, or None for a simple root."""
         return self._enumeration[1]
 
-    @cached_property
+    @cached_attribute
     def root_index(self) -> dict[Root, int]:
         """Position of each positive root in `positive_roots`."""
         return self._enumeration[2]
 
-    @cached_property
+    @cached_attribute
     def reflection_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Entry i lists (j, cartan[j][i]) for the nonzero entries of Cartan
         column i, (i, 2) included: the coordinates that s_i moves."""
@@ -241,7 +258,7 @@ class RootDatum:
             for i in range(n)
         )
 
-    @cached_property
+    @cached_attribute
     def cartan_inverse(self) -> IntegerInverse:
         """The inverse Cartan matrix as (D, N), inverse = N / D."""
         return integer_inverse(self.cartan)
@@ -321,17 +338,10 @@ def _reflect(columns, i: int, vector: list) -> None:
         vector[j] -= c * vi
 
 
-def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
-    """Walk the vector into the closed dominant chamber (all entries >= 0).
-
-    Returns (dominant vector, word): reflecting the input by the word's
-    letters in order gives the output. The walk runs on the numerators of
-    the vector over one denominator D > 0, which have the signs of the
-    rationals, and only the output is built as Fractions. Each step
-    strictly reduces the number of positive roots evaluating negatively, so
-    length <= number of positive roots.
-    """
-    D, nums = _over_common_denominator_checked(d, vector, "vector")
+def _dominant_walk(d: RootDatum, nums) -> tuple[list[int], tuple[int, ...]]:
+    """(dominant numerators, word) for numerators over one D > 0, which have
+    the signs of the rationals. Each step strictly reduces the number of
+    positive roots evaluating negatively, so length <= their number."""
     current = list(nums)
     columns = d.reflection_columns
     word: list[int] = []
@@ -339,11 +349,23 @@ def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, t
     while True:
         i = next((i for i, v in enumerate(current) if v < 0), None)
         if i is None:
-            return tuple([Fraction(v, D) for v in current]), tuple(word)
+            return current, tuple(word)
         if len(word) > bound:
             raise InvariantViolation("dominantization exceeded the positive-root bound")
         _reflect(columns, i, current)
         word.append(i)
+
+
+def dominantize(d: RootDatum, vector: RationalVector) -> tuple[RationalVector, tuple[int, ...]]:
+    """Walk the vector into the closed dominant chamber (all entries >= 0).
+
+    Returns (dominant vector, word): reflecting the input by the word's
+    letters in order gives the output. `_dominant_walk` walks the numerators
+    over one denominator; only the output is built, as reduced Fractions.
+    """
+    D, nums = _over_common_denominator_checked(d, vector, "vector")
+    dominant, word = _dominant_walk(d, nums)
+    return tuple([Fraction(v, D) for v in dominant]), word
 
 
 def validate_levi(d: RootDatum, theta: LeviSubset) -> LeviSubset:
@@ -364,17 +386,8 @@ def off_levi_indicator(d: RootDatum, theta: LeviSubset) -> tuple[int, ...]:
 
 def format_root(root: Root) -> str:
     """Human form, e.g. "a1 + 2 a2"."""
-    terms = []
-    for i, c in enumerate(root):
-        if c == 0:
-            continue
-        name = f"a{i + 1}"
-        if c == 1:
-            terms.append(name)
-        elif c == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{c} {name}")
+    terms = [f"a{i}" if c == 1 else f"-a{i}" if c == -1 else f"{c} a{i}"
+             for i, c in enumerate(root, 1) if c]
     return " + ".join(terms) if terms else "0"
 
 
@@ -413,10 +426,10 @@ def integer_inverse(rows) -> IntegerInverse:
 
 def over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     """(D, numerators) with values[i] = numerators[i] / D, D the lcm of the
-    denominators of the values (ints or Fractions)."""
-    values = list(values)
-    D = lcm(*(v.denominator for v in values))
-    return D, tuple([v.numerator * (D // v.denominator) for v in values])
+    denominators of the values (ints or Fractions, each read once)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = lcm(*[b for _, b in ratios])
+    return D, tuple([a * (D // b) for a, b in ratios])
 
 
 def _rational(value, field: str):

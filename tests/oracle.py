@@ -9,6 +9,7 @@ raises. It shares no code with the layers it checks:
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
+- the earlier loop form of the human root name;
 - simple roots, simple reflections of a root, the Weyl orbit of a set of
   roots (the reference for the positive roots), the earlier height-by-height
   enumeration with every pairing and string depth recomputed (the
@@ -178,6 +179,22 @@ def jordan_type(e) -> tuple[int, ...]:
 
 
 # -- root data ------------------------------------------------------------------
+
+
+def reference_format_root(root: tuple[int, ...]) -> str:
+    """The earlier loop form of `roots.format_root`, e.g. "a1 + 2 a2"."""
+    terms = []
+    for i, c in enumerate(root):
+        if c == 0:
+            continue
+        name = f"a{i + 1}"
+        if c == 1:
+            terms.append(name)
+        elif c == -1:
+            terms.append(f"-{name}")
+        else:
+            terms.append(f"{c} {name}")
+    return " + ".join(terms) if terms else "0"
 
 
 def simple_roots(d: RootDatum) -> tuple[tuple[int, ...], ...]:

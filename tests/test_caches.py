@@ -13,14 +13,21 @@ cache's key, its bound (for an unbounded cache, the reason its key domain
 is finite) and why it is kept. A row names its caches in its first cell
 as `module.name`; a name there is a scanned cache, or a module-level dict
 that a function of the package fills (`scenarios._root_texts`).
+
+A cache that lives with one object is a `roots.cached_attribute`, the one
+such mechanism: the last tests pin its behaviour and scan the package for
+`functools.cached_property`.
 """
 
 import ast
 import re
+from dataclasses import FrozenInstanceError, dataclass
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+
+from arthurcalc.roots import cached_attribute
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "arthurcalc"
@@ -178,3 +185,73 @@ class H:
         ("m.a", True), ("m.b", True), ("m.c", True), ("m.d", False), ("m.e", False),
         ("m.f", False), ("m.g", True), ("m.i", False), ("m.H.h", False),
     ]
+
+
+# -- caches that live with one object ----------------------------------------
+
+
+class Counted:
+    def __init__(self):
+        self.calls = 0
+
+    @cached_attribute
+    def value(self):
+        """A fresh object per computation."""
+        self.calls += 1
+        return object()
+
+
+@dataclass(frozen=True)
+class Frozen:
+    n: int
+
+    @cached_attribute
+    def doubled(self):
+        return [2 * self.n]
+
+
+def test_a_cached_attribute_computes_once_per_instance():
+    a, b = Counted(), Counted()
+    first = a.value
+    assert a.value is first and a.calls == 1
+    assert b.value is not first and b.calls == 1
+
+
+def test_a_cached_attribute_read_on_the_class_is_the_descriptor():
+    descriptor = Counted.value
+    assert isinstance(descriptor, cached_attribute)
+    assert descriptor.name == "value"
+    assert descriptor.__doc__ == "A fresh object per computation."
+
+
+def test_a_cached_attribute_works_on_a_frozen_dataclass():
+    record = Frozen(3)
+    assert record.doubled == [6]
+    assert vars(record)["doubled"] is record.doubled
+    with pytest.raises(FrozenInstanceError):
+        record.n = 4
+    # the stored value is no field: equality and hash stay the fields'
+    assert record == Frozen(3) and hash(record) == hash(Frozen(3))
+
+
+def cached_property_uses(tree: ast.AST) -> list[int]:
+    """Lines that import, name or read `functools.cached_property`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(a.name == "cached_property" for a in node.names)
+        or isinstance(node, ast.Name) and node.id == "cached_property"
+        or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+    ]
+
+
+def test_one_cached_property_mechanism():
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := cached_property_uses(ast.parse(path.read_text())))
+    }
+    assert found == {}
+    # the scan sees each form of use
+    source = "from functools import cached_property\nimport functools\nx = functools.cached_property\n"
+    assert cached_property_uses(ast.parse(source)) == [1, 3]

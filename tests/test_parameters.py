@@ -14,6 +14,7 @@ from oracle import (
     qmonomial_inverse,
     qmonomial_mul,
     qmonomial_pow,
+    reference_format_root,
     reflect_root,
     trivial_parameter,
 )
@@ -41,6 +42,7 @@ from arthurcalc.roots import (
     diagram_pairing,
     dominantize,
     dual_datum,
+    format_root,
     over_common_denominator,
     root_positions,
 )
@@ -341,6 +343,36 @@ def test_centralizer_failure_names_the_root_and_its_value(family, angles, parts,
         make_arthur_parameter(phi, sl2_from_partition(family, len(angles), parts))
     assert info.value.field == "parameter"
     assert info.value.raw_message == message
+
+
+def test_every_sweep_refusal_matches_the_fraction_message():
+    """Each mu_4 grid point that `centralizer_failure` rejects is refused
+    with the message that `Fraction(n, D)` and the reference root formatter
+    write: the refusal builds its text from integers."""
+    values, coefficients = set(), set()
+    for spec in DICHOTOMY_SPECS:
+        datum = build_root_datum(spec)
+        for parts in valid_partitions(spec.family, spec.rank):
+            sl2 = sl2_from_partition(spec.family, spec.rank, parts)
+            for grid_point in unit_grid(spec.rank):
+                phi = unit_parameter(datum, grid_point)
+                failure = centralizer_failure(phi, sl2)
+                if failure is None:
+                    continue
+                (root, n), D = failure, phi.integer_form[0]
+                with pytest.raises(ValidationError) as info:
+                    make_arthur_parameter(phi, sl2)
+                assert info.value.raw_message == (
+                    f"centralizer condition fails at {reference_format_root(root)}: "
+                    f"evaluation zeta({Fraction(n, D)}) is not 1"
+                )
+                values.add((D, n))
+                coefficients.update(root)
+    assert (4, 2) in values  # written 1/2
+    assert {0, 1, 2} <= coefficients
+    # a refusal names a positive root; the formatter also takes -1
+    for root in [(-1,), (1, -1, 2, 0), (0, -1, -2, 3), (0, 0)]:
+        assert format_root(root) == reference_format_root(root)
 
 
 @pytest.mark.parametrize("spec", DICHOTOMY_SPECS, ids=str)

@@ -24,6 +24,7 @@ from arthurcalc.roots import (
     MAX_RANK,
     CartanSpec,
     RootDatum,
+    _dominant_walk,
     _reflect,
     build_root_datum,
     cartan_matrix,
@@ -34,9 +35,11 @@ from arthurcalc.roots import (
     evaluation_exponents,
     format_root,
     integer_inverse,
+    over_common_denominator,
     root_sort_key,
     validate_levi,
 )
+from arthurcalc.sweeps import DICHOTOMY_SPECS
 
 SMALL_SPECS = [
     CartanSpec("A", 1),
@@ -339,6 +342,23 @@ def test_dominantize_word_length_bounded(spec, data):
     v = data.draw(frac_vectors(d.rank))
     _, word = dominantize(d, v)
     assert len(word) <= len(d.positive_roots)
+
+
+@given(st.sampled_from([*DICHOTOMY_SPECS, CartanSpec("G", 2)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_integer_walk_is_dominantize_over_one_denominator(spec, data):
+    """`_dominant_walk` on a drawn vector's numerators over D, the lcm of
+    its denominators or a multiple of it, gives `dominantize`'s output times
+    D as ints, with the same word."""
+    d = build_root_datum(spec)
+    v = data.draw(frac_vectors(d.rank))
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    D, nums = over_common_denominator(v)
+    dominant, word = dominantize(d, v)
+    walked, walk_word = _dominant_walk(d, [k * n for n in nums])
+    assert walk_word == word
+    assert walked == [k * D * x for x in dominant]
+    assert all(type(n) is int for n in walked)
 
 
 # -- Levi subsets -----------------------------------------------------------------

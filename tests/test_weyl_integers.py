@@ -2,8 +2,8 @@
 
 `apply_word_parameter` reflects the numerators of a parameter's integer
 form, `dominantize` walks the numerators of its input over one
-denominator, and `recover_arthur_data` dominantizes the exponent
-numerators. The oracle replays compare with `==`, and `Fraction(1) == 1`,
+denominator, and `recover_arthur_data` walks the exponent numerators
+with the same integer walk, `roots._dominant_walk`. The oracle replays compare with `==`, and `Fraction(1) == 1`,
 so these tests also pin what an integer loop could get wrong unseen: every
 coordinate out is a `Fraction` in lowest terms, every angle lies in [0, 1),
 and the diagram is made of `int`s. The gate checks that the word loop
