@@ -87,10 +87,8 @@ from .scenarios import (
     render_global_text,
     render_report_text,
     report_from_dict,
-    report_to_dict,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 __version__ = "0.1.0"

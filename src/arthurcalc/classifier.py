@@ -194,8 +194,8 @@ def genericity_verdict(sm: StandardModuleDatum) -> Genericity:
 def witness_root(psi: ArthurParameter, levi: LeviSubset) -> Root:
     """Minimal support root (canonical enumeration order) that certifies
     non-temperedness: diagram pairing 2, trivial unit evaluation, outside the
-    Levi. The support is walked in `root_index` order, which is
-    `root_sort_key` order on positive roots, and the first root that passes
+    Levi. The support is walked in `root_index` order (height ascending,
+    then coefficients descending), and the first root that passes
     is returned. Each condition is re-checked on integers rather than
     assumed; no L-factor is read, so the full product stays an independent
     check."""

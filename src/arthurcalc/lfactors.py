@@ -23,7 +23,8 @@ The grading levels and the pairs come from `roots.root_values`, which
 evaluates an integer vector on every positive root with one addition per
 root (each root is its parent plus a simple root), so no nilradical root is
 evaluated by a dot product. The grading keeps each root's position in
-`positive_roots`, where the pairs are read off, so no root is looked up.
+`positive_roots`, where the pairs are read off, so each root is looked up
+once per grading.
 
 The grading is a fact of the (datum, Levi) pair, like the datum's
 `positive_roots`: `grade_nilradical` validates the Levi on every call and
@@ -73,9 +74,8 @@ class GradedNilradical:
     @cached_attribute
     def positions(self) -> tuple[int, ...]:
         """Position of each root of `all_roots` in the datum's
-        `positive_roots`. `grade_nilradical` fills this in from the positions
-        it bucketed; a grading built by hand has its roots looked up, and one
-        that is not a positive root of the datum is refused."""
+        `positive_roots`, looked up on first read, so once per grading; a
+        root that is not a positive root of the datum is refused."""
         return tuple(root_positions(self.datum, self.all_roots))
 
 
@@ -120,14 +120,11 @@ def _graded(d: RootDatum, theta: LeviSubset) -> GradedNilradical:
     for k, level in enumerate(levels):
         if level:
             buckets[level].append(k)
-    # positive_roots is in root_sort_key order, so each bucket is too
+    # positive_roots is in canonical root order, so each bucket is too
     roots = d.positive_roots
-    g = GradedNilradical(d, theta, tuple([
+    return GradedNilradical(d, theta, tuple([
         (level, tuple([roots[k] for k in ks])) for level, ks in buckets.items()
     ]))
-    # fill the cached `positions` so that no root is looked up again
-    g.__dict__["positions"] = tuple([k for ks in buckets.values() for k in ks])
-    return g
 
 
 def l_factor(g: GradedNilradical, p: UnramifiedParameter, orientation: str) -> LocalLFactor:

@@ -230,17 +230,15 @@ def sl2_from_partition(family: str, rank: int, parts: tuple[int, ...]) -> SL2Dat
     length m and its form-mirror, link m - k, give the same root; links with
     2k > m are skipped. The result must pass `validate_sl2_data`.
 
-    Kept per (family, rank, parts) by `_partition_sl2`. Parts that are not a
-    tuple (a list) are validated first, so they reach it as a tuple; an
-    argument that is no cache key is refused by that same validation.
+    Kept per (family, rank, parts) by `_partition_sl2`. Arguments that are
+    no cache key (a list partition, or an unhashable family, rank or part)
+    are validated and tried again as the validated tuple, so a list works
+    and anything else is refused by that validation.
     """
-    if type(parts) is not tuple:
-        parts = validate_partition(family, rank, parts)
     try:
         return _partition_sl2(family, rank, parts)
-    except TypeError:  # an unhashable family, rank or part is no key
-        validate_partition(family, rank, parts)
-        raise
+    except TypeError:
+        return _partition_sl2(family, rank, validate_partition(family, rank, parts))
 
 
 @lru_cache(maxsize=MAX_PARTITIONS)
@@ -264,8 +262,9 @@ def _partition_sl2(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
                 support.add(_from_epsilon(family, x))
 
     d = build_root_datum(CartanSpec(family, rank))
-    # positive roots in root_index order, which is root_sort_key order; a
-    # root outside the index sorts last and fails the validation below
+    # positive roots in root_index order (height ascending, then coefficients
+    # descending); a root outside the index sorts last and fails the
+    # validation below
     index = d.root_index
     data = SL2Data(diagram, tuple(sorted(support, key=lambda root: index.get(root, len(index)))))
     try:

@@ -129,17 +129,12 @@ def _transpose(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
     return tuple(zip(*matrix))
 
 
-def root_sort_key(root: Root) -> tuple:
-    """Canonical enumeration order: height ascending, then coefficients
-    descending lexicographically (so alpha_1 precedes alpha_2)."""
-    return (sum(root), tuple([-c for c in root]))
-
-
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]):
     """Closure under root strings, one height at a time. Returns the positive
-    roots in `root_sort_key` order, their links (parent position, i), each
-    recorded as parent + alpha_i is first added (None for a simple root),
-    and the root-to-position map.
+    roots in canonical order (height ascending, then coefficients descending
+    lexicographically, so alpha_1 precedes alpha_2), their links (parent
+    position, i), each recorded as parent + alpha_i is first added (None for
+    a simple root), and the root-to-position map.
 
     beta + alpha_i is a root iff q = p - <beta, alpha_i^vee> > 0, with p the
     depth of the alpha_i-string below beta. Each root carries both numbers
@@ -150,7 +145,7 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]):
     the test reads two ints, each root costs O(rank) and the pass
     O(|positive roots| * rank); the pairings and depths are kept for one
     height at a time. Within a height the coefficient sum is fixed, so
-    `root_sort_key` order is descending tuple order."""
+    canonical order is descending tuple order."""
     n = len(cartan)
     roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     links: list[tuple[int, int] | None] = [None] * n
@@ -441,19 +436,14 @@ def _rational(value, field: str):
 
 def _over_common_denominator_checked(d: RootDatum, vector, field: str) -> tuple[int, tuple[int, ...]]:
     """`over_common_denominator` of a tuple or list of rank rationals, each
-    held to `_rational`; anything else is refused on the field. A vector of
-    ints comes back as it is, over 1."""
+    held to `_rational`; anything else is refused on the field."""
     if not isinstance(vector, (tuple, list)):
         raise ValidationError(f"expected a tuple of rationals, got {vector!r}", field=field)
     if len(vector) != d.rank:
         raise ValidationError(f"expected {d.rank} rationals, got {len(vector)}", field=field)
-    types = set(map(type, vector))
-    if not _RATIONAL_TYPES.issuperset(types):
+    if not _RATIONAL_TYPES.issuperset(map(type, vector)):
         for v in vector:
             _rational(v, field)
-    if _INT_ONLY.issuperset(types):
-        # a vector of ints is its own numerators over D = 1
-        return 1, tuple(vector)
     return over_common_denominator(vector)
 
 

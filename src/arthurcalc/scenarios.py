@@ -483,22 +483,6 @@ class Scenario:
         return self.expert_data
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    if s.sl2_kind == "trivial":
-        sl2_payload = "trivial"
-    elif s.sl2_kind == "partition":
-        sl2_payload = {"partition": s.partition}
-    else:
-        sl2_payload = {"expert": s.expert_data}
-    return _json_value({
-        "label": s.label,
-        "group": s.group,
-        "satake_angles": s.satake_angles,
-        "sl2": sl2_payload,
-        "generic_assumption": s.generic_assumption,
-    })
-
-
 def scenario_from_dict(payload, field: str = "") -> Scenario:
     """Decode a scenario's JSON shape (keys, rationals, lists, the `sl2`
     union); `Scenario` checks the values. Errors are named under `field`."""
@@ -682,12 +666,6 @@ def run_scenario(s: Scenario) -> Report:
     )
 
 
-def _json_value(value):
-    """The plain JSON value of `value`: its canonical bytes, read back."""
-    return json.loads(canonical_json(value))
-
-
-report_to_dict = _json_value
 report_from_dict = partial(_decode, Report, name="report")
 
 
@@ -842,17 +820,6 @@ def family_from_dict(payload) -> PlaceFamily:
     return PlaceFamily(payload["label"], tuple(places), assumptions)
 
 
-def family_to_dict(f: PlaceFamily) -> dict:
-    return _json_value({
-        "label": f.label,
-        "assumptions": f.assumptions,
-        "places": [
-            {"label": place_label, "scenario": scenario_to_dict(scenario)}
-            for place_label, scenario in f.places
-        ],
-    })
-
-
 def parse_family_text(text: str) -> PlaceFamily:
     return family_from_dict(_load_json(text))
 
@@ -924,10 +891,6 @@ def ramanujan_report(f: PlaceFamily) -> GlobalReport:
         nontempered_places=nontempered,
         conclusion=conclusion,
     )
-
-
-global_report_to_dict = _json_value
-global_report_from_dict = partial(_decode, GlobalReport, name="global_report")
 
 
 def render_global_text(g: GlobalReport) -> str:

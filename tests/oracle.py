@@ -3,26 +3,30 @@
 From arthurcalc this module imports only input validation
 (`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank,
 Cartan matrix and positive-root list), the `QMonomial` and
-`UnramifiedParameter` constructors and the error type a singular system
-raises. It shares no code with the layers it checks:
+`UnramifiedParameter` constructors, the error type a singular system
+raises, and the report decoder (`scenarios._decode`), which reads global
+reports here because only the tests read them. It shares no code with the
+layers it checks:
 
 - a matrix-level sl2 triple in the defining representation, built from its
   own blockwise chain layout, with exact matrix helpers and the Jordan type
   of a nilpotent matrix;
 - the earlier loop form of the human root name;
-- simple roots, simple reflections of a root, the Weyl orbit of a set of
-  roots (the reference for the positive roots), the earlier height-by-height
-  enumeration with every pairing and string depth recomputed (the
-  reference for the enumeration's order, links and index), Weyl words
-  replayed on a vector of simple-root evaluations, and Gaussian elimination
-  over Fraction, which also gives the exact inverse of an integer matrix;
+- the canonical root order, simple roots, simple reflections of a root,
+  the Weyl orbit of a set of roots (the reference for the positive roots),
+  the earlier height-by-height enumeration with every pairing and string
+  depth recomputed (the reference for the enumeration's order, links and
+  index), Weyl words replayed on a vector of simple-root evaluations, and
+  Gaussian elimination over Fraction, which also gives the exact inverse of
+  an integer matrix;
 - one dot product per root for a vector's value on every positive root,
   the Levi/nilradical split, the grading levels and the eigenvalues on
   roots (what `roots.root_values` gets by the height recurrence);
 - the product, power and inverse of QMonomials, the trivial parameter,
   and the split of a parameter into its unit part and exponents (with the
   Weyl action, the slow route for `recover_arthur_data`'s unit part);
-- canonical JSON by way of the standard library's encoder.
+- plain JSON values of records and scenarios, and canonical JSON by way
+  of the standard library's encoder.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from arthurcalc.errors import InvariantViolation
 from arthurcalc.nilpotent import partition_total, validate_partition
 from arthurcalc.parameters import QMonomial, UnramifiedParameter
 from arthurcalc.roots import RootDatum
+from arthurcalc.scenarios import GlobalReport, _decode
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -220,8 +226,9 @@ def weyl_orbit(d: RootDatum, roots) -> set[tuple[int, ...]]:
     return orbit
 
 
-def _reference_sort_key(root: tuple[int, ...]) -> tuple:
-    """Height ascending, then coefficients descending lexicographically."""
+def root_sort_key(root: tuple[int, ...]) -> tuple:
+    """Canonical root order: height ascending, then coefficients descending
+    lexicographically (so alpha_1 precedes alpha_2)."""
     return (sum(root), tuple([-c for c in root]))
 
 
@@ -254,7 +261,7 @@ def reference_positive_roots(cartan: Matrix):
                 if depth - _pairing(cartan, beta, i) > 0:
                     grown.setdefault((*beta[:i], beta[i] + 1, *beta[i + 1 :]), (parent, i))
         start = len(roots)
-        for root in sorted(grown, key=_reference_sort_key):
+        for root in sorted(grown, key=root_sort_key):
             index[root] = len(roots)
             roots.append(root)
             links.append(grown[root])
@@ -370,6 +377,25 @@ def encode(value):
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+def scenario_payload(s) -> dict:
+    """A scenario's file shape: its fields encoded, with `sl2` written as
+    "trivial", {"partition": [...]} or {"expert": {...}} by its kind."""
+    if s.sl2_kind == "trivial":
+        sl2 = "trivial"
+    else:
+        sl2 = {s.sl2_kind: s.partition if s.sl2_kind == "partition" else s.expert_data}
+    return encode({
+        "label": s.label,
+        "group": s.group,
+        "satake_angles": s.satake_angles,
+        "sl2": sl2,
+        "generic_assumption": s.generic_assumption,
+    })
+
+
+global_report_from_dict = partial(_decode, GlobalReport, name="global_report")
 
 
 def reference_canonical_json(value) -> str:

@@ -14,6 +14,7 @@ from pathlib import Path
 from oracle import (
     commutator,
     dot_levi_and_nilradical,
+    encode,
     jordan_type,
     mat_mul,
     mat_scale,
@@ -58,7 +59,6 @@ from arthurcalc.roots import (
 from arthurcalc.scenarios import (
     canonical_json,
     emit_report_machine,
-    global_report_to_dict,
     parse_family_text,
     parse_scenario_text,
     ramanujan_report,
@@ -311,7 +311,7 @@ def test_golden_reports_and_family(capsys):
             (ROOT / "families" / "family-mixed.json").read_text()
         )
         aggregated = ramanujan_report(family)
-        assert canonical_json(global_report_to_dict(aggregated)) == (
+        assert canonical_json(encode(aggregated)) == (
             GOLDEN / "family-mixed.machine.json"
         ).read_text()
         assert aggregated.mode == "theorem"

@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import reference_canonical_json
+from oracle import global_report_from_dict, reference_canonical_json
 from test_fuzz import hostile_cases, library_scenarios
 from test_parameters import arthur_parameters
 
@@ -52,7 +52,6 @@ from arthurcalc.scenarios import (
     Scenario,
     canonical_json,
     emit_report_machine,
-    global_report_from_dict,
     parse_family_text,
     parse_report_text,
     parse_scenario_text,

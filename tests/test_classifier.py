@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import decompose_parameter, qmonomial_pow, reflect_root, trivial_parameter
+from oracle import (
+    decompose_parameter,
+    qmonomial_pow,
+    reflect_root,
+    root_sort_key,
+    trivial_parameter,
+)
 from test_parameters import arthur_parameters
 
 from arthurcalc import classifier
@@ -42,7 +48,6 @@ from arthurcalc.roots import (
     dominantize,
     dual_datum,
     evaluation_exponents,
-    root_sort_key,
 )
 from arthurcalc.scenarios import parse_scenario_text
 from arthurcalc.sweeps import DICHOTOMY_SPECS, iter_dichotomy_parameters

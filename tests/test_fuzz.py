@@ -27,7 +27,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import apply_word_vector, trivial_parameter
+from oracle import (
+    apply_word_vector,
+    encode,
+    global_report_from_dict,
+    scenario_payload,
+    trivial_parameter,
+)
 
 from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
@@ -56,15 +62,12 @@ from arthurcalc.scenarios import (
     Scenario,
     canonical_json,
     emit_report_machine,
-    global_report_from_dict,
-    global_report_to_dict,
     parse_family_text,
     parse_report_text,
     parse_scenario_text,
     ramanujan_report,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +131,7 @@ def parse_and_run(kind: str, text: str) -> None:
             g = ramanujan_report(parse_family_text(text))
         else:
             g = global_report_from_dict(json.loads(text))
-        assert global_report_from_dict(json.loads(canonical_json(global_report_to_dict(g)))) == g
+        assert global_report_from_dict(json.loads(canonical_json(encode(g)))) == g
         return
     if kind == "scenario":
         report = run_scenario(parse_scenario_text(text))
@@ -217,7 +220,7 @@ def test_hostile_library_scenarios_raise_only_validation_errors(kwargs):
         report = run_scenario(s)
     except ValidationError:
         return
-    assert scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s)))) == s
+    assert scenario_from_dict(json.loads(json.dumps(scenario_payload(s)))) == s
     assert parse_report_text(emit_report_machine(report)) == report
 
 

@@ -80,8 +80,9 @@ def test_root_values_match_the_dot_products(spec, data):
 
 @pytest.mark.parametrize("spec", [spec for spec in SPECS if spec.rank <= 12], ids=str)
 def test_gradings_carry_the_root_positions(spec):
-    # the positions grade_nilradical bucketed are the ones a lookup finds,
-    # for the empty and the full Levi and each Levi of one or all but one index
+    # a grading looks its positions up from its roots, so a shared grading
+    # and one built by hand agree, for the empty and the full Levi and each
+    # Levi of one or all but one index
     for d in both_data(spec):
         everything = frozenset(range(d.rank))
         levis = [frozenset(), everything]

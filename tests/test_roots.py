@@ -13,6 +13,7 @@ from oracle import (
     integer_inverse_fractions,
     reference_positive_roots,
     reflect_root,
+    root_sort_key,
     simple_roots,
     solve_linear_fractions,
     weyl_orbit,
@@ -36,7 +37,6 @@ from arthurcalc.roots import (
     format_root,
     integer_inverse,
     over_common_denominator,
-    root_sort_key,
     validate_levi,
 )
 from arthurcalc.sweeps import DICHOTOMY_SPECS

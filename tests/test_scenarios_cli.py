@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracle import trivial_parameter
+from oracle import encode, global_report_from_dict, scenario_payload, trivial_parameter
 
 from arthurcalc import cli
 from arthurcalc.errors import InvariantViolation, ValidationError
@@ -30,19 +30,14 @@ from arthurcalc.scenarios import (
     Scenario,
     emit_report_machine,
     family_from_dict,
-    family_to_dict,
-    global_report_from_dict,
-    global_report_to_dict,
     parse_fraction,
     parse_report_text,
     parse_scenario_text,
     ramanujan_report,
     render_report_text,
     report_from_dict,
-    report_to_dict,
     run_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 
@@ -245,7 +240,7 @@ def test_scenario_text_parse_reports_bad_json():
 
 def test_scenario_round_trip():
     for scenario in sample_scenarios():
-        again = scenario_from_dict(scenario_to_dict(scenario))
+        again = scenario_from_dict(scenario_payload(scenario))
         assert again == scenario
 
 
@@ -263,7 +258,7 @@ def test_scenario_keeps_an_angle_already_in_range():
 def test_report_round_trips_exactly():
     for scenario in sample_scenarios():
         report = run_scenario(scenario)
-        assert report_from_dict(report_to_dict(report)) == report
+        assert report_from_dict(encode(report)) == report
         assert parse_report_text(emit_report_machine(report)) == report
 
 
@@ -276,7 +271,7 @@ def test_machine_output_is_byte_stable():
 
 def test_report_rejects_key_drift():
     report = run_scenario(sample_scenarios()[0])
-    payload = report_to_dict(report)
+    payload = encode(report)
     payload["extra"] = 1
     with pytest.raises(ValidationError, match="unknown keys"):
         report_from_dict(payload)
@@ -330,7 +325,7 @@ MALFORMED_REPORTS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
 def test_report_decoder_names_the_field(case):
     (*parents, last), value, message = MALFORMED_REPORTS[case]
-    payload = report_to_dict(run_scenario(sample_scenarios()[3]))
+    payload = encode(run_scenario(sample_scenarios()[3]))
     target = payload
     for key in parents:
         target = target[key]
@@ -373,7 +368,7 @@ TWO_RATIONALS = {
 @pytest.mark.parametrize("case", sorted(TWO_RATIONALS))
 def test_report_decoder_reads_each_rational_field_on_its_own(case):
     *edits, message = TWO_RATIONALS[case]
-    payload = report_to_dict(run_scenario(sample_scenarios()[3]))
+    payload = encode(run_scenario(sample_scenarios()[3]))
     for (*parents, last), value in edits:
         target = payload
         for key in parents:
@@ -384,7 +379,7 @@ def test_report_decoder_reads_each_rational_field_on_its_own(case):
 
 
 def test_global_report_rejects_empty_place_label():
-    payload = global_report_to_dict(ramanujan_report(mixed_family(())))
+    payload = encode(ramanujan_report(mixed_family(())))
     payload["place_labels"][1] = ""
     with pytest.raises(
         ValidationError, match=r"^place_labels\[2\]: expected a nonempty string, got ''$"
@@ -398,7 +393,15 @@ def test_family_round_trip():
         (("v2", sample_scenarios()[0]), ("v3", sample_scenarios()[2])),
         (MEMBERSHIP_FLAG,),
     )
-    assert family_from_dict(family_to_dict(family)) == family
+    payload = {
+        "label": family.label,
+        "assumptions": encode(family.assumptions),
+        "places": [
+            {"label": label, "scenario": scenario_payload(scenario)}
+            for label, scenario in family.places
+        ],
+    }
+    assert family_from_dict(payload) == family
 
 
 # -- independent re-verification of emitted certificates -----------------------------
@@ -503,7 +506,7 @@ def test_family_validation():
 
 def test_global_report_round_trip():
     g = ramanujan_report(mixed_family((MEMBERSHIP_FLAG,)))
-    assert global_report_from_dict(global_report_to_dict(g)) == g
+    assert global_report_from_dict(encode(g)) == g
 
 
 # -- command line ------------------------------------------------------------------
@@ -852,7 +855,7 @@ HUGE_ANGLE = "1/" + "7" * 4000  # 4000 digits, under CPython's 4300-digit int li
 
 def test_huge_numerals_are_rejected_while_parsing():
     scenario = json.dumps(a1_payload(satake_angles=[HUGE_ANGLE]))
-    report = report_to_dict(run_scenario(scenario_from_dict(a1_payload())))
+    report = encode(run_scenario(scenario_from_dict(a1_payload())))
     report["parameter"][0]["q_exp"] = "7" * 4000
     for parse, text, field in [
         (parse_scenario_text, scenario, "satake_angles[1]"),

@@ -3,8 +3,9 @@
 A public module-level name in `src/arthurcalc/*.py`, or a public method or
 property of a package class, must be used by package code other than its
 own definition and `__init__`'s re-export, or named in `bench/*.py`,
-`scripts/*.py` or README.md. Code that only the tests use belongs in
-`tests/`. There is no allowlist.
+`scripts/*.py` or a code span of the README's `## Library entry points`
+section, which documents the library API. Code that only the tests use
+belongs in `tests/`. There is no allowlist.
 """
 
 import ast
@@ -74,12 +75,17 @@ def script_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def readme_code() -> list[str]:
-    """The README's fenced blocks and inline code spans; its prose is left
-    out, so an English word does not pass for a method name."""
-    text = (ROOT / "README.md").read_text()
-    fenced = re.findall(r"```.*?```", text, re.S)
-    return fenced + re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", text, flags=re.S))
+def library_names(readme: str) -> set[str]:
+    """Identifiers in the fenced blocks and inline code spans of the
+    README's `## Library entry points` section, up to the next `## `
+    heading. A mention anywhere else in the README (the Tests paragraph,
+    say) names no caller, and prose is left out, so an English word does not
+    pass for a method name."""
+    section = readme.split("\n## Library entry points\n", 1)[1]
+    section = re.split(r"^## ", section, maxsplit=1, flags=re.M)[0]
+    fenced = re.findall(r"```.*?```", section, re.S)
+    spans = re.findall(r"`[^`]+`", re.sub(r"```.*?```", "", section, flags=re.S))
+    return set(re.findall(r"\w+", "\n".join(fenced + spans)))
 
 
 def unused_names(modules: dict[str, ast.Module], outside: set[str]) -> list[str]:
@@ -116,7 +122,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
-    outside = set(re.findall(r"\w+", "\n".join(readme_code())))
+    outside = library_names((ROOT / "README.md").read_text())
     for path in [*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py")]:
         outside |= script_names(ast.parse(path.read_text()))
     assert unused_names(modules, outside) == []
@@ -139,3 +145,17 @@ def test_the_scan_skips_own_reads_and_reads_by_dead_code():
     assert [name for name, _ in definitions(tree)] == ["X", "Y", "K", "K.m", "K.n", "f", "g"]
     assert unused_names({"mod": tree}, {"g"}) == ["mod.X", "mod.K.m", "mod.f"]
     assert unused_names({"mod": tree}, {"g", "f", "m"}) == []
+
+
+def test_only_the_library_section_of_the_readme_names_a_caller():
+    tree = ast.parse("def documented():\n    pass\n")
+    readme = (
+        "# pkg\n\n"
+        "## Tests\n\nThe oracle checks `documented` against a slow route.\n\n"
+        "## Library entry points\n\n```python\nfrom pkg import other\n```\n\n"
+        "The documented API is listed above.\n\n"
+        "## Later\n\n`documented(x)` again.\n"
+    )
+    assert unused_names({"mod": tree}, library_names(readme)) == ["mod.documented"]
+    readme = readme.replace("is listed above", "includes `documented(x)`")
+    assert unused_names({"mod": tree}, library_names(readme)) == []
