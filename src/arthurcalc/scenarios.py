@@ -9,12 +9,12 @@ angles as fractions of a full turn in [0, 1).
 The machine emission mode is canonical (sorted keys, normalized rationals)
 so reports can be compared byte for byte; parsing an emitted report
 reproduces the Report object exactly. Every report carries enough data to
-re-verify its verdict with the L-factor layer alone. One direct writer,
-`canonical_json`, produces those bytes from the records themselves, and
-one decoder per annotation reads them back. Each keeps a memo for one call,
-so a rational is formatted or parsed once per value in a report; the
-writer also keeps the texts of tuples of ints (roots), which are immutable,
-across calls, at most `MAX_ROOT_TEXTS` of them.
+re-verify its verdict with the L-factor layer alone. `canonical_json`
+writes those bytes from the records themselves, with one writer per
+annotation, and one decoder per annotation reads them back. Each keeps a
+memo for one call, so a rational is formatted or parsed once per value in
+a report; the writer also keeps the texts of root fields across calls, by
+the root's identity, at most `MAX_ROOT_TEXTS` of them.
 """
 
 from __future__ import annotations
@@ -265,8 +265,7 @@ def _object_decoder(cls, name: str):
     return shared
 
 
-# The JSON text of each leaf type the writer accepts but `Fraction`, which
-# `_write` quotes in `format_fraction`'s "num/den" form.
+# The JSON text of each leaf type but `Fraction` (see `_write`).
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -275,17 +274,13 @@ _LEAF_TEXT = {
 }
 
 
-# Texts of tuples of ints (roots, diagrams, `levels`) live across calls,
-# keyed by (tuple, newline): such a tuple is immutable and compared by value,
-# so its text at one indentation never changes, and only tuples whose items
-# are all exactly int get here, so (True, 1) never meets (1, 1). At most
-# MAX_ROOT_TEXTS are kept, each of at most MAX_RANK items and _MAX_ROOT_TEXT
-# characters (its key then holds at most as many digits and spaces), so the
-# cache holds about 3 MB at most on any input; a full cache is emptied. The
-# roots of 30 reports at dual rank 12-22 take 448 entries, about 0.2 MB.
+# Texts of root fields by (id(root), newline), each held with its root so the
+# id is not reused; datum roots and cached supports are shared objects. Only
+# tuples of exactly ints are kept, whose texts never change: at most
+# MAX_ROOT_TEXTS, emptied when full, of MAX_RANK items and _MAX_ROOT_TEXT chars.
 MAX_ROOT_TEXTS = 1024
 _MAX_ROOT_TEXT = 1024
-_root_texts: dict[tuple[tuple[int, ...], str], str] = {}
+_root_texts: dict[tuple[int, str], tuple[Root, str]] = {}
 
 
 def canonical_json(value) -> str:
@@ -297,29 +292,21 @@ def canonical_json(value) -> str:
     leaves are exactly `Fraction` and the types in `_LEAF_TEXT`. Any other
     type raises TypeError, as `json.dumps` does.
 
-    Each text is reused wherever its value recurs. A memo that lives for
-    this call formats each rational once per value and each dataclass
-    instance (a report shares one QMonomial per distinct eigenvalue) once
-    per indentation; nothing mutable is kept after the call. Each tuple of
-    ints (a root) is written once per value and indentation, from
-    `_root_texts`, which lives across calls. An array whose items all have
-    one leaf type, or are all records of one class, is written with one
-    join, and in an array of rationals or of records an item that is the
-    previous item reuses its text."""
+    One writer per record class, built from its annotations (`_writer`), and a
+    memo for this call write each rational once per value, each record once
+    per indentation; only root texts outlive the call (`_root_texts`)."""
     return _write(value, "\n", {}) + "\n"
 
 
 def _write(value, newline: str, memo: dict) -> str:
-    """The text of `value`; `newline` is a line break followed by the
-    indentation of the line that `value` starts on. `memo` maps a
-    rational's (numerator, denominator) to its text, so equal rationals
-    share one text, and (id(record), newline) to (record, text); holding
-    each record keeps its id from being reused while the memo lives. An
-    array of rationals, or of records of one class, reads its items' memo
-    hits in place, and a run of one object once."""
+    """The text of `value` by its type alone, starting after `newline` (a
+    line break and indentation). `memo` maps a rational's (numerator,
+    denominator) to its text, and (id(record), newline) to (record, text),
+    holding the record so that its id is not reused during the call."""
     cls = type(value)
     if cls is Fraction:
-        return memo.get(value.as_integer_ratio()) or _fraction_text(value, memo)
+        key = value.as_integer_ratio()
+        return memo.get(key) or memo.setdefault(key, f'"{format_fraction(value)}"')
     leaf = _LEAF_TEXT.get(cls)
     if leaf is not None:
         return leaf(value)
@@ -328,35 +315,8 @@ def _write(value, newline: str, memo: dict) -> str:
         if not value:
             return "[]"
         kinds = set(map(type, value))  # bool and int stay apart
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is int and cls is tuple:
-            key = value, newline
-            text = _root_texts.get(key)
-            if text is None:
-                text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-                if len(value) <= MAX_RANK and len(text) <= _MAX_ROOT_TEXT:
-                    if len(_root_texts) >= MAX_ROOT_TEXTS:
-                        _root_texts.clear()
-                    _root_texts[key] = text
-            return text
-        leaf, get = _LEAF_TEXT.get(kind), memo.get
-        if leaf is not None:
-            texts = map(leaf, value)
-        elif kind is Fraction:
-            texts, last = [], None
-            for item in value:
-                if item is not last:  # a run of one object is written once
-                    last, text = item, get(item.as_integer_ratio()) or _fraction_text(item, memo)
-                texts.append(text)
-        elif (keys := _sorted_keys(kind)) is not None:
-            texts, last = [], None
-            for item in value:
-                if item is not last:
-                    last, seen = item, get((id(item), inner))
-                    text = _record_text(item, keys, inner, memo) if seen is None else seen[1]
-                texts.append(text)
-        else:
-            texts = [_write(item, inner, memo) for item in value]
+        leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        texts = map(leaf, value) if leaf else [_write(item, inner, memo) for item in value]
         return "[" + inner + ("," + inner).join(texts) + newline + "]"
     if cls is dict:
         if not value:
@@ -366,35 +326,75 @@ def _write(value, newline: str, memo: dict) -> str:
             for key in sorted(value)
         ]
         return "{" + inner + ("," + inner).join(texts) + newline + "}"
-    keys = _sorted_keys(cls)
-    if keys is None:
+    if not is_dataclass(cls):
         raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    seen = memo.get((id(value), newline))
-    return _record_text(value, keys, newline, memo) if seen is None else seen[1]
-
-
-def _fraction_text(x: Fraction, memo: dict) -> str:
-    """The quoted text of a rational whose value `memo` does not hold yet."""
-    return memo.setdefault(x.as_integer_ratio(), f'"{format_fraction(x)}"')
-
-
-def _record_text(record, keys, newline: str, memo: dict) -> str:
-    """The text of a dataclass instance whose sorted keys are `keys`, for a
-    (record, newline) that `memo` does not hold yet."""
-    inner = newline + "  "
-    texts = [key + _write(getattr(record, name), inner, memo) for name, key in keys]
-    text = "{" + inner + ("," + inner).join(texts) + newline + "}" if texts else "{}"
-    memo[id(record), newline] = record, text
-    return text
+    return _writer(cls)(value, newline, memo)
 
 
 @lru_cache(maxsize=None)
-def _sorted_keys(cls) -> tuple[tuple[str, str], ...] | None:
-    """A dataclass's field names in sorted order, each with its JSON key."""
-    if not is_dataclass(cls):
-        return None
-    names = sorted(f.name for f in fields(cls))
-    return tuple([(name, encode_basestring_ascii(name) + ": ") for name in names])
+def _writer(tp):
+    """The writer `(value, newline, memo) -> text` of one annotation, built
+    as `_decoder` is. A dataclass's writer builds its sorted (name, key,
+    field writer) triples on its first record, so a class may name itself.
+    A value not exactly of the annotated type (None too) goes to `_write`."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return _root_text if args[0] == Root else _writer(args[0])
+    if origin is Union or origin is UnionType:
+        return _writer(next(arg for arg in args if arg is not NoneType))
+    if origin is tuple and args[1:] == (...,) and args[0] not in _LEAF_TEXT:
+        item = _writer(args[0])
+
+        def items(value, newline, memo):
+            if type(value) is not tuple or not value:
+                return _write(value, newline, memo)
+            inner, texts, last = newline + "  ", [], value  # no tuple holds itself
+            for v in value:
+                if v is not last:  # a run of one object is written once
+                    last, text = v, item(v, inner, memo)
+                texts.append(text)
+            return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+        return items
+    if not is_dataclass(tp):
+        return _write
+    members = None
+
+    def record(value, newline, memo):
+        nonlocal members
+        if type(value) is not tp:
+            return _write(value, newline, memo)
+        if (seen := memo.get((id(value), newline))) is not None:
+            return seen[1]
+        if members is None:
+            try:
+                hints = get_type_hints(tp, include_extras=True)
+            except NameError:  # an annotation that does not resolve: write by type
+                hints = {}
+            members = sorted(
+                (f.name, encode_basestring_ascii(f.name) + ": ", _writer(hints.get(f.name, object)))
+                for f in fields(tp)
+            )
+        inner = newline + "  "
+        texts = [key + write(getattr(value, name), inner, memo) for name, key, write in members]
+        text = "{" + inner + ("," + inner).join(texts) + newline + "}" if texts else "{}"
+        memo[id(value), newline] = value, text
+        return text
+
+    return record
+
+
+def _root_text(root, newline: str, memo: dict) -> str:
+    """The text of a root field's value, kept in `_root_texts`."""
+    if (hit := _root_texts.get((id(root), newline))) is not None:
+        return hit[1]
+    text = _write(root, newline, memo)
+    if type(root) is tuple and len(root) <= MAX_RANK and len(text) <= _MAX_ROOT_TEXT:
+        if _INT.issuperset(map(type, root)):
+            if len(_root_texts) >= MAX_ROOT_TEXTS:
+                _root_texts.clear()
+            _root_texts[id(root), newline] = root, text
+    return text
 
 
 # ---------------------------------------------------------------------------

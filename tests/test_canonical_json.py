@@ -13,13 +13,19 @@ the leaf arrays mix `bool`, `int` and `Fraction`; the fixed cases repeat
 one `Fraction` object in an array and one record at two indentations. Two
 count gates pin the per-call memos of the writer and of the reader on
 large reports, and equal rationals held as distinct objects are formatted
-once. The texts of tuples of ints live across calls, so rank-24
-principal reports are written cold and warm, `(1, 1)` and `(True, 1)` are
-written in separate calls, and the cache is held to its bound; a run of
-one object in an array is written once, so arrays mix shared objects with
-equal but distinct ones.
+once. Each record class has a writer built from its field annotations, so
+reports with one field replaced by a value of another type (a list for a
+tuple, an int for a rational, `None`, `(True, 1)` for a root) must still
+give the reference bytes, or TypeError for a float, set or bytes. The
+texts of root fields live across calls, keyed by the root's identity, so
+rank-24 principal reports are written cold and warm, an expert report's
+freshly decoded roots are written twice, `(1, 1)` and `(True, 1)` are
+written in separate calls, every kept text is checked against its root,
+and the cache is held to its bound; a run of one object in an array is
+written once, so arrays mix shared objects with equal but distinct ones.
 """
 
+import dataclasses
 import functools
 import gc
 import itertools
@@ -109,6 +115,21 @@ class Empty:
     pass
 
 
+@dataclass(frozen=True)
+class Unresolved:
+    """An annotation that names nothing: the field is written by its type."""
+
+    value: "NotDefined"  # noqa: F821
+
+
+@dataclass(frozen=True)
+class Node:
+    """A class that names itself in a field."""
+
+    child: "Node | None"
+    weights: tuple[Fraction, ...]
+
+
 def repeated(item, other):
     """`item` twice at one depth, and again one and two levels deeper."""
     return (item, item, Record(item, other, [item]))
@@ -165,12 +186,15 @@ MONOMIAL = QMonomial(HALF, Fraction(1, 3))
         [],
         [(), [], {}, (True,), (1,), (Fraction(1, 2),)],
         {"a": (), "b": [False, 1], "c": ((1, 2), (True, False))},
+        [Unresolved((1, HALF)), Unresolved(None)],
+        Node(Node(None, (HALF, HALF, 1)), [HALF]),
     ],
     ids=[
         "shared-fraction", "shared-fraction-nested", "shared-record",
         "record-two-indents", "records-mixed", "root-two-indents", "int-bool-arrays",
         "bools", "bool-int", "int-bool", "int-fraction", "fractions", "nones", "strs",
-        "empty-tuple", "empty-list", "nested-small", "in-dict",
+        "empty-tuple", "empty-list", "nested-small", "in-dict", "unresolved-annotation",
+        "self-naming-class",
     ],
 )
 def test_writer_matches_the_reference_on_leaf_arrays(value):
@@ -232,29 +256,120 @@ def test_root_texts_written_cold_and_warm_agree(dual):
     assert cold == warm == reference_canonical_json(report)
 
 
+@functools.cache
+def shipped_reports() -> list:
+    return [
+        run_scenario(parse_scenario_text(path.read_text()))
+        for path in sorted((ROOT / "scenarios").glob("*.json"))
+    ]
+
+
+def with_roots(*roots, witness=None):
+    """The shipped A1 report with `roots` as its sl2 support, no
+    irreducibility witnesses and `witness` as its verdict witness."""
+    report = shipped_reports()[0]
+    return dataclasses.replace(
+        report, sl2_support=roots, irreducibility_witnesses=(), verdict_witness=witness
+    )
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations([(1, 1), (True, 1), (1, True)])))
 def test_root_texts_keep_bool_apart_from_int(order):
     # (True, 1) == (1, 1) and both hash alike, so a bool tuple must never
-    # reach the cache that the all-int tuple fills
-    for wrap in (lambda v: v, lambda v: [v]):
-        for value in order:
-            assert canonical_json(wrap(value)) == reference_canonical_json(wrap(value))
+    # get the text that the all-int tuple left in the cache
+    for value in order:
+        for report in (with_roots(value), with_roots(witness=value), [with_roots(value, value)]):
+            assert canonical_json(report) == reference_canonical_json(report)
+
+
+def root_text(root, newline: str) -> str:
+    return json.dumps(list(root), indent=2).replace("\n", newline)
+
+
+def test_every_kept_root_text_holds_the_root_its_key_names():
+    scenarios._root_texts.clear()
+    reports = [principal_report(*PRINCIPAL[dual]) for dual in PRINCIPAL] + shipped_reports()
+    for value in (reports, *reports):  # batch, then check
+        assert canonical_json(value) == reference_canonical_json(value)
+    assert scenarios._root_texts
+    for (key, newline), (root, text) in scenarios._root_texts.items():
+        assert key == id(root) and type(root) is tuple
+        assert text == root_text(root, newline)
+
+
+def test_an_expert_report_with_fresh_roots_reads_the_same_twice():
+    text = (ROOT / "scenarios" / "g2-principal-expert.json").read_text()
+    report = run_scenario(parse_scenario_text(text))
+    first = emit_report_machine(report)
+    decoded = parse_report_text(first)  # its roots are new tuples
+    assert decoded.sl2_support[0] is not report.sl2_support[0]
+    assert emit_report_machine(decoded) == emit_report_machine(decoded) == first
+    assert first == reference_canonical_json(report)
 
 
 def test_root_texts_stay_within_their_bound():
-    bound = scenarios.MAX_ROOT_TEXTS
+    bound, peak = scenarios.MAX_ROOT_TEXTS, 0
     for start in range(0, 3 * bound, 100):
-        value = [(i, -i) for i in range(start, start + 100)]
+        value = with_roots(*[(i, -i) for i in range(start, start + 100)])  # new roots each time
         assert canonical_json(value) == reference_canonical_json(value)
-        assert len(scenarios._root_texts) <= bound
+        peak = max(peak, len(scenarios._root_texts))
+        assert peak <= bound
+    assert peak > bound - 100  # the reports filled the cache
     # a long tuple, a huge entry or a deep indentation is written but not kept
-    too_long = tuple(range(MAX_RANK + 1))
-    huge = (10**2000, 1)
-    deep = functools.reduce(lambda value, _: [value], range(200), (5, 6))
+    too_long = with_roots(witness=tuple(range(MAX_RANK + 1)))
+    huge = with_roots((10**2000, 1))
+    deep = functools.reduce(lambda value, _: [value], range(200), with_roots((5, 6)))
     scenarios._root_texts.clear()
     for value in (too_long, huge, deep):
         assert canonical_json(value) == reference_canonical_json(value)
     assert not scenarios._root_texts
+
+
+@functools.cache
+def typed_records() -> list:
+    """The shipped reports, the A22 principal report and the shipped
+    families' global reports."""
+    families = sorted((ROOT / "families").glob("*.json"))
+    return shipped_reports() + [principal_report(*PRINCIPAL["A22"])] + [
+        ramanujan_report(parse_family_text(path.read_text())) for path in families
+    ]
+
+
+REFUSED = (1.5, {1, 2}, b"x")  # json.dumps writes a float; the writer refuses all three
+FOREIGN = (None, 0, 7, True, False, Fraction(1, 3), "x", (), [], (1, 1), (True, 1), QMonomial())
+
+
+@st.composite
+def foreign(draw, value):
+    """`value` with one part replaced by a value of another type: the whole
+    of it, a tuple as a list, or (recursively) one item of a tuple. Returns
+    the new value and whether it holds a type the writer refuses."""
+    choices = ["leaf", "refused"] + ["list", "item"] * (type(value) is tuple and bool(value))
+    choice = draw(st.sampled_from(choices))
+    if choice == "leaf":
+        return draw(st.sampled_from(FOREIGN)), False
+    if choice == "refused":
+        return draw(st.sampled_from(REFUSED)), True
+    if choice == "list":
+        return list(value), False
+    i = draw(st.integers(0, len(value) - 1))
+    item, refused = draw(foreign(value[i]))
+    return value[:i] + (item,) + value[i + 1:], refused
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_typed_writers_match_the_reference_on_foreign_fields(data):
+    record = data.draw(st.sampled_from(typed_records()))
+    name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(record)]))
+    value, refused = data.draw(foreign(getattr(record, name)))
+    changed = dataclasses.replace(record, **{name: value})
+    for written in (changed, [record, changed]):  # as `check` and `global`, and as `batch`
+        if refused:
+            with pytest.raises(TypeError):
+                canonical_json(written)
+        else:
+            assert canonical_json(written) == reference_canonical_json(written)
 
 
 EQUAL_HALF = Fraction(1, 2)  # equal to HALF but another object
@@ -392,12 +507,8 @@ def run_cli(capsys, *argv) -> str:
 
 
 def test_batch_machine_output_matches_the_reference(capsys):
-    reports = [
-        run_scenario(parse_scenario_text(path.read_text()))
-        for path in sorted((ROOT / "scenarios").glob("*.json"))
-    ]
     out = run_cli(capsys, "batch", str(ROOT / "scenarios"), "--format", "machine")
-    assert out == reference_canonical_json(reports)
+    assert out == reference_canonical_json(shipped_reports())
 
 
 @pytest.mark.parametrize(
