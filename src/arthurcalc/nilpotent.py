@@ -262,11 +262,12 @@ def _partition_sl2(family: str, rank: int, parts: tuple[int, ...]) -> SL2Data:
                 support.add(_from_epsilon(family, x))
 
     d = build_root_datum(CartanSpec(family, rank))
-    # positive roots in root_index order (height ascending, then coefficients
-    # descending); a root outside the index sorts last and fails the
-    # validation below
-    index = d.root_index
-    data = SL2Data(diagram, tuple(sorted(support, key=lambda root: index.get(root, len(index)))))
+    # the datum's own root objects in root_index order (height ascending, then
+    # coefficients descending); a root outside the index stays as built,
+    # sorts last and fails the validation below
+    index, positive = d.root_index, d.positive_roots
+    ranked = sorted(support, key=lambda root: index.get(root, len(index)))
+    data = SL2Data(diagram, tuple([positive[index[r]] if r in index else r for r in ranked]))
     try:
         validate_sl2_data(d, data)
     except ValidationError as err:

@@ -4,7 +4,7 @@ From arthurcalc this module imports only input validation
 (`validate_partition`, `partition_total`), root data (a `RootDatum`'s rank,
 Cartan matrix and positive-root list), the `QMonomial` and
 `UnramifiedParameter` constructors, the error type a singular system
-raises, and the report decoder (`scenarios._decode`), which reads global
+raises, and the report decoder (`codec._decode`), which reads global
 reports here because only the tests read them. It shares no code with the
 layers it checks:
 
@@ -37,11 +37,12 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
+from arthurcalc.codec import _decode
 from arthurcalc.errors import InvariantViolation
 from arthurcalc.nilpotent import partition_total, validate_partition
 from arthurcalc.parameters import QMonomial, UnramifiedParameter
 from arthurcalc.roots import RootDatum
-from arthurcalc.scenarios import GlobalReport, _decode
+from arthurcalc.scenarios import GlobalReport
 
 Matrix = tuple[tuple[int, ...], ...]
 

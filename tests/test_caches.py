@@ -12,8 +12,10 @@ The README table is the one list of caches, and its columns give each
 cache's key, its bound (for an unbounded cache, the reason its key domain
 is finite) and why it is kept. A row names its caches in its first cell
 as `module.name`; a name there is a scanned cache, or a module-level dict
-that a function of the package fills (`scenarios._root_texts`, the texts
-of root fields keyed by the root's identity).
+that a function of the package fills (`codec._root_texts`, the texts of
+root fields keyed by the root's identity). The codec's one annotation
+cache, `codec._codec`, builds each annotation's decoder and writer
+together, so it has one row.
 
 A cache that lives with one object is a `roots.cached_attribute`, the one
 such mechanism: the last tests pin its behaviour and scan the package for

@@ -23,14 +23,20 @@ freshly decoded roots are written twice, `(1, 1)` and `(True, 1)` are
 written in separate calls, every kept text is checked against its root,
 and the cache is held to its bound; a run of one object in an array is
 written once, so arrays mix shared objects with equal but distinct ones.
+Every root a package-built report names is its dual datum's own object, so
+the 30 principal-large reports keep one text per datum root and
+indentation. The writer and the reader live in `arthurcalc.codec`, which
+imports only `errors` and `roots` from the package.
 """
 
+import ast
 import dataclasses
 import functools
 import gc
 import itertools
 import json
 import re
+import sys
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +49,7 @@ from oracle import global_report_from_dict, reference_canonical_json
 from test_fuzz import hostile_cases, library_scenarios
 from test_parameters import arthur_parameters
 
-from arthurcalc import cli, scenarios
+from arthurcalc import cli, codec
 from arthurcalc.errors import ValidationError
 from arthurcalc.nilpotent import is_very_even, weighted_diagram
 from arthurcalc.parameters import (
@@ -52,7 +58,7 @@ from arthurcalc.parameters import (
     langlands_parameter,
     make_arthur_parameter,
 )
-from arthurcalc.roots import MAX_RANK, CartanSpec
+from arthurcalc.roots import MAX_RANK, CartanSpec, build_root_datum, dual_datum
 from arthurcalc.scenarios import (
     MAX_NUMERAL_DIGITS,
     Scenario,
@@ -249,9 +255,9 @@ PRINCIPAL_24 = {
 @pytest.mark.parametrize("dual", PRINCIPAL_24)
 def test_root_texts_written_cold_and_warm_agree(dual):
     report = principal_report(*PRINCIPAL_24[dual])
-    scenarios._root_texts.clear()
+    codec._root_texts.clear()
     cold = emit_report_machine(report)
-    assert scenarios._root_texts  # the roots were kept for the next call
+    assert codec._root_texts  # the roots were kept for the next call
     warm = emit_report_machine(report)
     assert cold == warm == reference_canonical_json(report)
 
@@ -287,14 +293,55 @@ def root_text(root, newline: str) -> str:
 
 
 def test_every_kept_root_text_holds_the_root_its_key_names():
-    scenarios._root_texts.clear()
+    codec._root_texts.clear()
     reports = [principal_report(*PRINCIPAL[dual]) for dual in PRINCIPAL] + shipped_reports()
     for value in (reports, *reports):  # batch, then check
         assert canonical_json(value) == reference_canonical_json(value)
-    assert scenarios._root_texts
-    for (key, newline), (root, text) in scenarios._root_texts.items():
+    assert codec._root_texts
+    for (key, newline), (root, text) in codec._root_texts.items():
         assert key == id(root) and type(root) is tuple
         assert text == root_text(root, newline)
+
+
+# dual (family, rank) -> the principal partition and two others, the third
+# file without the genericity assumption: the principal-large benchmark inputs
+LARGE = {
+    ("A", 12): ((13,), (8, 3, 2), (9, 4)),
+    ("A", 14): ((15,), (8, 4, 2, 1), (9, 4, 1, 1)),
+    ("A", 16): ((17,), (13, 4), (10, 5, 2)),
+    ("A", 18): ((19,), (9, 4, 2, 2, 1, 1), (11, 7, 1)),
+    ("A", 20): ((21,), (10, 6, 3, 2), (10, 4, 3, 2, 1, 1)),
+    ("A", 22): ((23,), (19, 3, 1), (17, 5, 1)),
+    ("B", 12): ((25,), (11, 9, 5), (17, 5, 1, 1, 1)),
+    ("C", 12): ((24,), (10, 4, 4, 3, 3), (10, 7, 7)),
+    ("D", 12): ((23, 1), (11, 6, 6, 1), (11, 7, 2, 2, 1, 1)),
+    ("D", 13): ((25, 1), (10, 10, 3, 1, 1, 1), (11, 7, 7, 1)),
+}
+GROUP_OF_DUAL = {"A": "A", "B": "C", "C": "B", "D": "D"}
+
+
+def test_report_roots_are_datum_roots_with_one_kept_text_each():
+    # the support, the witness and the vanishing roots of a package-built
+    # report are its dual datum's own objects, so writing the 30 reports
+    # keeps one text per root of each datum and indentation
+    large = []
+    for (family, rank), partitions in LARGE.items():
+        spec = CartanSpec(GROUP_OF_DUAL[family], rank)
+        for i, parts in enumerate(partitions):
+            scenario = Scenario(f"{spec}-{i}", spec, (0,) * rank, "partition", parts, None, i != 2)
+            large.append(run_scenario(scenario))
+    owner = {}
+    for report in large + [r for r in shipped_reports() if r.sl2_kind != "expert"]:
+        roots = dual_datum(build_root_datum(report.group)).positive_roots
+        own = {id(root): report.dual for root in roots}
+        named = [*report.sl2_support, *report.irreducibility_witnesses, report.verdict_witness]
+        assert all(id(root) in own for root in named if root is not None), report.label
+        owner.update(own)
+    codec._root_texts.clear()
+    for report in large:
+        assert emit_report_machine(report) == reference_canonical_json(report)
+    kept = {(owner[key], root, newline) for (key, newline), (root, _) in codec._root_texts.items()}
+    assert len(codec._root_texts) == len(kept) == 448
 
 
 def test_an_expert_report_with_fresh_roots_reads_the_same_twice():
@@ -308,21 +355,21 @@ def test_an_expert_report_with_fresh_roots_reads_the_same_twice():
 
 
 def test_root_texts_stay_within_their_bound():
-    bound, peak = scenarios.MAX_ROOT_TEXTS, 0
+    bound, peak = codec.MAX_ROOT_TEXTS, 0
     for start in range(0, 3 * bound, 100):
         value = with_roots(*[(i, -i) for i in range(start, start + 100)])  # new roots each time
         assert canonical_json(value) == reference_canonical_json(value)
-        peak = max(peak, len(scenarios._root_texts))
+        peak = max(peak, len(codec._root_texts))
         assert peak <= bound
     assert peak > bound - 100  # the reports filled the cache
     # a long tuple, a huge entry or a deep indentation is written but not kept
     too_long = with_roots(witness=tuple(range(MAX_RANK + 1)))
     huge = with_roots((10**2000, 1))
     deep = functools.reduce(lambda value, _: [value], range(200), with_roots((5, 6)))
-    scenarios._root_texts.clear()
+    codec._root_texts.clear()
     for value in (too_long, huge, deep):
         assert canonical_json(value) == reference_canonical_json(value)
-    assert not scenarios._root_texts
+    assert not codec._root_texts
 
 
 @functools.cache
@@ -436,9 +483,9 @@ def test_langlands_coordinates_equal_the_unshared_construction(psi):
 def counted_formattings(monkeypatch) -> list:
     """The rationals `format_fraction` formats from now on, one per call."""
     calls = []
-    format_fraction = scenarios.format_fraction
+    format_fraction = codec.format_fraction
     monkeypatch.setattr(
-        scenarios, "format_fraction", lambda x: calls.append(x) or format_fraction(x)
+        codec, "format_fraction", lambda x: calls.append(x) or format_fraction(x)
     )
     return calls
 
@@ -479,11 +526,11 @@ def test_reader_parses_each_distinct_rational_string_once(monkeypatch):
     text = emit_report_machine(report)
     strings = re.findall(r'"(-?[0-9]+/[0-9]+)"', text)
     assert len(strings) == 938
-    parse = scenarios.parse_fraction
+    parse = codec.parse_fraction
     for _ in range(2):
         calls = []
         monkeypatch.setattr(
-            scenarios,
+            codec,
             "parse_fraction",
             lambda value, field: calls.append(value) or parse(value, field),
         )
@@ -546,3 +593,18 @@ def test_emission_leaves_no_cyclic_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert garbage == []
+
+
+def test_the_codec_imports_only_errors_and_roots():
+    # a report is read back without the classifier or the pipeline
+    tree = ast.parse((ROOT / "src" / "arthurcalc" / "codec.py").read_text())
+    package, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            other.update(alias.name.split(".")[0] for alias in node.names)
+    assert package == {"errors", "roots"}
+    assert other <= sys.stdlib_module_names | {"__future__"}

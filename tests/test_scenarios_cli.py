@@ -13,6 +13,7 @@ import pytest
 from oracle import encode, global_report_from_dict, scenario_payload, trivial_parameter
 
 from arthurcalc import cli
+from arthurcalc.codec import parse_fraction
 from arthurcalc.errors import InvariantViolation, ValidationError
 from arthurcalc.lfactors import grade_nilradical, inverse_vanishes_at, l_factor
 from arthurcalc.parameters import (
@@ -30,7 +31,6 @@ from arthurcalc.scenarios import (
     Scenario,
     emit_report_machine,
     family_from_dict,
-    parse_fraction,
     parse_report_text,
     parse_scenario_text,
     ramanujan_report,
@@ -40,6 +40,8 @@ from arthurcalc.scenarios import (
     scenario_from_dict,
 )
 
+
+ROOT = Path(__file__).resolve().parent.parent
 
 def a1_payload(**overrides):
     payload = {
@@ -335,6 +337,49 @@ def test_report_decoder_names_the_field(case):
         target[last] = value
     with pytest.raises(ValidationError, match=message):
         report_from_dict(payload)
+
+
+# One edit of the a2-subregular golden each, and the exact refusal: records of
+# rationals alone given no object, a tuple field given an object, a root of
+# the wrong length, an optional record given a list, an unknown key at the top.
+GOLDEN_REFUSALS = {
+    "monomial-as-list": (
+        ["parameter", 0],
+        ["0/1", "0/1"],
+        "parameter[1]: expected an object, got ['0/1', '0/1']",
+    ),
+    "monomial-as-string": (["parameter", 1], "1/2", "parameter[2]: expected an object, got '1/2'"),
+    "monomial-as-null": (
+        ["eigenvalues_by_level", 0, 0],
+        None,
+        "eigenvalues_by_level[1][1]: expected an object, got None",
+    ),
+    "tuple-as-object": (["levels"], {"1": 1}, "levels: expected a list, got {'1': 1}"),
+    "root-too-long": (
+        ["sl2_support", 0],
+        [1, 1, 0],
+        "sl2_support[1]: expected 2 coefficients, got 3",
+    ),
+    "optional-record-as-list": (
+        ["certificate_eigenvalue"],
+        ["0/1", "1/1"],
+        "certificate_eigenvalue: expected an object, got ['0/1', '1/1']",
+    ),
+    "unknown-top-level-key": (["verdict"], "NonTempered", "report: unknown keys ['verdict']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REFUSALS))
+def test_report_decoder_refusals_on_a_golden(case):
+    (*parents, last), value, message = GOLDEN_REFUSALS[case]
+    payload = json.loads((ROOT / "tests" / "golden" / "a2-subregular.machine.json").read_text())
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValidationError) as refused:
+        report_from_dict(payload)
+    assert str(refused.value) == message
 
 
 # Two rational fields edited at once: the decoder builds one Fraction per
@@ -706,6 +751,36 @@ def test_cli_orbits(capsys):
     assert by_partition[(2, 2, 2, 2)]["support"] == [[0, 0, 0, 1], [1, 2, 1, 1]]
 
 
+# Text goldens: the command line of each, run from the repository root.
+TEXT_GOLDENS = {
+    "batch-certify.txt": ["batch", "scenarios", "--certify"],
+    "family-mixed.txt": ["global", "families/family-mixed.json"],
+    "family-tempered.txt": ["global", "families/family-tempered.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDENS))
+def test_cli_text_output_matches_its_golden(name, capsys):
+    verb, path, *flags = TEXT_GOLDENS[name]
+    assert cli.main([verb, str(ROOT / path), *flags]) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / name).read_text()
+
+
+def test_cli_batch_text_is_the_certify_golden_without_its_levels(capsys):
+    golden = (ROOT / "tests" / "golden" / "batch-certify.txt").read_text()
+    assert cli.main(["batch", str(ROOT / "scenarios")]) == 0
+    kept = [line for line in golden.splitlines(keepends=True) if not line.startswith("  level ")]
+    assert capsys.readouterr().out == "".join(kept)
+
+
+def test_a_very_even_report_says_so_in_text():
+    scenario = Scenario("d4-very-even", CartanSpec("D", 4), (0,) * 4, "partition", (2, 2, 2, 2))
+    report = run_scenario(scenario)
+    assert report.very_even
+    text = render_report_text(report)
+    assert "; very even (labels two orbits; not disambiguated)\n" in text
+
+
 def test_cli_orbits_rejects_exceptional_family(capsys):
     assert cli.main(["orbits", "G", "2"]) == 1
     assert "families A, B, C, D" in capsys.readouterr().err
@@ -731,7 +806,7 @@ HOSTILE_FILES = {
     "deep.json": (b"[" * 100000, "not valid JSON: nested too deeply"),
     "huge-literal.json": (HUGE_LITERAL.encode(), "not valid JSON: Exceeds the limit"),
 }
-SRC = Path(__file__).resolve().parent.parent / "src"
+SRC = ROOT / "src"
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_FILES))

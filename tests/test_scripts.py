@@ -109,3 +109,22 @@ def test_stage_times_names_each_failing_file(tmp_path):
         str(tmp_path / "broken.json"),
         str(tmp_path / "huge.json"),
     ]
+
+
+@pytest.mark.parametrize(
+    "argument, unreached, code", [("5", [10, 11, 12, 16], 2), ("-3", [9, 12, 16], 0)]
+)
+def test_line_coverage_lists_the_lines_a_run_misses(argument, unreached, code):
+    """On a fixture module: its lines that one branch of `sign` leaves out,
+    with the module's exit code passed on."""
+    fixture = "tests/data/line_coverage"
+    done = subprocess.run(
+        [sys.executable, "scripts/line_coverage.py", "--source", fixture, "sample", argument],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": fixture},
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines() == [f"{fixture}/sample.py:{line}" for line in unreached]
+    assert done.stderr == f"{len(unreached)} of 12 executable lines unreached in 1 files\n"
