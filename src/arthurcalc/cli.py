@@ -10,6 +10,11 @@ Verbs:
 `--certify` adds the full per-level eigenvalue multisets in text mode and
 the sl2 support in orbit listings. Exit codes: 0 success (and `--help`),
 1 validation or usage error, 2 internal invariant violation.
+
+Each verb's handler returns the value it made and a function that renders
+that value as text. `main` is the one place that chooses between text and
+machine output and writes to stdout; text is rendered only in text mode.
+The entry points are `python -m arthurcalc` and the `arthurcalc` script.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .nilpotent import is_very_even, sl2_from_partition, weighted_diagram
 from .roots import CartanSpec, format_root
 from .scenarios import (
     canonical_json,
-    emit_report_machine,
     parse_family_text,
     parse_scenario_text,
     ramanujan_report,
@@ -66,17 +70,12 @@ def _read_text(path: Path) -> str:
         raise ValidationError(f"cannot read {path}: not UTF-8 text (byte {err.start})")
 
 
-def _cmd_check(args) -> int:
-    scenario = parse_scenario_text(_read_text(Path(args.scenario_file)))
-    report = run_scenario(scenario)
-    if args.format == "machine":
-        sys.stdout.write(emit_report_machine(report))
-    else:
-        sys.stdout.write(render_report_text(report, certify=args.certify))
-    return 0
+def _cmd_check(args):
+    report = run_scenario(parse_scenario_text(_read_text(Path(args.scenario_file))))
+    return report, lambda: render_report_text(report, certify=args.certify)
 
 
-def _cmd_batch(args) -> int:
+def _cmd_batch(args):
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ValidationError(f"not a directory: {directory}")
@@ -89,55 +88,48 @@ def _cmd_batch(args) -> int:
             reports.append(run_scenario(parse_scenario_text(_read_text(path))))
         except ValidationError as err:
             raise ValidationError(f"{path.name}: {err}")
-    if args.format == "machine":
-        sys.stdout.write(canonical_json(reports))
-    else:
-        sys.stdout.write(
-            "\n".join(render_report_text(r, certify=args.certify) for r in reports)
-        )
-    return 0
+    return reports, lambda: "\n".join(
+        render_report_text(r, certify=args.certify) for r in reports
+    )
 
 
-def _cmd_global(args) -> int:
-    family = parse_family_text(_read_text(Path(args.family_file)))
-    report = ramanujan_report(family)
-    if args.format == "machine":
-        sys.stdout.write(canonical_json(report))
-    else:
-        sys.stdout.write(render_global_text(report))
-    return 0
+def _cmd_global(args):
+    report = ramanujan_report(parse_family_text(_read_text(Path(args.family_file))))
+    return report, lambda: render_global_text(report)
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args):
     spec = CartanSpec(args.family.upper(), args.rank)
     if spec.family not in ("A", "B", "C", "D"):
         raise ValidationError(
             f"partition classification covers families A, B, C, D; got {spec.family}",
             field="family",
         )
+    # rows keep the tuples they are built from: the writer gives tuples the
+    # bytes of lists
     rows = []
     for parts in valid_partitions(spec.family, spec.rank):
-        row = {"partition": list(parts), "very_even": is_very_even(spec.family, parts)}
+        row = {"partition": parts, "very_even": is_very_even(spec.family, parts)}
         if args.certify:  # the sl2 data hold the diagram
             data = sl2_from_partition(spec.family, spec.rank, parts)
-            row.update(diagram=list(data.diagram), support=[list(r) for r in data.support])
+            row.update(diagram=data.diagram, support=data.support)
         else:
-            row["diagram"] = list(weighted_diagram(spec.family, spec.rank, parts))
+            row["diagram"] = weighted_diagram(spec.family, spec.rank, parts)
         rows.append(row)
-    if args.format == "machine":
-        sys.stdout.write(canonical_json(rows))
-        return 0
-    lines = [f"{spec}: {len(rows)} nilpotent orbits"]
-    for row in rows:
-        line = f"  {row['partition']} -> diagram {row['diagram']}"
-        if row["very_even"]:
-            line += " (very even)"
-        lines.append(line)
-        if args.certify:
-            named = ", ".join(format_root(tuple(root)) for root in row["support"])
-            lines.append("      support {" + named + "}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+
+    def render() -> str:
+        lines = [f"{spec}: {len(rows)} nilpotent orbits"]
+        for row in rows:
+            line = f"  {list(row['partition'])} -> diagram {list(row['diagram'])}"
+            if row["very_even"]:
+                line += " (very even)"
+            lines.append(line)
+            if args.certify:
+                named = ", ".join(format_root(root) for root in row["support"])
+                lines.append("      support {" + named + "}")
+        return "\n".join(lines) + "\n"
+
+    return rows, render
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,14 +190,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        value, render_text = args.handler(args)
+        sys.stdout.write(canonical_json(value) if args.format == "machine" else render_text())
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InvariantViolation as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Annotated
 
 from .classifier import VerdictKind, genericity_verdict, packet_verdict, standard_module_datum
@@ -75,7 +74,12 @@ NONTEMPERED_NOTE = (
 @dataclass(frozen=True)
 class Scenario:
     """One unramified place: the group, unit Satake angles on the dual
-    datum's simple roots, the sl2 component, and the genericity flag."""
+    datum's simple roots, the sl2 component, and the genericity flag.
+
+    Construction is where a scenario is refused. After every check of its
+    fields, it builds the scenario's Arthur parameter on the dual datum,
+    so a unit part that does not centralize the sl2 image is refused here,
+    on field `parameter`. The parameter is kept as `arthur_parameter`."""
 
     label: str
     group: CartanSpec
@@ -84,6 +88,7 @@ class Scenario:
     partition: tuple[int, ...] | None = None
     expert_data: SL2Data | None = None
     generic_assumption: bool = True
+    arthur_parameter = None  # built by `__post_init__`; not a field
 
     def __post_init__(self):
         _expect_str(self.label, "label")
@@ -111,7 +116,8 @@ class Scenario:
                 f"expected {dual.rank} angles, got {len(angles)}",
                 field="satake_angles",
             )
-        if lcm(*(a.denominator for a in angles)) >= _NUMERAL_BOUND:
+        phi = unit_parameter(dual, angles)
+        if phi.integer_form[0] >= _NUMERAL_BOUND:
             # every angle in the report is a sum of these angles, and a
             # report must read back under the numeral cap
             raise ValidationError(
@@ -139,19 +145,21 @@ class Scenario:
             data = self.expert_data
             shaped = isinstance(data, SL2Data) and isinstance(data.diagram, (tuple, list))
             if shaped and isinstance(data.support, (tuple, list)):
-                # tuples read back equal, and each run finds the checked copy marked
+                # tuples read back equal, and the Arthur parameter finds this copy marked
                 data = SL2Data(tuple(data.diagram), tuple(data.support))
             validate_sl2_data(dual, data)
             object.__setattr__(self, "expert_data", data)
         _expect_bool(self.generic_assumption, "generic_assumption")
+        if self.sl2_kind == "trivial":
+            sl2 = SL2Data((0,) * dual.rank, ())
+        elif self.sl2_kind == "partition":
+            sl2 = sl2_from_partition(dual.spec.family, dual.rank, self.partition)
+        else:
+            sl2 = self.expert_data
+        object.__setattr__(self, "arthur_parameter", make_arthur_parameter(phi, sl2))
 
     def resolved_sl2(self) -> SL2Data:
-        dual = dual_datum(build_root_datum(self.group)).spec
-        if self.sl2_kind == "trivial":
-            return SL2Data((0,) * dual.rank, ())
-        if self.sl2_kind == "partition":
-            return sl2_from_partition(dual.family, dual.rank, self.partition)
-        return self.expert_data
+        return self.arthur_parameter.sl2
 
 
 def scenario_from_dict(payload, field: str = "") -> Scenario:
@@ -269,13 +277,12 @@ class Report:
 
 
 def run_scenario(s: Scenario) -> Report:
-    """Full pipeline: build the Arthur parameter on the dual datum, classify,
-    and assemble the certificate report. Internal cross-checks raise
+    """Full pipeline on the scenario's own Arthur parameter: classify, and
+    assemble the certificate report. It only derives: a built scenario
+    gives it nothing to refuse. Internal cross-checks raise
     InvariantViolation rather than shading the verdict."""
-    dual = dual_datum(build_root_datum(s.group))
-    sl2 = s.resolved_sl2()
-    phi = unit_parameter(dual, s.satake_angles)
-    psi = make_arthur_parameter(phi, sl2)
+    psi = s.arthur_parameter
+    dual, sl2 = psi.datum, psi.sl2
     sm = standard_module_datum(psi, s.generic_assumption)
     verdict = packet_verdict(psi, sm)
     ratio = sm.coefficient_ratio
@@ -502,12 +509,7 @@ class GlobalReport:
 
 
 def ramanujan_report(f: PlaceFamily) -> GlobalReport:
-    reports = []
-    for i, (_, scenario) in enumerate(f.places):
-        try:
-            reports.append(run_scenario(scenario))
-        except ValidationError as err:
-            raise err.under(f"places[{i + 1}].scenario")
+    reports = [run_scenario(scenario) for _, scenario in f.places]
     labels = tuple(place_label for place_label, _ in f.places)
     verdicts = tuple(r.verdict_kind for r in reports)
     nontempered = tuple(

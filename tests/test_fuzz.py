@@ -14,7 +14,9 @@ accepted monomial must hold its values exactly; an accepted root datum must
 hold its spec's Cartan matrix or the transpose, and a refused one must be
 refused in well under a second; an accepted parameter or
 record must go through the parameter layer and the classifier; an accepted
-vector must come out as exact Fractions that the oracle confirms.
+vector must come out as exact Fractions that the oracle confirms. A
+wrong-length, wrong-type or misaligned argument to a library function is
+refused with its own message, checked exactly.
 """
 
 import copy
@@ -37,15 +39,19 @@ from oracle import (
 
 from arthurcalc.classifier import StandardModuleDatum, classify_packet, irreducibility_verdict
 from arthurcalc.errors import ValidationError
-from arthurcalc.nilpotent import SL2Data, sl2_from_partition, weighted_diagram
+from arthurcalc.lfactors import LocalLFactor, eigenvalues_by_level, grade_nilradical, l_factor
+from arthurcalc.nilpotent import SL2Data, sl2_from_partition, validate_sl2_data, weighted_diagram
 from arthurcalc.parameters import (
     QMonomial,
     UnramifiedParameter,
     apply_word_parameter,
+    defining_levi,
     eigenvalue_pairs,
     evaluate_root,
     make_arthur_parameter,
+    recompose_parameter,
     recover_arthur_data,
+    unit_parameter,
 )
 from arthurcalc.roots import (
     CartanSpec,
@@ -53,12 +59,14 @@ from arthurcalc.roots import (
     build_root_datum,
     cartan_matrix,
     character_exponents,
+    diagram_pairing,
     dominantize,
     dual_datum,
     evaluation_exponents,
     root_positions,
 )
 from arthurcalc.scenarios import (
+    PlaceFamily,
     Scenario,
     canonical_json,
     emit_report_machine,
@@ -69,6 +77,7 @@ from arthurcalc.scenarios import (
     run_scenario,
     scenario_from_dict,
 )
+from arthurcalc.sweeps import valid_partitions
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = [
@@ -445,3 +454,54 @@ def test_records_refuse_a_parameter_of_the_wrong_type(value):
             build(value)
         assert info.value.field == "parameter"
         assert info.value.raw_message == f"expected an UnramifiedParameter, got {value!r}"
+
+
+A2 = build_root_datum(CartanSpec("A", 2))
+A2_UNIT = unit_parameter(A2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: unit_parameter("A2", (0, 0)), "datum: expected a RootDatum, got 'A2'"),
+        (lambda: unit_parameter(A2, (0,)), "expected 2 coordinates, got 1"),
+        (lambda: evaluate_root((1,), A2_UNIT), "root length does not match the parameter's rank"),
+        (lambda: recompose_parameter(A2_UNIT, (1,)), "exponent vector length does not match rank"),
+        (lambda: defining_levi((1,), A2), "exponent vector length does not match rank"),
+        (lambda: diagram_pairing((1, 0), (2,)), "root and diagram lengths differ"),
+        (
+            lambda: validate_sl2_data(A2, SL2Data((2, 2), ((1, 0, 0),))),
+            "sl2: support root (1, 0, 0) has the wrong length",
+        ),
+        (lambda: valid_partitions("G", 2), "family: family 'G' has no partition classification"),
+        (
+            lambda: LocalLFactor("r-tilde", ((1, 0),), 1, ()),
+            "roots and eigenvalues are misaligned",
+        ),
+        (
+            lambda: eigenvalues_by_level(
+                grade_nilradical(A2, frozenset({0})),
+                l_factor(grade_nilradical(A2, frozenset()), A2_UNIT, "r-tilde"),
+            ),
+            "factor and grading are misaligned",
+        ),
+        (lambda: PlaceFamily("f", (("v", "x"),)), "places[1].scenario: expected a scenario"),
+    ],
+    ids=[
+        "unit_parameter-datum",
+        "unit_parameter-count",
+        "evaluate_root",
+        "recompose_parameter",
+        "defining_levi",
+        "diagram_pairing",
+        "validate_sl2_data",
+        "valid_partitions",
+        "LocalLFactor",
+        "eigenvalues_by_level",
+        "PlaceFamily",
+    ],
+)
+def test_library_refusals_name_the_fault(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -563,14 +563,45 @@ def write_scenario(path, payload):
 
 
 def centralizer_failure_payload():
-    # parses, but the run refuses it: the principal A2 orbit needs every
-    # simple root to evaluate to 1
+    # refused when the scenario is read, on field `parameter`: the principal
+    # A2 orbit needs every simple root to evaluate to 1
     return a1_payload(
         label="bad",
         group={"family": "A", "rank": 2},
         satake_angles=["1/2", "1/2"],
         sl2={"partition": [3]},
     )
+
+
+CENTRALIZER_MESSAGE = (
+    "parameter: centralizer condition fails at a1: evaluation zeta(1/2) is not 1"
+)
+
+
+def test_a_centralizer_failure_is_refused_when_the_scenario_is_built():
+    with pytest.raises(ValidationError) as info:
+        parse_scenario_text(json.dumps(centralizer_failure_payload()))
+    assert str(info.value) == CENTRALIZER_MESSAGE
+    half = Fraction(1, 2)
+    with pytest.raises(ValidationError) as info:
+        Scenario("bad", CartanSpec("A", 2), (half, half), "partition", (3,))
+    assert str(info.value) == CENTRALIZER_MESSAGE
+
+
+def test_a_scenario_failing_two_checks_is_refused_on_the_earlier_one():
+    """The Arthur parameter is built after every check of the fields, so a
+    bad genericity flag is named before a centralizer failure."""
+    payload = {**centralizer_failure_payload(), "generic_assumption": "yes"}
+    with pytest.raises(ValidationError) as info:
+        parse_scenario_text(json.dumps(payload))
+    assert str(info.value) == "generic_assumption: expected a boolean, got 'yes'"
+
+
+def test_a_run_derives_from_the_scenario_s_own_parameter():
+    s = parse_scenario_text(json.dumps(a1_payload()))
+    assert "langlands_parameter" not in s.arthur_parameter.__dict__
+    run_scenario(s)
+    assert "langlands_parameter" in s.arthur_parameter.__dict__
 
 
 def test_cli_check_text_and_machine(tmp_path, capsys):
@@ -626,7 +657,7 @@ def test_cli_batch_prefixes_errors_with_the_file(tmp_path, capsys):
     (tmp_path / "broken.json").write_text("{")
     assert cli.main(["batch", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: broken.json:")
-    # a file that parses but whose run is refused is named the same way
+    # a file refused on its Arthur parameter is named the same way
     (tmp_path / "broken.json").unlink()
     write_scenario(tmp_path / "zz-bad.json", centralizer_failure_payload())
     assert cli.main(["batch", str(tmp_path)]) == 1

@@ -3,6 +3,7 @@ against the package sources."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +129,15 @@ def test_line_coverage_lists_the_lines_a_run_misses(argument, unreached, code):
     assert done.returncode == code, done.stderr
     assert done.stdout.splitlines() == [f"{fixture}/sample.py:{line}" for line in unreached]
     assert done.stderr == f"{len(unreached)} of 12 executable lines unreached in 1 files\n"
+
+
+def test_cli_digest_matches_the_committed_digests(monkeypatch, capsys):
+    """The CLI writes the committed bytes, in every mode, on the shipped
+    inputs and the orbit listings. The script runs in this process, so a
+    line trace of tier-1 sees the CLI branches it takes."""
+    monkeypatch.chdir(ROOT)  # the script moves to the root; this moves back after
+    script = runpy.run_path(str(ROOT / "scripts" / "cli_digest.py"))
+    assert script["main"]() == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (ROOT / "tests" / "golden" / "cli-digests.txt").read_text()
