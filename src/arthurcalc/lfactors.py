@@ -205,7 +205,7 @@ class CoefficientRatio:
     def irreducible(self) -> bool:
         return not self.witnesses
 
-    @property
+    @cached_attribute
     def witness_roots(self) -> tuple[Root, ...]:
         return tuple([self.denominator.roots[i] for i in self.witnesses])
 

@@ -55,8 +55,6 @@ MEMBERSHIP_FLAG = "arthur-packet-membership"
 PROPAGATION_FLAG = "temperedness-propagation"
 ASSUMPTION_FLAGS = (MEMBERSHIP_FLAG, PROPAGATION_FLAG)
 
-SL2_KINDS = ("trivial", "partition", "expert")
-
 TEMPERED_NOTE = (
     "tempered parameter; the standard module is irreducible and the packet "
     "is compatible with a generic member"
@@ -76,6 +74,9 @@ class Scenario:
     """One unramified place: the group, unit Satake angles on the dual
     datum's simple roots, the sl2 component, and the genericity flag.
 
+    `sl2` is None for the trivial orbit, a partition of the dual datum's
+    family, or expert `SL2Data` on the dual datum; `sl2_kind` names which.
+
     Construction is where a scenario is refused. After every check of its
     fields, it builds the scenario's Arthur parameter on the dual datum,
     so a unit part that does not centralize the sl2 image is refused here,
@@ -84,19 +85,12 @@ class Scenario:
     label: str
     group: CartanSpec
     satake_angles: tuple[Fraction, ...]
-    sl2_kind: str
-    partition: tuple[int, ...] | None = None
-    expert_data: SL2Data | None = None
+    sl2: tuple[int, ...] | SL2Data | None = None
     generic_assumption: bool = True
     arthur_parameter = None  # built by `__post_init__`; not a field
 
     def __post_init__(self):
         _expect_str(self.label, "label")
-        if self.sl2_kind not in SL2_KINDS:
-            raise ValidationError(
-                f"sl2 kind must be one of {SL2_KINDS}, got {self.sl2_kind!r}",
-                field="sl2",
-            )
         if not isinstance(self.group, CartanSpec):
             raise ValidationError(f"expected a CartanSpec, got {self.group!r}", field="group")
         dual = dual_datum(build_root_datum(self.group))
@@ -125,38 +119,31 @@ class Scenario:
                 field="satake_angles",
             )
         object.__setattr__(self, "satake_angles", angles)
-        if (self.partition is not None) != (self.sl2_kind == "partition"):
-            raise ValidationError(
-                "partition must be given exactly for the partition kind", field="sl2"
-            )
-        if (self.expert_data is not None) != (self.sl2_kind == "expert"):
-            raise ValidationError(
-                "expert data must be given exactly for the expert kind", field="sl2"
-            )
-        if self.sl2_kind == "partition":
+        sl2 = self.sl2
+        if sl2 is None:
+            data = SL2Data((0,) * dual.rank, ())
+        elif isinstance(sl2, SL2Data):
+            data = sl2
+            if isinstance(sl2.diagram, (tuple, list)) and isinstance(sl2.support, (tuple, list)):
+                # tuples read back equal, and the Arthur parameter finds this copy marked
+                data = SL2Data(tuple(sl2.diagram), tuple(sl2.support))
+            validate_sl2_data(dual, data)
+            object.__setattr__(self, "sl2", data)
+        else:
             try:
-                normalized = validate_partition(
-                    dual.spec.family, dual.rank, self.partition
-                )
+                parts = validate_partition(dual.spec.family, dual.rank, sl2)
             except ValidationError as err:
                 raise ValidationError(err.raw_message, field="sl2.partition")
-            object.__setattr__(self, "partition", normalized)
-        if self.sl2_kind == "expert":
-            data = self.expert_data
-            shaped = isinstance(data, SL2Data) and isinstance(data.diagram, (tuple, list))
-            if shaped and isinstance(data.support, (tuple, list)):
-                # tuples read back equal, and the Arthur parameter finds this copy marked
-                data = SL2Data(tuple(data.diagram), tuple(data.support))
-            validate_sl2_data(dual, data)
-            object.__setattr__(self, "expert_data", data)
+            object.__setattr__(self, "sl2", parts)
+            data = sl2_from_partition(dual.spec.family, dual.rank, parts)
         _expect_bool(self.generic_assumption, "generic_assumption")
-        if self.sl2_kind == "trivial":
-            sl2 = SL2Data((0,) * dual.rank, ())
-        elif self.sl2_kind == "partition":
-            sl2 = sl2_from_partition(dual.spec.family, dual.rank, self.partition)
-        else:
-            sl2 = self.expert_data
-        object.__setattr__(self, "arthur_parameter", make_arthur_parameter(phi, sl2))
+        object.__setattr__(self, "arthur_parameter", make_arthur_parameter(phi, data))
+
+    @property
+    def sl2_kind(self) -> str:
+        if self.sl2 is None:
+            return "trivial"
+        return "expert" if isinstance(self.sl2, SL2Data) else "partition"
 
     def resolved_sl2(self) -> SL2Data:
         return self.arthur_parameter.sl2
@@ -164,7 +151,8 @@ class Scenario:
 
 def scenario_from_dict(payload, field: str = "") -> Scenario:
     """Decode a scenario's JSON shape (keys, rationals, lists, the `sl2`
-    union); `Scenario` checks the values. Errors are named under `field`."""
+    union, read as None, a partition tuple or `SL2Data`); `Scenario` checks
+    the values. Errors are named under `field`."""
     payload = _expect_dict(payload, field or "scenario")
     _check_keys(
         payload,
@@ -178,8 +166,7 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
     )
 
     sl2_field = _join_field(field, "sl2")
-    sl2_value = payload["sl2"]
-    kind, partition, expert = "trivial", None, None
+    sl2_value, sl2 = payload["sl2"], None
     if isinstance(sl2_value, dict):
         _check_keys(sl2_value, set(), {"partition", "expert"}, sl2_field)
         if len(sl2_value) != 1:
@@ -187,16 +174,14 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
                 'expected exactly one of "partition" or "expert"', field=sl2_field
             )
         if "partition" in sl2_value:
-            kind = "partition"
-            partition = _decode(
+            sl2 = _decode(
                 tuple[int, ...], sl2_value["partition"], _join_field(sl2_field, "partition")
             )
         else:
-            kind = "expert"
             expert_field = _join_field(sl2_field, "expert")
             body = _expect_dict(sl2_value["expert"], expert_field)
             _check_keys(body, {"diagram", "support"}, set(), expert_field)
-            expert = SL2Data(
+            sl2 = SL2Data(
                 _decode(tuple[int, ...], body["diagram"], _join_field(expert_field, "diagram")),
                 _decode(
                     tuple[Annotated[Root, "group"], ...],
@@ -213,7 +198,7 @@ def scenario_from_dict(payload, field: str = "") -> Scenario:
 
     generic = payload.get("generic_assumption", True)
     try:
-        return Scenario(payload["label"], group, angles, kind, partition, expert, generic)
+        return Scenario(payload["label"], group, angles, sl2, generic)
     except ValidationError as err:
         raise err.under(field) if field else err
 
@@ -278,11 +263,12 @@ class Report:
 
 def run_scenario(s: Scenario) -> Report:
     """Full pipeline on the scenario's own Arthur parameter: classify, and
-    assemble the certificate report. It only derives: a built scenario
-    gives it nothing to refuse. Internal cross-checks raise
-    InvariantViolation rather than shading the verdict."""
+    assemble the certificate report, its sl2 fields read off `s.sl2`. It
+    only derives: a built scenario gives it nothing to refuse. Internal
+    cross-checks raise InvariantViolation rather than shading the verdict."""
     psi = s.arthur_parameter
-    dual, sl2 = psi.datum, psi.sl2
+    dual, sl2, kind = psi.datum, psi.sl2, s.sl2_kind
+    partition = s.sl2 if kind == "partition" else None
     sm = standard_module_datum(psi, s.generic_assumption)
     verdict = packet_verdict(psi, sm)
     ratio = sm.coefficient_ratio
@@ -297,14 +283,12 @@ def run_scenario(s: Scenario) -> Report:
         group=s.group,
         dual=dual.spec,
         satake_angles=s.satake_angles,
-        sl2_kind=s.sl2_kind,
-        sl2_partition=s.partition,
+        sl2_kind=kind,
+        sl2_partition=partition,
         sl2_diagram=sl2.diagram,
         sl2_support=sl2.support,
-        orbit_certified=s.sl2_kind != "expert",
-        very_even=(
-            s.sl2_kind == "partition" and is_very_even(dual.spec.family, s.partition)
-        ),
+        orbit_certified=kind != "expert",
+        very_even=partition is not None and is_very_even(dual.spec.family, partition),
         parameter=sm.parameter.coords,
         unit_angles=unit_angles,
         exponents=sm.exponents,

@@ -383,10 +383,7 @@ def encode(value):
 def scenario_payload(s) -> dict:
     """A scenario's file shape: its fields encoded, with `sl2` written as
     "trivial", {"partition": [...]} or {"expert": {...}} by its kind."""
-    if s.sl2_kind == "trivial":
-        sl2 = "trivial"
-    else:
-        sl2 = {s.sl2_kind: s.partition if s.sl2_kind == "partition" else s.expert_data}
+    sl2 = "trivial" if s.sl2 is None else {s.sl2_kind: s.sl2}
     return encode({
         "label": s.label,
         "group": s.group,

@@ -225,7 +225,7 @@ def test_writer_keeps_nothing_between_calls():
 
 def principal_report(group: str, rank: int, partition: tuple[int, ...]):
     spec = CartanSpec(group, rank)
-    return run_scenario(Scenario(f"{spec}-principal", spec, (0,) * rank, "partition", partition))
+    return run_scenario(Scenario(f"{spec}-principal", spec, (0,) * rank, partition))
 
 
 # dual type -> (group, rank, principal partition on the dual datum)
@@ -328,7 +328,7 @@ def test_report_roots_are_datum_roots_with_one_kept_text_each():
     for (family, rank), partitions in LARGE.items():
         spec = CartanSpec(GROUP_OF_DUAL[family], rank)
         for i, parts in enumerate(partitions):
-            scenario = Scenario(f"{spec}-{i}", spec, (0,) * rank, "partition", parts, None, i != 2)
+            scenario = Scenario(f"{spec}-{i}", spec, (0,) * rank, parts, i != 2)
             large.append(run_scenario(scenario))
     owner = {}
     for report in large + [r for r in shipped_reports() if r.sl2_kind != "expert"]:
@@ -581,7 +581,7 @@ def test_orbits_machine_output_matches_the_reference(capsys):
 
 
 def test_emission_leaves_no_cyclic_garbage():
-    scenario = Scenario("a12-principal", CartanSpec("A", 12), (0,) * 12, "partition", (13,))
+    scenario = Scenario("a12-principal", CartanSpec("A", 12), (0,) * 12, (13,))
     report = run_scenario(scenario)
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)

@@ -182,11 +182,9 @@ REPLACEMENTS = {
     "satake_angles": st.lists(st.sampled_from(RATIONALS), max_size=4).flatmap(
         lambda angles: st.sampled_from([angles, tuple(angles)])
     ),
-    "sl2_kind": st.sampled_from(["trivial", "partition", "expert"]),
-    "partition": st.sampled_from(
-        [(2,), [1, 1], (4,), (2, 2), [3, 1], (3, 1, 1, 1), (2, 2, 1, 1), (0,), ("2",), (True, True)]
-    ),
-    "expert_data": st.sampled_from([
+    "sl2": st.sampled_from([
+        None,
+        (2,), [1, 1], (4,), (2, 2), [3, 1], (3, 1, 1, 1), (2, 2, 1, 1), (0,), ("2",), (True, True),
         SL2Data((2,), ((1,),)), SL2Data([2], [(1,)]), SL2Data((0, 0), ()),
         SL2Data((2, 2), ((1, 0), (0, 1))), SL2Data([2, 2], [(1, 0), (0, 1)]),
         SL2Data((0, 2), ((0, 1),)),
@@ -197,7 +195,7 @@ REPLACEMENTS = {
     ]),
     "generic_assumption": st.booleans(),
 }
-OPTIONAL = ("partition", "expert_data", "generic_assumption")
+OPTIONAL = ("sl2", "generic_assumption")
 
 
 @st.composite
@@ -215,13 +213,13 @@ def library_scenarios(draw):
     return kwargs
 
 
-EXPERT_BASE = next(kwargs for kwargs in BASES if kwargs["sl2_kind"] == "expert")
+EXPERT_BASE = next(kwargs for kwargs in BASES if isinstance(kwargs["sl2"], SL2Data))
 
 
 @settings(max_examples=600, deadline=None)
 @given(library_scenarios())
 # lists where the report holds tuples must still read back equal
-@example({**EXPERT_BASE, "expert_data": SL2Data([2, 2], [(1, 0), (0, 1)])})
+@example({**EXPERT_BASE, "sl2": SL2Data([2, 2], [(1, 0), (0, 1)])})
 @example({**EXPERT_BASE, "satake_angles": [0, 0]})
 def test_hostile_library_scenarios_raise_only_validation_errors(kwargs):
     try:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -126,10 +127,7 @@ def test_scenario_rejects_malformed_sl2():
 def test_expert_scenario_refuses_a_bool_support_coefficient():
     # accepted, it would emit a report that parse_report_text refuses
     with pytest.raises(ValidationError, match="not an integer") as err:
-        Scenario(
-            "x", CartanSpec("A", 1), (Fraction(0),), "expert",
-            expert_data=SL2Data((2,), ((True,),)),
-        )
+        Scenario("x", CartanSpec("A", 1), (Fraction(0),), SL2Data((2,), ((True,),)))
     assert err.value.field == "sl2"
 
 
@@ -138,7 +136,7 @@ def test_library_scenario_refuses_a_generic_assumption_that_is_not_a_bool(flag):
     # accepted, "yes" would run to a report that parse_report_text refuses,
     # and 1 would silently count as generic
     with pytest.raises(ValidationError, match=f"expected a boolean, got {flag!r}") as err:
-        Scenario("x", CartanSpec("A", 1), (Fraction(0),), "trivial", generic_assumption=flag)
+        Scenario("x", CartanSpec("A", 1), (Fraction(0),), generic_assumption=flag)
     assert err.value.field == "generic_assumption"
 
 
@@ -146,12 +144,12 @@ A1 = CartanSpec("A", 1)
 
 
 def a1_scenario(**overrides):
-    fields = {"label": "x", "group": A1, "satake_angles": (Fraction(0),), "sl2_kind": "trivial"}
+    fields = {"label": "x", "group": A1, "satake_angles": (Fraction(0),)}
     return Scenario(**{**fields, **overrides})
 
 
 def a1_expert(data):
-    return a1_scenario(satake_angles=(0,), sl2_kind="expert", expert_data=data)
+    return a1_scenario(satake_angles=(0,), sl2=data)
 
 
 def a1_family(**overrides):
@@ -169,12 +167,16 @@ def a1_family(**overrides):
         (lambda: a1_scenario(group=("A", 1)), "group", "expected a CartanSpec"),
         (lambda: a1_scenario(group=None), "group", "expected a CartanSpec"),
         (
-            lambda: a1_scenario(sl2_kind="partition", partition=5),
+            lambda: a1_scenario(sl2=5),
             "sl2.partition",
             "expected a list of parts, got 5",
         ),
         (lambda: validate_partition("A", 1, 5), "partition", "expected a list of parts"),
-        (lambda: a1_expert(((2,), ((1,),))), "sl2", "expected SL2Data"),
+        (
+            lambda: a1_expert(((2,), ((1,),))),
+            "sl2.partition",
+            "part (2,) is not a positive integer",
+        ),
         (lambda: a1_expert(SL2Data(5, ())), "sl2", "diagram 5 is not a tuple or list"),
         (lambda: a1_expert(SL2Data((2,), 5)), "sl2", "support 5 is not a tuple or list"),
         (
@@ -248,11 +250,9 @@ def test_scenario_round_trip():
 
 def test_scenario_keeps_an_angle_already_in_range():
     half = Fraction(1, 2)
-    kept = Scenario("a2-tempered", CartanSpec("A", 2), (half, half), "trivial")
+    kept = Scenario("a2-tempered", CartanSpec("A", 2), (half, half))
     assert kept.satake_angles[0] is half and kept.satake_angles[1] is half
-    reduced = Scenario(
-        "a2-tempered", CartanSpec("A", 2), (Fraction(3, 2), Fraction(-1, 2)), "trivial"
-    )
+    reduced = Scenario("a2-tempered", CartanSpec("A", 2), (Fraction(3, 2), Fraction(-1, 2)))
     assert reduced.satake_angles == (half, half)
     assert emit_report_machine(run_scenario(kept)) == emit_report_machine(run_scenario(reduced))
 
@@ -584,7 +584,7 @@ def test_a_centralizer_failure_is_refused_when_the_scenario_is_built():
     assert str(info.value) == CENTRALIZER_MESSAGE
     half = Fraction(1, 2)
     with pytest.raises(ValidationError) as info:
-        Scenario("bad", CartanSpec("A", 2), (half, half), "partition", (3,))
+        Scenario("bad", CartanSpec("A", 2), (half, half), (3,))
     assert str(info.value) == CENTRALIZER_MESSAGE
 
 
@@ -633,6 +633,12 @@ def test_cli_check_reports_parse_errors(tmp_path, capsys):
 def test_cli_check_missing_file(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "nope.json")]) == 1
     assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_cli_batch_refuses_a_file(tmp_path, capsys):
+    path = write_scenario(tmp_path / "a.json", a1_payload())
+    assert cli.main(["batch", path]) == 1
+    assert capsys.readouterr().err == f"error: not a directory: {path}\n"
 
 
 def test_cli_batch(tmp_path, capsys):
@@ -805,7 +811,7 @@ def test_cli_batch_text_is_the_certify_golden_without_its_levels(capsys):
 
 
 def test_a_very_even_report_says_so_in_text():
-    scenario = Scenario("d4-very-even", CartanSpec("D", 4), (0,) * 4, "partition", (2, 2, 2, 2))
+    scenario = Scenario("d4-very-even", CartanSpec("D", 4), (0,) * 4, (2, 2, 2, 2))
     report = run_scenario(scenario)
     assert report.very_even
     text = render_report_text(report)
@@ -902,6 +908,26 @@ def test_cli_refuses_what_is_not_a_bounded_regular_file(tmp_path, verb, kind):
     assert done.stderr.startswith("error: ")
     assert message in done.stderr
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FILES) + sorted(UNREADABLE))
+@pytest.mark.parametrize("verb", ["check", "batch", "global"])
+def test_cli_refuses_hostile_and_unreadable_files_in_process(tmp_path, capsys, verb, case):
+    """The two tables above through `cli.main` in this process, where a line
+    trace of the suite sees each refusal. `_read_text` stats a file before
+    it opens it, so the FIFO does not block here either."""
+    if case in HOSTILE_FILES:
+        content, message = HOSTILE_FILES[case]
+        path = tmp_path / case
+        path.write_bytes(content)
+    else:
+        make, message = UNREADABLE[case]
+        path = tmp_path / "z.json"
+        make(path)
+    assert cli.main([verb, str(tmp_path if verb == "batch" else path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_a_file_longer_than_its_stat_size_is_read_whole():
@@ -1017,6 +1043,15 @@ def test_cli_usage_errors_exit_1(argv, capsys):
         cli.main(argv)
     assert exit_info.value.code == 1
     assert "usage: arthurcalc" in capsys.readouterr().err
+
+
+def test_python_dash_m_arthurcalc_runs_main(monkeypatch, capsys):
+    # what `python -m arthurcalc orbits A 2` runs, in this process
+    monkeypatch.setattr(sys, "argv", ["arthurcalc", "orbits", "A", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("arthurcalc", run_name="__main__", alter_sys=True)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("A2: 3 nilpotent orbits\n")
 
 
 def test_cli_help_exits_0(capsys):

@@ -176,6 +176,9 @@ def test_one_standard_module_builds_one_coefficient_ratio(monkeypatch):
     assert packet_verdict(psi, sm).levi == sm.levi
     assert counts["character_exponents"] == 0
     assert sm.character_exponents == sm.character_exponents
+    # the verdict's membership check and the report read the same tuple
+    ratio = sm.coefficient_ratio
+    assert ratio.witness_roots is ratio.witness_roots
     assert (
         counts["langlands_parameter"],
         counts["local_coefficient_ratio"],

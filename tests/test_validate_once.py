@@ -111,8 +111,8 @@ def test_data_checked_on_one_datum_is_checked_on_another_of_the_same_rank():
 def test_a_scenario_checks_its_expert_data_once(pairings):
     angles = (Fraction(0), Fraction(0))
     lists = SL2Data([1, 1], [(1, 1)])
-    expert = Scenario("e", CartanSpec("A", 2), angles, "expert", expert_data=lists)
-    assert expert.expert_data == SL2Data((1, 1), ((1, 1),))
+    expert = Scenario("e", CartanSpec("A", 2), angles, lists)
+    assert expert.sl2 == SL2Data((1, 1), ((1, 1),))
     assert pairings == [(1, 1)]
     for _ in range(3):
         run_scenario(expert)
